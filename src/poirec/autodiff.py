@@ -302,17 +302,19 @@ def gather_rows(table, indices):
     return out
 
 
-def scatter_sum(values, segment_ids, num_segments):
-    """out[s] = sum of values rows whose segment_ids == s. Inverse of
-    gather_rows in the backward direction."""
-    values = _wrap(values)
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    out_data = np.zeros((num_segments,) + values.data.shape[1:], dtype=values.dtype)
-    np.add.at(out_data, seg, values.data)
-    out = Tensor(out_data, parents=(values,) if _needs(values) else ())
+def gather_sum(table, indices, weights):
+    """Weighted sum of table entries picked by flat index: out[p] = sum over
+    k of weights[k, p] * table.flat[indices[k, p]], so out has the shape of
+    one index slice. Accumulates in 64 bits; backward scatter-adds the
+    weighted gradient."""
+    table = _wrap(table)
+    idx = np.asarray(indices, dtype=np.int64)
+    w = np.asarray(weights, dtype=table.dtype)
+    out_data = (table.data.reshape(-1)[idx] * w).sum(axis=0, dtype=np.float64)
+    out = Tensor(out_data.astype(table.dtype), parents=(table,) if _needs(table) else ())
 
     def backward(g):
-        values.grad += g[seg]
+        np.add.at(table.grad, np.unravel_index(idx, table.shape), g * w)
 
     if out._parents:
         out._backward = backward
@@ -379,18 +381,6 @@ def row_softmax(a):
     if out._parents:
         out._backward = backward
     return out
-
-
-def l2_norm(a):
-    """Euclidean norm of all entries, as a scalar tensor."""
-    return sqrt(tsum(mul(a, a)))
-
-
-def cosine_similarity(a, b, eps=1e-12):
-    """Cosine similarity between two same-shape tensors (flattened)."""
-    num = tsum(mul(a, b))
-    den = mul(clamp_min(l2_norm(a), eps), clamp_min(l2_norm(b), eps))
-    return num / den
 
 
 def cross_entropy(probs, targets, floor=1e-12):

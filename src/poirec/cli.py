@@ -38,7 +38,7 @@ def _add_config_flags(parser):
     for name, f in sorted(config_keys().items()):
         flag = "--" + name.replace("_", "-")
         if isinstance(f.default, bool):
-            parser.add_argument(flag, action="store_const", const=True, default=None,
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None,
                                 help=f"config {name} (default {f.default})")
         else:
             typ = type(f.default)

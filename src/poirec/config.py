@@ -15,6 +15,9 @@ class RunConfig:
     heads: int = 1
     layers: int = 1
     m_bins: int = 20
+    # b_spd has spd_cap + 2 rows (hops 0..spd_cap, then the master slot).
+    # The master node caps every hop count at 2, so rows 3..spd_cap are
+    # never indexed: the key only sets the table size (and checkpoint shape).
     spd_cap: int = 5
     degree_buckets: int = 50
     use_category_bias: bool = True
@@ -61,9 +64,17 @@ def config_keys():
     return {f.name: f for f in fields(RunConfig)}
 
 
+TRUE_WORDS = ("1", "true", "yes", "on")
+FALSE_WORDS = ("0", "false", "no", "off")
+
+
 def _parse_value(field, raw):
     if field.type is bool or isinstance(field.default, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        word = raw.strip().lower()
+        if word not in TRUE_WORDS + FALSE_WORDS:
+            raise ValueError(f"bad boolean {raw!r} for {field.name}; "
+                             f"use one of {TRUE_WORDS + FALSE_WORDS}")
+        return word in TRUE_WORDS
     if isinstance(field.default, int):
         return int(raw)
     if isinstance(field.default, float):

@@ -8,7 +8,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, Tensor
-from .graphs import MASTER, category_pair
 
 UNKNOWN_PAIR_INDEX = 0
 
@@ -27,19 +26,19 @@ class DistanceBins:
         return np.linspace(self.min_dist, self.max_dist, self.m + 1)
 
     def locate(self, dist):
-        """Return (lower_idx, upper_idx, lower_weight, upper_weight)."""
-        if self.max_dist <= self.min_dist:
-            return 0, 0, 1.0, 0.0
-        if dist <= self.min_dist:
-            return 0, 0, 1.0, 0.0
-        if dist >= self.max_dist:
-            return self.m, self.m, 1.0, 0.0
+        """Interpolation between boundaries for an array of distances:
+        (lower_idx, upper_idx, lower_weight, upper_weight), each shaped like
+        `dist`. NaN (a master pair or a missing coordinate) takes the extra
+        master/unknown slot m + 1 with weight 1."""
         width = (self.max_dist - self.min_dist) / self.m
-        k = min(int((dist - self.min_dist) / width), self.m - 1)
-        lower = self.min_dist + k * width
-        upper = lower + width
-        w_up = (dist - lower) / width
-        return k, k + 1, (upper - dist) / width, w_up
+        if width > 0:
+            x = ((dist - self.min_dist) / width).clip(0, self.m)  # in bin widths
+        else:
+            x = np.where(np.isnan(dist), np.nan, 0.0)
+        x[np.isnan(x)] = self.m + 1
+        lo = x.astype(np.int64)
+        w_hi = x - lo
+        return lo, np.minimum(lo + 1, self.m + 1), 1.0 - w_hi, w_hi
 
 
 def fit_distance_bins(mgraphs, m):
@@ -47,19 +46,13 @@ def fit_distance_bins(mgraphs, m):
     split."""
     lo, hi = math.inf, -math.inf
     for g in mgraphs:
-        for d in g.geo_dist.values():
-            lo = min(lo, d)
-            hi = max(hi, d)
+        if g.geo is not None:
+            d = g.geo[~np.isnan(g.geo)]
+            if d.size:
+                lo, hi = min(lo, float(d.min())), max(hi, float(d.max()))
     if lo > hi:
         lo, hi = 0.0, 1.0
     return DistanceBins(lo, hi, m)
-
-
-def distance_bias(dist, bins, boundary_values):
-    """Interpolated bias scalar for one distance (plain-float reference path
-    used by tests and by the bias-matrix construction indices)."""
-    lo, hi, w_lo, w_hi = bins.locate(dist)
-    return w_lo * boundary_values[lo] + w_hi * boundary_values[hi]
 
 
 def build_category_vocab(traj_graphs):
@@ -69,33 +62,6 @@ def build_category_vocab(traj_graphs):
     for g in traj_graphs:
         pairs.update(g.edge_category.values())
     return {pair: i + 1 for i, pair in enumerate(sorted(pairs))}
-
-
-def _pair_index(vocab, base, u, w):
-    """Category-pair table index for the path edge between u and w."""
-    if u == MASTER or w == MASTER:
-        return UNKNOWN_PAIR_INDEX
-    label = base.edge_category.get((u, w)) or base.edge_category.get((w, u))
-    if label is None:  # reconnection edges recompute labels, so rarely hit
-        return UNKNOWN_PAIR_INDEX
-    return vocab.get(label, UNKNOWN_PAIR_INDEX)
-
-
-def path_pair_indices(mgraph, vocab, i, j):
-    """Category-pair indices along the canonical shortest path i -> j.
-    The i == j case uses the node's self-loop edge."""
-    if i == j:
-        return [_pair_index(vocab, mgraph.base, i, i)]
-    path = mgraph.paths[(i, j)]
-    return [_pair_index(vocab, mgraph.base, u, w) for u, w in zip(path, path[1:])]
-
-
-def category_bias(mgraph, vocab, i, j, pair_table, w_r):
-    """Scalar c_ij: mean over shortest-path edges of <w_r, r_edge>.
-    Plain-numpy reference used by tests."""
-    idxs = path_pair_indices(mgraph, vocab, i, j)
-    dots = [float(pair_table[k] @ w_r) for k in idxs]
-    return sum(dots) / len(dots)
 
 
 class GsanModel:
@@ -109,8 +75,6 @@ class GsanModel:
         self.dtype = dtype
         self.poi_ids = sorted(p.poi_id for p in catalog)
         self.poi_index = {pid: i for i, pid in enumerate(self.poi_ids)}
-        self.categories = {p.poi_id: p.category_id for p in catalog}
-        self.coords = {p.poi_id: (p.lat, p.lon) for p in catalog}
 
         d = config.d
         n_pois = len(self.poi_ids)
@@ -194,57 +158,51 @@ class GsanModel:
 
     # -- attention bias ----------------------------------------------------
 
+    def _category_index(self, mgraph):
+        """(n+1, n+1) `cat_pairs` row of each base edge's category pair, read
+        in both directions (a stored direction wins over its reverse); 0, the
+        UNKNOWN row, for unlabeled pairs and every master edge."""
+        size = len(mgraph.nodes)
+        order = {p: k for k, p in enumerate(mgraph.base.nodes)}
+        fwd, rev, k = np.array([(order[a] * size + order[b], order[b] * size + order[a],
+                                 self.cat_vocab.get(label, UNKNOWN_PAIR_INDEX))
+                                for (a, b), label in mgraph.base.edge_category.items()],
+                               dtype=np.int64).reshape(-1, 3).T
+        out = np.zeros(size * size, dtype=np.int64)
+        out[rev] = k
+        out[fwd] = k
+        return out.reshape(size, size)
+
     def bias_matrix(self, mgraph):
-        nodes = mgraph.nodes
-        n = len(nodes)
+        """Additive attention bias over `mgraph.nodes` (master last): hop
+        count, interpolated distance bins and the mean category-pair score
+        along the canonical shortest path. Each pair's bias is a weighted sum
+        of entries gathered from the stacked scalar tables."""
         cfg = self.config
-
-        spd_idx = np.empty((n, n), dtype=np.int64)
-        lo_idx = np.empty((n, n), dtype=np.int64)
-        hi_idx = np.empty((n, n), dtype=np.int64)
-        w_lo = np.zeros((n, n), dtype=self.dtype)
-        w_hi = np.zeros((n, n), dtype=self.dtype)
-        master_dist_slot = cfg.m_bins + 1
-        master_spd_slot = cfg.spd_cap + 1
-        for a, i in enumerate(nodes):
-            for b, j in enumerate(nodes):
-                if i == MASTER or j == MASTER:
-                    spd_idx[a, b] = master_spd_slot
-                    lo_idx[a, b] = hi_idx[a, b] = master_dist_slot
-                    w_lo[a, b] = 1.0
-                    continue
-                spd_idx[a, b] = min(mgraph.spd[(i, j)], cfg.spd_cap)
-                dist = mgraph.geo_dist.get((i, j))
-                if dist is None:
-                    lo_idx[a, b] = hi_idx[a, b] = master_dist_slot
-                    w_lo[a, b] = 1.0
-                else:
-                    lo, hi, wl, wh = self.bins.locate(dist)
-                    lo_idx[a, b], hi_idx[a, b] = lo, hi
-                    w_lo[a, b], w_hi[a, b] = wl, wh
-
-        b_spd = ad.reshape(ad.gather_rows(self.params["b_spd"], spd_idx.ravel()), (n, n))
-        b_lo = ad.reshape(ad.gather_rows(self.params["b_dist"], lo_idx.ravel()), (n, n))
-        b_hi = ad.reshape(ad.gather_rows(self.params["b_dist"], hi_idx.ravel()), (n, n))
-        bias = b_spd + ad.mul(b_lo, Tensor(w_lo)) + ad.mul(b_hi, Tensor(w_hi))
-
+        size = len(mgraph.nodes)
+        n = size - 1
+        tables = [self.params["b_spd"], self.params["b_dist"]]
+        terms = 5 if cfg.use_category_bias else 3
+        idx = np.empty((terms, size, size), dtype=np.int64)
+        w = np.empty((terms, size, size))
+        # hop count, master pairs in their own slot
+        idx[0] = np.minimum(mgraph.hops, cfg.spd_cap)
+        idx[0, n, :] = idx[0, :, n] = cfg.spd_cap + 1
+        w[0] = 1.0
+        # distance, interpolated between two boundaries of b_dist
+        dist = np.full((size, size), np.nan) if mgraph.geo is None else mgraph.geo
+        idx[1], idx[2], w[1], w[2] = self.bins.locate(dist)
+        idx[1:3] += tables[0].shape[0]
         if cfg.use_category_bias:
-            flat_idx = []
-            seg = []
-            weights = []
-            for a, i in enumerate(nodes):
-                for b, j in enumerate(nodes):
-                    idxs = path_pair_indices(mgraph, self.cat_vocab, i, j)
-                    for k in idxs:
-                        flat_idx.append(k)
-                        seg.append(a * n + b)
-                        weights.append(1.0 / len(idxs))
-            pair_dots = ad.matmul(self.params["cat_pairs"], self.params["w_r"])
-            gathered = ad.gather_rows(pair_dots, np.array(flat_idx, dtype=np.int64))
-            weighted = ad.mul(gathered, Tensor(np.array(weights, dtype=self.dtype)[:, None]))
-            c = ad.scatter_sum(weighted, np.array(seg, dtype=np.int64), n * n)
-            bias = bias + ad.reshape(c, (n, n))
-        return bias
+            # mean over the path edges: i -> mid -> j on a 2-hop path, else
+            # the edge i -> j (or i's self-loop) taken twice
+            cat = self._category_index(mgraph) + (tables[0].shape[0] + tables[1].shape[0])
+            tables.append(ad.matmul(self.params["cat_pairs"], self.params["w_r"]))
+            nodes = np.arange(size)
+            idx[3] = cat[nodes[:, None], mgraph.mid]
+            idx[4] = np.where(mgraph.hops == 2, cat[mgraph.mid, nodes], idx[3])
+            w[3:] = 0.5
+        return ad.gather_sum(ad.concat(tables, axis=0), idx, w)
 
     # -- attention + readout -----------------------------------------------
 

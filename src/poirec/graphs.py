@@ -3,8 +3,10 @@ distances, shortest-path tables and the master-node augmentation."""
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -16,6 +18,16 @@ def haversine(lat1, lon1, lat2, lon2):
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
     return 2 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
+
+
+def haversine_matrix(coords):
+    """All-pairs `haversine` of an (n, 2) array of (lat, lon) degrees: entry
+    [i, j] is the distance from point i to point j; NaN coordinates give NaN."""
+    rad = np.radians(coords)
+    s = np.sin((rad - rad[:, None]) / 2) ** 2  # [i, j] = sin^2 of (dphi, dlam) / 2
+    cos = np.cos(rad[:, 0])
+    a = s[..., 0] + cos[:, None] * cos * s[..., 1]
+    return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(a, 1.0)))
 
 
 def category_pair(cat_a, cat_b):
@@ -203,61 +215,55 @@ MASTER = "__master__"
 
 @dataclass
 class MasterGraph:
+    """A trajectory graph plus the readout master node, last in `nodes`.
+
+    The master links to every base node, so hop counts (edge direction
+    ignored) have a closed form: 0 on the diagonal, 1 for adjacent pairs and
+    for any pair with the master, 2 otherwise. Matrices index `nodes`."""
+
     base: TrajectoryGraph
     nodes: list  # base nodes + MASTER (last)
-    spd: dict  # (i, j) -> hops over direction-ignored augmented edges
-    geo_dist: dict  # (i, j) base pairs -> km; master pairs absent
-    paths: dict = field(default_factory=dict)  # (i, j) -> canonical node path
-
-
-def _canonical_paths(nodes, adjacency):
-    """One deterministic shortest path per source: BFS expanding neighbors in
-    ascending node index (list order)."""
-    order = {n: i for i, n in enumerate(nodes)}
-    paths = {}
-    for src in nodes:
-        parent = {src: None}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(adjacency[u], key=order.__getitem__):
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        for dst in nodes:
-            if dst not in parent:
-                continue
-            path = []
-            cur = dst
-            while cur is not None:
-                path.append(cur)
-                cur = parent[cur]
-            paths[(src, dst)] = path[::-1]
-    return paths
+    adj: np.ndarray  # (n+1, n+1) bool, direction ignored, no self-loops
+    hops: np.ndarray  # (n+1, n+1) int hop counts
+    # (n+1, n+1) node after i on the canonical path i -> j: for a 2-hop pair
+    # its midpoint (the lowest-index common base neighbour, else the master),
+    # j itself for the other pairs
+    mid: np.ndarray
+    # (n+1, n+1) km, NaN for the master and for missing coordinates; None
+    # when add_master_node got no coordinates
+    geo: object
 
 
 def add_master_node(g, coords=None, spd_cap=5):
     """Attach the readout master node: undirected edges to every base node,
-    then all-pairs hop counts (<= 2 by construction) and base-pair Haversine
+    the closed-form hop and midpoint matrices, and base-pair Haversine
     distances.
 
-    `coords` maps poi_id -> (lat, lon); geo distances are omitted when absent
-    (the attention layer then uses its dedicated master/unknown bias slot).
+    `coords` maps poi_id -> (lat, lon); without it `geo` is None. Pairs
+    without a distance take the attention's master/unknown bias slot.
+    `spd_cap` has no effect: hop counts never exceed 2.
     """
     if not g.nodes:
         raise ValueError("empty base graph")
-    nodes = list(g.nodes) + [MASTER]
-    pairs = set(g.edges) | {(p, MASTER) for p in g.nodes}
-    adj = adjacency_from_pairs(nodes, pairs)
-    spd = all_pairs_spd(nodes, adj, cap=max(2, spd_cap))
-    geo = {}
+    n = len(g.nodes)
+    size = n + 1
+    order = {p: k for k, p in enumerate(g.nodes)}
+    # base edges without self-loops, plus the master row; symmetrized below
+    adj = np.zeros((size, size), dtype=bool)
+    adj.flat[[order[a] * size + order[b] for a, b in g.edges if a != b]
+             + list(range(n * size, n * size + n))] = True
+    adj |= adj.T
+    hops = np.where(adj, 1, 2)
+    hops.flat[::size + 1] = 0
+    # the lowest-index common neighbour is the BFS midpoint; the master is
+    # last, so it is picked only when no base node qualifies
+    common = adj[:, :, None] & adj  # [i, k, j]
+    mid = np.where(hops == 2, common.argmax(axis=1), np.arange(size))
+    geo = None
     if coords:
-        for i in g.nodes:
-            for j in g.nodes:
-                if i in coords and j in coords:
-                    a, b = coords[i], coords[j]
-                    geo[(i, j)] = haversine(a[0], a[1], b[0], b[1])
-    return MasterGraph(g, nodes, spd, geo, _canonical_paths(nodes, adj))
+        nan = (math.nan, math.nan)  # also the master's
+        geo = haversine_matrix(np.array([coords.get(p, nan) for p in g.nodes] + [nan]))
+    return MasterGraph(g, list(g.nodes) + [MASTER], adj, hops, mid, geo)
 
 
 # -- serialization ---------------------------------------------------------

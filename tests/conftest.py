@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from poirec.augment import (CorrelationIndex, correlated_insertion,
+                            correlated_substitute, node_dropout)
 from poirec.config import RunConfig
 from poirec.data import CheckIn, Trajectory
+from poirec.graphs import build_trajectory_graph
+from poirec.pretrain import EmbeddingTable
 
 
 def make_traj(poi_ids, user="u1", categories=None, t0=0.0, step=3600.0,
@@ -14,6 +18,25 @@ def make_traj(poi_ids, user="u1", categories=None, t0=0.0, step=3600.0,
         lat, lon = coords[p] if coords else (10.0 + 0.01 * (hash(p) % 7), 20.0)
         checkins.append(CheckIn(user, p, cat, t0 + i * step, lat, lon))
     return Trajectory(user, checkins)
+
+
+def augmented_graphs(rng, count, cats=None):
+    """`count` random trajectory graphs, each followed by its augmented
+    copies: node dropout, insertion in both modes, substitution."""
+    cats = cats or {f"p{i}": f"c{i % 3}" for i in range(30)}
+    table = EmbeddingTable(sorted(cats),
+                           rng.normal(size=(len(cats), 4)).astype(np.float32))
+    index = CorrelationIndex(table, table, top=10)
+    out = []
+    for _ in range(count):
+        seq = [f"p{i}" for i in rng.integers(0, 12, size=rng.integers(1, 16))]
+        g = build_trajectory_graph(make_traj(seq, categories=cats))
+        out.append(g)
+        out.append(node_dropout(g, 0.4, rng, cats))
+        for mode in ("spatial", "temporal"):
+            out.append(correlated_insertion(g, 2, index, mode, rng, cats))
+        out.append(correlated_substitute(g, 2, index, rng, cats))
+    return out
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from poirec.cli import main
 from poirec.config import RunConfig
 from poirec.data import Poi, save_split
 from poirec.encoder import GsanModel, build_category_vocab, fit_distance_bins
-from poirec.graphs import (MASTER, add_master_node, adjacency_from_pairs,
+from poirec.graphs import (add_master_node, adjacency_from_pairs,
                            all_pairs_spd, build_global_temporal,
                            build_trajectory_graph, haversine)
 from poirec.metrics import hit_rate, ndcg, rank_target
@@ -164,9 +164,10 @@ def test_criterion_5_master_node_property():
         else:
             g = correlated_substitute(g, 2, index, rng, cats)
         mg = add_master_node(g)
-        for (i, j), hops in mg.spd.items():
-            if hops > 2 or (MASTER in (i, j) and i != j and hops != 1):
-                violations += 1
+        master = np.zeros(mg.hops.shape, dtype=bool)
+        master[-1, :] = master[:, -1] = True
+        np.fill_diagonal(master, False)
+        violations += int(((mg.hops > 2) | (master & (mg.hops != 1))).sum())
     ok = violations == 0
     assert verdict(5, ok, f"{violations} violations over 100 graphs")
 

@@ -160,6 +160,25 @@ class TestTrainEvaluate:
                      "--from-scratch", "--epochs", "1", "--lam", "0.0"] + TINY)
         assert code == 0
 
+    def test_bool_flags_switch_off(self, data_dir, tmp_path):
+        (tmp_path / "c.cfg").write_text("all_prefix = true\n")
+        run = tmp_path / "off"
+        code = main(["train", "--data", str(data_dir), "--out", str(run),
+                     "--config", str(tmp_path / "c.cfg"), "--no-all-prefix",
+                     "--no-use-category-bias", "--from-scratch", "--epochs", "1",
+                     "--lam", "0.0"] + TINY)
+        assert code == 0
+        saved = (run / "config.txt").read_text()
+        assert "use_category_bias = False" in saved
+        assert "all_prefix = False" in saved
+
+    def test_bad_bool_in_config_file_exit_3(self, data_dir, tmp_path, capsys):
+        (tmp_path / "c.cfg").write_text("from_scratch = ture\n")
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                     "--config", str(tmp_path / "c.cfg")] + TINY)
+        assert code == 3
+        assert "bad boolean 'ture'" in capsys.readouterr().err
+
 
 class TestSweepAndDebug:
     def test_invalid_sweep_param_exit_3(self, data_dir, tmp_path, capsys):

@@ -7,11 +7,12 @@ from poirec import autodiff as ad
 from poirec.autodiff import NumericError, Tensor
 from poirec.data import Poi
 from poirec.encoder import (DistanceBins, GsanModel, build_category_vocab,
-                            category_bias, distance_bias, fit_distance_bins,
-                            path_pair_indices)
+                            fit_distance_bins)
 from poirec.graphs import (MASTER, add_master_node, build_global_temporal,
-                           build_trajectory_graph)
-from conftest import make_traj
+                           build_trajectory_graph, haversine)
+from oracles import category_bias, locate_scalar, master_paths, path_pair_indices
+import oracles
+from conftest import augmented_graphs, make_traj
 
 
 def grid_catalog(n=6):
@@ -34,6 +35,14 @@ def small_model(config, seq=("p0", "p1", "p2", "p0", "p3"), dtype=np.float64,
     model = GsanModel(catalog, gt, vocab, bins, config,
                       np.random.default_rng(seed), dtype=dtype)
     return model, mg, catalog
+
+
+def distance_bias(dist, bins, values):
+    """Interpolated bias scalar through the vectorized `DistanceBins.locate`;
+    `values` has one entry per boundary (the unknown slot is padded on)."""
+    lo, hi, w_lo, w_hi = bins.locate(np.array([dist]))
+    values = np.append(values, 0.0)
+    return float(w_lo[0] * values[lo[0]] + w_hi[0] * values[hi[0]])
 
 
 class TestDistanceBias:
@@ -62,11 +71,37 @@ class TestDistanceBias:
             expected = (values[k + 1] * (dist - lo) + values[k] * (hi - dist)) / (hi - lo)
             assert distance_bias(dist, bins, values) == pytest.approx(expected, abs=1e-6)
 
+    @pytest.mark.parametrize("bins", [DistanceBins(0.0, 10.0, 20), DistanceBins(0.3, 7.1, 3),
+                                      DistanceBins(2.0, 2.0, 4), DistanceBins(5.0, 1.0, 2)])
+    def test_locate_matches_scalar_oracle(self, bins, rng):
+        """Same weight on every boundary as the scalar oracle; NaN goes to
+        the master/unknown slot m + 1."""
+        dists = np.concatenate([rng.uniform(-1, 12, size=200), bins.boundaries,
+                                [bins.min_dist, bins.max_dist, np.nan]])
+        lo, hi, w_lo, w_hi = bins.locate(dists.reshape(1, -1))
+        for got, dist in zip(zip(lo.ravel(), hi.ravel(), w_lo.ravel(), w_hi.ravel()), dists):
+            want = ((bins.m + 1, bins.m + 1, 1.0, 0.0) if np.isnan(dist)
+                    else locate_scalar(bins, dist))
+            dense = []
+            for k_lo, k_hi, wl, wh in (got, want):
+                weights = np.zeros(bins.m + 2)
+                weights[k_lo] += wl
+                weights[k_hi] += wh
+                dense.append(weights)
+            assert np.allclose(dense[0], dense[1], rtol=0, atol=1e-12), dist
+
     def test_fit_bins_covers_observed_range(self, tiny_config):
         _, mg, _ = small_model(tiny_config)
         bins = fit_distance_bins([mg], 4)
-        dists = list(mg.geo_dist.values())
-        assert bins.min_dist == min(dists) and bins.max_dist == max(dists)
+        dists = mg.geo[~np.isnan(mg.geo)]
+        assert bins.min_dist == dists.min() and bins.max_dist == dists.max()
+
+    def test_fit_bins_skip_missing_coordinates(self):
+        g = build_trajectory_graph(make_traj(["a", "b", "c"]))
+        coords = {"a": (0.0, 0.0), "b": (0.0, 1.0)}
+        bins = fit_distance_bins([add_master_node(g, coords), add_master_node(g)], 4)
+        assert bins.min_dist == 0.0
+        assert bins.max_dist == pytest.approx(haversine(*coords["a"], *coords["b"]))
 
 
 class TestCategoryBias:
@@ -99,7 +134,8 @@ class TestCategoryBias:
         table[vocab[("ca", "cb")]] = [0.2]
         table[vocab[("cb", "cc")]] = [0.6]
         # canonical a->c path goes a,b,c (2 hops) rather than via master
-        assert mg.paths[("a", "c")] == ["a", "b", "c"]
+        assert master_paths(mg)[("a", "c")] == ["a", "b", "c"]
+        assert mg.mid[0, 2] == 1
         assert category_bias(mg, vocab, "a", "c", table, np.ones(1)) == pytest.approx(0.4)
 
     def test_self_pair_uses_self_loop(self, tiny_config):
@@ -110,6 +146,55 @@ class TestCategoryBias:
     def test_master_edges_use_unknown(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
         assert path_pair_indices(mg, model.cat_vocab, MASTER, "p0") == [0]
+
+
+class TestBiasMatrixOracle:
+    """The index-gather bias equals the pair-by-pair loop over BFS hop
+    counts, scalar distances and canonical paths."""
+
+    @staticmethod
+    def build(config, coords_for, rng):
+        cats = {f"p{i}": f"c{i % 4}" for i in range(30)}
+        catalog = [Poi(p, c, 40.0 + 0.01 * rng.random(), -74.0 + 0.01 * rng.random())
+                   for p, c in cats.items()]
+        coords = coords_for({p.poi_id: (p.lat, p.lon) for p in catalog})
+        graphs = augmented_graphs(rng, 12, cats)
+        mgraphs = [add_master_node(g, coords, config.spd_cap) for g in graphs]
+        gt = build_global_temporal([], config.n_neighbors, catalog=catalog)
+        # fit the vocabulary on half the graphs so some pairs are UNKNOWN
+        vocab = build_category_vocab(graphs[::2])
+        model = GsanModel(catalog, gt, vocab, fit_distance_bins(mgraphs[::3], config.m_bins),
+                          config, rng, dtype=np.float64)
+        for p in model.params.values():
+            p.data = rng.normal(size=p.data.shape)
+        return model, mgraphs, coords
+
+    @pytest.mark.parametrize("coords_for", [
+        lambda c: c,
+        lambda c: None,
+        lambda c: {p: ll for k, (p, ll) in enumerate(sorted(c.items())) if k % 4},
+    ], ids=["coords", "no-coords", "some-coords-missing"])
+    @pytest.mark.parametrize("use_category_bias", [True, False])
+    def test_matches_loop_oracle(self, tiny_config, rng, coords_for, use_category_bias):
+        cfg = tiny_config.override(use_category_bias=use_category_bias)
+        model, mgraphs, coords = self.build(cfg, coords_for, rng)
+        for mg in mgraphs:
+            expected = oracles.bias_matrix(model, mg, coords)
+            assert np.allclose(model.bias_matrix(mg).data, expected, rtol=0, atol=1e-9)
+
+    def test_missing_coordinates_take_unknown_slot(self, tiny_config, rng):
+        cfg = tiny_config.override(use_category_bias=False)
+        model, mgraphs, _ = self.build(
+            cfg, lambda c: {p: ll for p, ll in c.items() if p != "p0"}, rng)
+        b_spd = model.params["b_spd"].data[:, 0]
+        unknown = model.params["b_dist"].data[cfg.m_bins + 1, 0]
+        with_p0 = [mg for mg in mgraphs if "p0" in mg.base.nodes]
+        assert with_p0
+        for mg in with_p0:
+            a = mg.nodes.index("p0")
+            bias = model.bias_matrix(mg).data
+            hops = np.minimum(mg.hops[a, :-1], cfg.spd_cap)
+            assert np.allclose(bias[a, :-1], b_spd[hops] + unknown, rtol=0, atol=1e-12)
 
 
 class TestNodeFeatures:
@@ -206,21 +291,8 @@ class TestAttention:
         master = x.mean(axis=0) + model.params["pos"].data[0]
         x = np.vstack([x, master])
 
-        all_nodes = mg.nodes
-        n = len(all_nodes)
-        bias = np.zeros((n, n))
-        b_spd = model.params["b_spd"].data[:, 0]
-        b_dist = model.params["b_dist"].data[:, 0]
-        cat_table = model.params["cat_pairs"].data
-        w_r = model.params["w_r"].data[:, 0]
-        for a, i in enumerate(all_nodes):
-            for b, j in enumerate(all_nodes):
-                if MASTER in (i, j):
-                    bias[a, b] = b_spd[cfg.spd_cap + 1] + b_dist[cfg.m_bins + 1]
-                else:
-                    bias[a, b] = (b_spd[min(mg.spd[(i, j)], cfg.spd_cap)]
-                                  + distance_bias(mg.geo_dist[(i, j)], model.bins, b_dist))
-                bias[a, b] += category_bias(mg, model.cat_vocab, i, j, cat_table, w_r)
+        coords = {p.poi_id: (p.lat, p.lon) for p in grid_catalog()}
+        bias = oracles.bias_matrix(model, mg, coords)
 
         def softmax(m):
             e = np.exp(m - m.max(axis=1, keepdims=True))

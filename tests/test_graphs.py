@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from poirec.data import Poi
-from poirec.graphs import (MASTER, add_master_node, adjacency_from_pairs,
+from poirec.graphs import (add_master_node, adjacency_from_pairs,
                            all_pairs_spd, build_global_spatial,
                            build_global_temporal, build_trajectory_graph,
                            haversine, save_spatial_graph, save_temporal_graph)
-from conftest import make_traj
+import oracles
+from conftest import augmented_graphs, make_traj
 
 
 class TestTrajectoryGraph:
@@ -167,37 +168,84 @@ class TestMasterNode:
     def test_single_node_graph(self):
         mg = add_master_node(build_trajectory_graph(make_traj(["a"])))
         assert len(mg.nodes) == 2
-        assert mg.spd[(MASTER, "a")] == 1
+        assert mg.hops[1, 0] == 1
 
     def test_disconnected_base_bridged(self):
         g = build_trajectory_graph(make_traj(["a", "b"]))
         g.edges = {("a", "a"), ("b", "b")}  # sever the base connection
         mg = add_master_node(g)
-        assert mg.spd[("a", "b")] == 2
+        assert mg.hops[0, 1] == 2
+        assert mg.mid[0, 1] == 2  # the path runs through the master
 
     def test_eight_visit_six_unique_sequence(self):
         seq = ["p1", "p2", "p3", "p4", "p5", "p3", "p6", "p4"]
         mg = add_master_node(build_trajectory_graph(make_traj(seq)))
         assert len(mg.nodes) == 7  # 6 unique POIs + master
-        master_edges = [(i, j) for (i, j) in mg.spd if
-                        MASTER in (i, j) and i != j and mg.spd[(i, j)] == 1]
-        assert len(master_edges) == 12  # 6 undirected edges, both directions
+        master = len(mg.nodes) - 1
+        off_diag = ~np.eye(len(mg.nodes), dtype=bool)
+        on_master = np.zeros_like(off_diag)
+        on_master[master, :] = on_master[:, master] = True
+        master_edges = (on_master & off_diag & (mg.hops == 1)).sum()
+        assert master_edges == 12  # 6 undirected edges, both directions
 
     def test_spd_bounded_by_two(self, rng):
         for _ in range(20):
             seq = [f"p{i}" for i in rng.integers(0, 8, size=rng.integers(1, 15))]
             mg = add_master_node(build_trajectory_graph(make_traj(seq)))
-            for (i, j), hops in mg.spd.items():
-                assert hops <= 2
-                if MASTER in (i, j) and i != j:
-                    assert hops == 1
+            assert (mg.hops <= 2).all()
+            master_row = np.delete(mg.hops[-1], -1)
+            master_col = np.delete(mg.hops[:, -1], -1)
+            assert (master_row == 1).all() and (master_col == 1).all()
 
     def test_geo_distances_present_for_base_pairs(self):
         coords = {"a": (0.0, 0.0), "b": (0.0, 1.0)}
         g = build_trajectory_graph(make_traj(["a", "b"], coords=coords))
         mg = add_master_node(g, coords)
-        assert mg.geo_dist[("a", "b")] == pytest.approx(111.19, abs=0.1)
-        assert (MASTER, "a") not in mg.geo_dist
+        assert mg.geo[0, 1] == pytest.approx(111.19, abs=0.1)
+        assert np.isnan(mg.geo[2]).all() and np.isnan(mg.geo[:, 2]).all()  # master
+
+    def test_geo_matches_scalar_haversine(self, rng):
+        coords = {f"p{i}": (rng.uniform(-80, 80), rng.uniform(-180, 180))
+                  for i in range(9)}
+        del coords["p3"]
+        seq = [f"p{i}" for i in range(9)]
+        mg = add_master_node(build_trajectory_graph(make_traj(seq)), coords)
+        assert mg.geo.shape == (10, 10)
+        for a, i in enumerate(mg.nodes):
+            for b, j in enumerate(mg.nodes):
+                if i in coords and j in coords:
+                    assert mg.geo[a, b] == pytest.approx(
+                        haversine(*coords[i], *coords[j]), rel=1e-12, abs=1e-9)
+                else:
+                    assert np.isnan(mg.geo[a, b])
+
+    def test_no_coords_no_geo(self):
+        assert add_master_node(build_trajectory_graph(make_traj(["a", "b"]))).geo is None
+
+
+class TestMasterNodeOracle:
+    def test_hops_equal_bfs_on_augmented_graph(self, rng):
+        for g in augmented_graphs(rng, 40):
+            mg = add_master_node(g)
+            nodes, adjacency = oracles.master_adjacency(g)
+            spd = all_pairs_spd(nodes, adjacency, cap=len(nodes) + 1)
+            expected = np.array([[spd[(i, j)] for j in nodes] for i in nodes])
+            assert np.array_equal(mg.hops, expected)
+
+    def test_midpoints_equal_bfs_canonical_paths(self, rng):
+        for g in augmented_graphs(rng, 40):
+            mg = add_master_node(g)
+            paths = oracles.canonical_paths(*oracles.master_adjacency(g))
+            order = {p: k for k, p in enumerate(mg.nodes)}
+            for (i, j), path in paths.items():
+                assert mg.mid[order[i], order[j]] == order[path[min(1, len(path) - 1)]]
+
+    def test_adjacency_ignores_direction_and_self_loops(self, rng):
+        for g in augmented_graphs(rng, 10):
+            mg = add_master_node(g)
+            nodes, adjacency = oracles.master_adjacency(g)
+            expected = np.array([[j in adjacency[i] for j in nodes] for i in nodes])
+            assert np.array_equal(mg.adj, expected)
 
 
 class TestSerialization:

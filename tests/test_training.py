@@ -54,6 +54,16 @@ class TestConfig:
         (tmp_path / "c.cfg").write_text("d = 12\n")
         assert load_config(tmp_path / "c.cfg", {"d": 40}).d == 40
 
+    def test_bool_words(self, tmp_path):
+        for word, value in (("yes", True), ("ON", True), ("0", False), ("off", False)):
+            (tmp_path / "c.cfg").write_text(f"all_prefix = {word}\n")
+            assert load_config(tmp_path / "c.cfg").all_prefix is value
+
+    def test_bad_bool_is_fatal(self, tmp_path):
+        (tmp_path / "c.cfg").write_text("use_category_bias = ture\n")
+        with pytest.raises(ValueError, match="bad boolean 'ture' for use_category_bias"):
+            load_config(tmp_path / "c.cfg")
+
     def test_rng_streams_independent_and_stable(self):
         hub = RngHub(7)
         a1 = hub.stream("alpha").random(4)
