@@ -20,40 +20,67 @@ class ViewPair:
     tags: tuple  # (operator tag for a, operator tag for b)
 
 
+# Rows of the similarity matrix ranked per numpy pass: bounds the (block, P)
+# temporaries of `CorrelationIndex._rank` while amortizing per-call overhead.
+RANK_BLOCK = 64
+
+
 class CorrelationIndex:
     """Ranked same-mode cosine neighbors per POI under the pretrained
-    spatial and temporal embeddings."""
+    spatial and temporal embeddings.
+
+    Each POI keeps its `top` most similar other POIs, in descending cosine
+    score with the smaller poi_id first on equal scores. The table is built
+    as a blocked top-k: one full similarity product, then per block of
+    RANK_BLOCK rows a partition finds the top-th score, every score above it
+    is kept and ties at it fill the remaining slots lowest poi_id first.
+    Each mode is stored as (poi_id -> row, ids, (P, keep) neighbor rows,
+    (P, keep) scores); a temporal table that is the spatial one is ranked
+    once and shared."""
 
     def __init__(self, spatial_table, temporal_table, top=50):
         self.spatial = self._rank(spatial_table, top)
-        self.temporal = self._rank(temporal_table, top)
+        self.temporal = (self.spatial if temporal_table is spatial_table
+                         else self._rank(temporal_table, top))
 
     @staticmethod
     def _rank(table, top):
         if table is None or len(table.ids) == 0:
-            return {}
+            return {}, [], np.empty((0, 0), dtype=np.intp), np.empty((0, 0))
+        ids = list(table.ids)
+        n = len(ids)
+        keep = max(0, min(top, n - 1))
         v = table.vectors.astype(np.float64)
         norms = np.linalg.norm(v, axis=1)
         norms = np.where(norms == 0, 1.0, norms)
         vn = v / norms[:, None]
         sims = vn @ vn.T
-        ranked = {}
-        ids = table.ids
-        for i, pid in enumerate(ids):
-            row = sims[i].copy()
-            row[i] = -np.inf
-            keep = min(top, len(ids) - 1)
-            if keep <= 0:
-                ranked[pid] = []
-                continue
-            # descending score, poi_id ascending on ties, for determinism
-            cand = sorted(range(len(ids)), key=lambda j: (-row[j], ids[j]))[:keep]
-            ranked[pid] = [(ids[j], float(row[j])) for j in cand]
-        return ranked
+        np.fill_diagonal(sims, -np.inf)
+        # columns in poi_id order, so "first in column order" means lowest id
+        by_id = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
+        nbr = np.empty((n, keep), dtype=np.intp)
+        score = np.empty((n, keep))
+        for lo in range(0, n if keep else 0, RANK_BLOCK):
+            block = sims[lo:lo + RANK_BLOCK][:, by_id]
+            kth = np.partition(block, n - keep, axis=1)[:, n - keep, None]
+            above = block > kth
+            tie = block == kth
+            room = keep - above.sum(axis=1, keepdims=True)
+            picked = above | (tie & (np.cumsum(tie, axis=1) <= room))
+            cols = np.nonzero(picked)[1].reshape(-1, keep)
+            vals = np.take_along_axis(block, cols, axis=1)
+            desc = np.argsort(-vals, axis=1, kind="stable")
+            nbr[lo:lo + len(block)] = by_id[np.take_along_axis(cols, desc, axis=1)]
+            score[lo:lo + len(block)] = np.take_along_axis(vals, desc, axis=1)
+        return {pid: i for i, pid in enumerate(ids)}, ids, nbr, score
 
     def neighbors(self, poi_id, mode):
-        table = self.spatial if mode == "spatial" else self.temporal
-        return table.get(poi_id, [])
+        """[(poi_id, score), ...] best first; [] for an unknown POI."""
+        pos, ids, nbr, score = self.spatial if mode == "spatial" else self.temporal
+        i = pos.get(poi_id)
+        if i is None:
+            return []
+        return [(ids[j], s) for j, s in zip(nbr[i].tolist(), score[i].tolist())]
 
     def top_unvisited(self, poi_id, mode, visited):
         for cand, score in self.neighbors(poi_id, mode):

@@ -3,6 +3,8 @@
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 DEFAULT_KS = (1, 5, 10, 20)
 
 
@@ -12,17 +14,15 @@ def rank_target(scores, poi_ids, target):
     Ties are broken deterministically: equal-score POIs with a smaller
     poi_id precede the target.
     """
-    pos = {p: i for i, p in enumerate(poi_ids)}
-    if target not in pos:
-        raise ValueError(f"target {target!r} not in catalog")
-    s_t = scores[pos[target]]
-    rank = 1
-    for p, s in zip(poi_ids, scores):
-        if p == target:
-            continue
-        if s > s_t or (s == s_t and p < target):
-            rank += 1
-    return rank
+    scores = np.asarray(scores)
+    try:
+        t = poi_ids.index(target)
+    except ValueError:
+        raise ValueError(f"target {target!r} not in catalog") from None
+    s_t = scores[t]
+    tied = np.flatnonzero(scores == s_t)
+    return 1 + int(np.count_nonzero(scores > s_t)) + sum(
+        1 for j in tied.tolist() if poi_ids[j] < target)
 
 
 def hit_rate(ranks, k):

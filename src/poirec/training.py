@@ -142,7 +142,7 @@ class Trainer:
 
     def train_epoch(self):
         cfg = self.config
-        start = time.time()
+        start = time.perf_counter()
         order = self.batch_rng.permutation(len(self.samples))
         rec_sum, ssl_sum, total_sum, n_batches = 0.0, 0.0, 0.0, 0
         for lo in range(0, len(order), cfg.batch_size):
@@ -169,7 +169,7 @@ class Trainer:
             total_loss=total_sum / max(1, n_batches),
             val_hr10=val.hr.get(10, 0.0) if val else 0.0,
             val_ndcg10=val.ndcg.get(10, 0.0) if val else 0.0,
-            seconds=time.time() - start,
+            seconds=time.perf_counter() - start,
         )
         self.reports.append(report)
         if val is not None:

@@ -1,6 +1,7 @@
 """Reference implementations the tests check the program against: the
 per-pair BFS and loop forms of the master-graph structure and of the
-attention bias, plus small autodiff compositions used only by tests."""
+attention bias, the sorted-row correlation ranking, the catalog-loop
+target rank, plus small autodiff compositions used only by tests."""
 
 from collections import deque
 
@@ -155,3 +156,48 @@ def bias_matrix(model, mgraph, coords=None):
                 out[a, b] += category_bias(mgraph, model.cat_vocab, i, j,
                                            cat_table, w_r, paths)
     return out
+
+
+# -- correlation index and ranking, one row / one POI at a time ------------
+
+
+def correlation_rank(table, top):
+    """{poi_id: [(poi_id, score), ...]}: per POI its `top` most cosine-similar
+    other POIs, descending score, smaller poi_id first on ties, by a full
+    sort of each row."""
+    if table is None or len(table.ids) == 0:
+        return {}
+    v = table.vectors.astype(np.float64)
+    norms = np.linalg.norm(v, axis=1)
+    norms = np.where(norms == 0, 1.0, norms)
+    vn = v / norms[:, None]
+    sims = vn @ vn.T
+    ranked = {}
+    ids = table.ids
+    for i, pid in enumerate(ids):
+        row = sims[i].copy()
+        row[i] = -np.inf
+        keep = min(top, len(ids) - 1)
+        if keep <= 0:
+            ranked[pid] = []
+            continue
+        cand = sorted(range(len(ids)), key=lambda j: (-row[j], ids[j]))[:keep]
+        ranked[pid] = [(ids[j], float(row[j])) for j in cand]
+    return ranked
+
+
+def rank_target(scores, poi_ids, target):
+    """1-based rank of `target`: one plus the POIs scoring higher, plus the
+    equal-score POIs with a smaller poi_id, counted by a loop over the
+    catalog."""
+    pos = {p: i for i, p in enumerate(poi_ids)}
+    if target not in pos:
+        raise ValueError(f"target {target!r} not in catalog")
+    s_t = scores[pos[target]]
+    rank = 1
+    for p, s in zip(poi_ids, scores):
+        if p == target:
+            continue
+        if s > s_t or (s == s_t and p < target):
+            rank += 1
+    return rank

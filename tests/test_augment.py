@@ -8,6 +8,7 @@ from poirec.autodiff import ShapeError, Tensor
 from poirec.graphs import build_trajectory_graph
 from poirec.pretrain import EmbeddingTable
 from conftest import make_traj
+import oracles
 
 CATS = {p: f"cat_{p}" for p in
         ["a", "b", "c", "d", "x", "y", "z"] + [f"p{i}" for i in range(10)]}
@@ -65,6 +66,51 @@ class TestCorrelationIndex:
         idx = CorrelationIndex(None, None)
         assert idx.neighbors("a", "spatial") == []
         assert idx.top_unvisited_merged("a", set()) is None
+
+
+def tied_table(rng, n, d=5):
+    """Rounded vectors (many equal scores) with duplicate and zero rows,
+    under poi_ids listed out of sorted order."""
+    vec = rng.integers(-2, 3, size=(n, d)).astype(np.float32)
+    if n >= 4:
+        vec[1] = vec[0]
+        vec[3] = 0.0
+    ids = [f"p{k:03d}" for k in rng.permutation(n)]
+    return EmbeddingTable(ids, vec)
+
+
+def assert_index_matches_oracle(idx, spatial, temporal, top):
+    for mode, table in (("spatial", spatial), ("temporal", temporal)):
+        want = oracles.correlation_rank(table, top)
+        for pid in table.ids:
+            assert idx.neighbors(pid, mode) == want[pid], (mode, pid)
+
+
+class TestCorrelationIndexOracle:
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 150])
+    @pytest.mark.parametrize("top", [0, 1, 3, "n", "n+5"])
+    def test_shared_table_matches_sorted_rows(self, n, top):
+        top = {"n": n, "n+5": n + 5}.get(top, top)
+        table = tied_table(np.random.default_rng(n), n)
+        idx = CorrelationIndex(table, table, top=top)
+        assert_index_matches_oracle(idx, table, table, top)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distinct_tables_rank_separately(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        spatial = tied_table(rng, 90)
+        temporal = EmbeddingTable(list(spatial.ids),
+                                  rng.normal(size=spatial.vectors.shape).astype(np.float32))
+        idx = CorrelationIndex(spatial, temporal, top=7)
+        assert_index_matches_oracle(idx, spatial, temporal, top=7)
+        assert any(idx.neighbors(p, "spatial") != idx.neighbors(p, "temporal")
+                   for p in spatial.ids)
+
+    def test_unknown_poi_has_no_neighbors(self):
+        table = tied_table(np.random.default_rng(0), 6)
+        idx = CorrelationIndex(table, None, top=3)
+        assert idx.neighbors("nope", "spatial") == []
+        assert idx.neighbors(table.ids[0], "temporal") == []
 
 
 class TestNodeDropout:

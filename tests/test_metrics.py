@@ -5,6 +5,7 @@ import pytest
 
 from poirec.metrics import (DEFAULT_KS, hit_rate, ndcg, rank_target,
                             report_from_ranks)
+import oracles
 
 
 def ids(n):
@@ -51,6 +52,17 @@ class TestRankTarget:
     def test_missing_target_fatal(self):
         with pytest.raises(ValueError, match="not in catalog"):
             rank_target([1.0], ["a"], "zzz")
+
+    def test_matches_loop_oracle_with_ties(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 80))
+            scores = rng.integers(0, 4, size=n).astype(float)  # forced ties
+            catalog = [ids(n)[j] for j in rng.permutation(n)]  # unsorted ids
+            target = catalog[int(rng.integers(n))]
+            want = oracles.rank_target(list(scores), catalog, target)
+            assert rank_target(list(scores), catalog, target) == want
+            assert rank_target(scores, catalog, target) == want
+            assert rank_target(scores.astype(np.float32), catalog, target) == want
 
 
 class TestHitRate:
