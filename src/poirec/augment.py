@@ -262,7 +262,4 @@ def infonce(batch_a, batch_b, tau=1.0):
         return ad.mul(x, inv)
 
     sim = ad.matmul(normalize(a), normalize(b).T)  # (n, n) cosine
-    logits = ad.mul(sim, 1.0 / tau)
-    probs = ad.row_softmax(logits)
-    diag = np.arange(n)
-    return ad.mul(ad.tmean(ad.log(ad.clamp_min(ad.pick(probs, diag, diag), 1e-12))), -1.0)
+    return ad.log_softmax_nll(ad.mul(sim, 1.0 / tau), np.arange(n))

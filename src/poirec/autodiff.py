@@ -173,18 +173,6 @@ def power(a, exponent):
     return out
 
 
-def log(a):
-    a = _wrap(a)
-    out = Tensor(np.log(a.data), parents=(a,) if _needs(a) else ())
-
-    def backward(g):
-        a.grad += g / a.data
-
-    if out._parents:
-        out._backward = backward
-    return out
-
-
 def exp(a):
     a = _wrap(a)
     out_data = np.exp(a.data)
@@ -321,21 +309,6 @@ def gather_sum(table, indices, weights):
     return out
 
 
-def pick(a, rows, cols):
-    """Select a[rows[i], cols[i]] into a 1-D tensor."""
-    a = _wrap(a)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = Tensor(a.data[rows, cols], parents=(a,) if _needs(a) else ())
-
-    def backward(g):
-        np.add.at(a.grad, (rows, cols), g)
-
-    if out._parents:
-        out._backward = backward
-    return out
-
-
 # -- reductions (64-bit accumulation) --------------------------------------
 
 
@@ -383,17 +356,33 @@ def row_softmax(a):
     return out
 
 
-def cross_entropy(probs, targets, floor=1e-12):
-    """Mean negative log-likelihood of target columns of a (B, C) probability
-    matrix. Probabilities are clamped at `floor` before the log."""
-    probs = _wrap(probs)
+def log_softmax_nll(logits, targets):
+    """Mean over rows of -log softmax(logits)[i, targets[i]] for a (B, C)
+    logit matrix. The row max is subtracted before exponentiating, so the
+    loss and its gradient, (softmax - onehot) / B, stay finite and non-zero
+    however far a target trails the best logit."""
+    logits = _wrap(logits)
     targets = np.asarray(targets, dtype=np.int64)
-    if probs.data.ndim != 2 or targets.ndim != 1 or probs.shape[0] != targets.shape[0]:
+    if logits.data.ndim != 2 or targets.ndim != 1 or logits.shape[0] != targets.shape[0]:
         raise ShapeError(
-            f"cross_entropy shape mismatch: probs {probs.shape}, targets {targets.shape}"
+            f"log_softmax_nll shape mismatch: logits {logits.shape}, targets {targets.shape}"
         )
-    picked = pick(probs, np.arange(targets.shape[0]), targets)
-    return mul(tmean(log(clamp_min(picked, floor))), -1.0)
+    rows = np.arange(targets.shape[0])
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, dtype=np.float64)
+    nll = np.log(total) - shifted[rows, targets]
+    out = Tensor(np.asarray(nll.mean(), dtype=logits.dtype),
+                 parents=(logits,) if _needs(logits) else ())
+
+    def backward(g):
+        grad = e / total[:, None]
+        grad[rows, targets] -= 1.0
+        logits.grad += (grad * (g / targets.shape[0])).astype(logits.dtype)
+
+    if out._parents:
+        out._backward = backward
+    return out
 
 
 # -- gradient checking -----------------------------------------------------

@@ -138,18 +138,17 @@ def cmd_train(args):
         trainer.load(out / "checkpoint.bin")
         print(f"resumed from epoch {trainer.epoch}")
     save_config(cfg, out / "config.txt")
+
+    def on_epoch(report):
+        trainer.save(out / "checkpoint.bin")
+        print(f"epoch {report.epoch}: rec={report.rec_loss:.4f} "
+              f"ssl={report.ssl_loss:.4f} val HR@10={report.val_hr10:.4f}")
+        if split.val and trainer.bad_epochs >= cfg.patience:
+            print(f"early stop after {report.epoch} epochs")
+
     with (out / "report.jsonl").open("a", encoding="utf-8") as stream:
         try:
-            for _ in range(trainer.epoch, cfg.epochs):
-                report = trainer.train_epoch()
-                stream.write(report.to_json() + "\n")
-                stream.flush()
-                trainer.save(out / "checkpoint.bin")
-                print(f"epoch {report.epoch}: rec={report.rec_loss:.4f} "
-                      f"ssl={report.ssl_loss:.4f} val HR@10={report.val_hr10:.4f}")
-                if split.val and trainer.bad_epochs >= cfg.patience:
-                    print(f"early stop after {report.epoch} epochs")
-                    break
+            trainer.fit(stream, on_epoch)
         except KeyboardInterrupt:
             trainer.save(out / "checkpoint.bin")
             print("interrupted; checkpoint flushed")

@@ -235,12 +235,14 @@ class GsanModel:
         return ad.matmul(ad.concat([v_s, v_last], axis=1), self.params["w_s"])
 
     def predict(self, s_u):
-        """Probability row over the full POI catalog."""
+        """Catalog logits s_u @ poi_table^T of a (B, d) batch of trajectory
+        representations; the softmax of a row is its POI distribution."""
         logits = ad.matmul(s_u, self.params["poi_table"].T)
-        return ad.row_softmax(logits)
+        if not np.all(np.isfinite(logits.data)):
+            raise NumericError("non-finite catalog logits")
+        return logits
 
-    def rec_loss(self, prob_rows, target_poi_ids):
-        """Mean cross-entropy of a batch of prediction rows."""
-        probs = ad.concat(prob_rows, axis=0)
+    def rec_loss(self, logits, target_poi_ids):
+        """Mean catalog cross-entropy of a (B, P) logit matrix."""
         targets = np.array([self.poi_index[p] for p in target_poi_ids], dtype=np.int64)
-        return ad.cross_entropy(probs, targets)
+        return ad.log_softmax_nll(logits, targets)

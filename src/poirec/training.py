@@ -119,13 +119,8 @@ class Trainer:
 
     def _batch_loss(self, batch):
         cfg = self.config
-        prob_rows = []
-        targets = []
-        for sample in batch:
-            s_u = self.model.encode(sample.mgraph)
-            prob_rows.append(self.model.predict(s_u))
-            targets.append(sample.target)
-        rec = self.model.rec_loss(prob_rows, targets)
+        s_u = ad.concat([self.model.encode(sample.mgraph) for sample in batch], axis=0)
+        rec = self.model.rec_loss(self.model.predict(s_u), [sample.target for sample in batch])
 
         ssl = None
         if cfg.lam != 0 and len(batch) >= 2:
@@ -180,13 +175,17 @@ class Trainer:
                 self.bad_epochs += 1
         return report
 
-    def fit(self, report_stream=None):
-        """Run up to config.epochs epochs with early stopping on val HR@10."""
-        for _ in range(self.config.epochs):
+    def fit(self, report_stream=None, on_epoch=None):
+        """Run the epochs left up to config.epochs (a loaded checkpoint
+        resumes at its epoch), with early stopping on val HR@10. Each report
+        is written to report_stream, then passed to on_epoch."""
+        for _ in range(self.epoch, self.config.epochs):
             report = self.train_epoch()
             if report_stream is not None:
                 report_stream.write(report.to_json() + "\n")
                 report_stream.flush()
+            if on_epoch is not None:
+                on_epoch(report)
             if self.split.val and self.bad_epochs >= self.config.patience:
                 log.info("early stop at epoch %d (no val HR@10 gain in %d epochs)",
                          self.epoch, self.config.patience)
@@ -200,8 +199,8 @@ class Trainer:
         for prefix, target in pairs:
             g = build_trajectory_graph(prefix, categories=self.categories)
             mg = add_master_node(g, self.coords, self.config.spd_cap)
-            probs = self.model.predict(self.model.encode(mg)).data[0]
-            ranks.append(rank_target(probs, self.model.poi_ids, target.poi_id))
+            logits = self.model.predict(self.model.encode(mg)).data[0]
+            ranks.append(rank_target(logits, self.model.poi_ids, target.poi_id))
         return ranks
 
     def evaluate(self, pairs, split_name="test", ks=(1, 5, 10, 20)):

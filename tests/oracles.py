@@ -1,7 +1,8 @@
 """Reference implementations the tests check the program against: the
 per-pair BFS and loop forms of the master-graph structure and of the
 attention bias, the sorted-row correlation ranking, the catalog-loop
-target rank, plus small autodiff compositions used only by tests."""
+target rank, the clamped softmax loss chain, plus small autodiff
+compositions used only by tests."""
 
 from collections import deque
 
@@ -26,6 +27,17 @@ def cosine_similarity(a, b, eps=1e-12):
     num = ad.tsum(ad.mul(a, b))
     den = ad.mul(ad.clamp_min(l2_norm(a), eps), ad.clamp_min(l2_norm(b), eps))
     return num / den
+
+
+def softmax_nll(logits, targets, floor=1e-12):
+    """The softmax -> pick -> clamp -> log chain the catalog and InfoNCE
+    losses were once built from: mean of -log max(softmax(row)[target],
+    floor), in float64 numpy."""
+    x = np.asarray(logits, dtype=np.float64)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    picked = probs[np.arange(len(targets)), np.asarray(targets)]
+    return float(-np.log(np.maximum(picked, floor)).mean())
 
 
 # -- master graph by BFS ---------------------------------------------------

@@ -356,3 +356,16 @@ class TestInfoNCE:
         loss = infonce(rows, [Tensor(r.data.copy()) for r in rows])
         loss.backward()
         assert all(r.grad is not None and np.isfinite(r.grad).all() for r in rows)
+
+    def test_hard_positive_keeps_gradient_at_small_tau(self):
+        # each positive has cosine 0.4 and its negative cosine 1.0: at
+        # tau = 0.02 the positive trails by a logit gap of 30, where a loss
+        # clamped at probability 1e-12 reads 27.63 with an all-zero gradient
+        far = np.array([[0.4, np.sqrt(0.84)]])
+        a = [Tensor(np.eye(1, 2), requires_grad=True), Tensor(far, requires_grad=True)]
+        b = [Tensor(far, requires_grad=True), Tensor(np.eye(1, 2), requires_grad=True)]
+        loss = infonce(a, b, tau=0.02)
+        loss.backward()
+        assert loss.item() == pytest.approx(30.0, abs=1e-9)
+        for t in a + b:
+            assert np.abs(t.grad).max() > 1.0

@@ -37,8 +37,7 @@ class TestForwardValues:
             ad.matmul(randt((3, 4)), randt((3, 4)))
 
     def test_cross_entropy_uniform(self):
-        probs = Tensor(np.full((1, 100), 0.01))
-        loss = ad.cross_entropy(probs, [7])
+        loss = ad.log_softmax_nll(Tensor(np.zeros((1, 100))), [7])
         assert loss.item() == pytest.approx(np.log(100))
 
     def test_reductions_accumulate_in_64_bit(self):
@@ -64,7 +63,8 @@ class TestGradients:
 
     def test_softmax_first_entry(self):
         x = randt((1, 5), seed=2)
-        report = ad.grad_check(lambda: ad.tsum(ad.pick(ad.row_softmax(x), [0], [0])),
+        first = Tensor(np.eye(1, 5))
+        report = ad.grad_check(lambda: ad.tsum(ad.mul(ad.row_softmax(x), first)),
                                {"x": x})
         assert report["x"] < 1e-4
 
@@ -78,7 +78,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("op", [
         lambda t: ad.exp(t),
-        lambda t: ad.log(ad.add(ad.mul(t, t), 1.0)),
+        lambda t: ad.log_softmax_nll(t, [0, 2, 1, 2]),
         lambda t: ad.sqrt(ad.add(ad.mul(t, t), 1.0)),
         lambda t: ad.row_softmax(t),
         lambda t: ad.tmean(t, axis=0, keepdims=True),
@@ -94,11 +94,13 @@ class TestGradients:
 
     def test_gather_scatter_pick_grads(self):
         table = randt((5, 3), seed=4)
+        picked = np.zeros((5, 3))
+        picked[[1, 3], [0, 2]] = 1.0
 
         def f():
             g = ad.gather_rows(table, [0, 2, 2, 4])
             s = ad.gather_sum(g, [[0, 1, 2], [9, 10, 11]], np.full((2, 3), 0.5))
-            return ad.tsum(ad.mul(s, s)) + ad.tsum(ad.pick(table, [1, 3], [0, 2]))
+            return ad.tsum(ad.mul(s, s)) + ad.tsum(ad.mul(table, picked))
 
         report = ad.grad_check(f, {"table": table})
         assert report["table"] < 1e-4
@@ -124,6 +126,47 @@ class TestGradients:
 
         report = ad.grad_check(f, {"a": a, "b": b})
         assert max(report.values()) < 1e-4
+
+
+class TestLogSoftmaxNll:
+    def test_grad_check_float64(self):
+        x = randt((4, 6), seed=12, scale=2.0)
+        report = ad.grad_check(lambda: ad.log_softmax_nll(x, [0, 5, 2, 5]), {"x": x})
+        assert report["x"] < 1e-4
+
+    def test_gradient_is_softmax_minus_onehot_over_batch(self):
+        x = randt((3, 4), seed=13)
+        ad.log_softmax_nll(x, [1, 0, 3]).backward()
+        expected = ad.row_softmax(Tensor(x.data)).data - np.eye(4)[[1, 0, 3]]
+        assert np.allclose(x.grad, expected / 3, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_clamped_chain_where_floor_does_not_bind(self, dtype):
+        logits = np.random.default_rng(14).normal(0, 3, size=(6, 9)).astype(dtype)
+        targets = [0, 8, 3, 3, 5, 1]
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        loss = ad.log_softmax_nll(Tensor(logits), targets)
+        assert loss.dtype == dtype
+        assert loss.item() == pytest.approx(oracles.softmax_nll(logits, targets), abs=tol)
+
+    def test_hard_target_keeps_a_gradient(self):
+        # the target trails the best logit by 30: softmax gives e^-30, below
+        # the old 1e-12 probability floor, which passed a zero gradient
+        x = Tensor(np.array([[30.0, 0.0, 0.0]]), requires_grad=True)
+        loss = ad.log_softmax_nll(x, [1])
+        loss.backward()
+        assert oracles.softmax_nll(x.data, [1]) == pytest.approx(-np.log(1e-12))
+        assert loss.item() == pytest.approx(30.0, abs=1e-9)
+        assert x.grad[0, 1] == pytest.approx(-1.0, abs=1e-9)
+        assert x.grad[0, 0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="log_softmax_nll"):
+            ad.log_softmax_nll(randt((5,)), [0])
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3,\)"):
+            ad.log_softmax_nll(randt((2, 3)), [0, 1, 2])
+        with pytest.raises(ShapeError):
+            ad.log_softmax_nll(randt((2, 3)), [[0], [1]])
 
 
 class TestAdam:

@@ -334,8 +334,8 @@ class TestReadoutAndPrediction:
 
     def test_zero_s_u_gives_uniform_prediction(self, tiny_config):
         model, _, catalog = small_model(tiny_config)
-        probs = model.predict(Tensor(np.zeros((1, tiny_config.d)))).data
-        assert np.allclose(probs, 1.0 / len(catalog))
+        logits = model.predict(Tensor(np.zeros((1, tiny_config.d))))
+        assert np.allclose(ad.row_softmax(logits).data, 1.0 / len(catalog))
 
     def test_aligned_one_hot_rows_saturate(self, tiny_config):
         model, _, _ = small_model(tiny_config)
@@ -345,12 +345,12 @@ class TestReadoutAndPrediction:
         model.params["poi_table"].data = table
         s_u = np.zeros((1, d))
         s_u[0, 0] = 1.0
-        probs = model.predict(Tensor(s_u)).data
+        probs = ad.row_softmax(model.predict(Tensor(s_u))).data
         assert probs[0, 3] == pytest.approx(1.0)
 
     def test_prediction_is_distribution(self, tiny_config, rng):
         model, mg, _ = small_model(tiny_config)
-        probs = model.predict(model.encode(mg)).data
+        probs = ad.row_softmax(model.predict(model.encode(mg))).data
         assert (probs >= 0).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -363,17 +363,34 @@ class TestReadoutAndPrediction:
 
     def test_rec_loss_closed_forms(self, tiny_config):
         model, _, _ = small_model(tiny_config)
+        # logits whose softmax is one-hot on p2, and uniform logits
         sure = np.zeros((1, 6))
-        sure[0, model.poi_index["p2"]] = 1.0
-        loss = model.rec_loss([Tensor(sure)], ["p2"])
+        sure[0, model.poi_index["p2"]] = 100.0
+        loss = model.rec_loss(Tensor(sure), ["p2"])
         assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
-        uniform = Tensor(np.full((1, 6), 1 / 6))
-        loss_u = model.rec_loss([uniform], ["p0"])
+        uniform = np.zeros((1, 6))
+        loss_u = model.rec_loss(Tensor(uniform), ["p0"])
         assert loss_u.item() == pytest.approx(np.log(6))
 
-        both = model.rec_loss([Tensor(sure), uniform], ["p2", "p0"])
+        both = model.rec_loss(Tensor(np.concatenate([sure, uniform])), ["p2", "p0"])
         assert both.item() == pytest.approx(np.log(6) / 2)
+
+    def test_rec_loss_hard_target_keeps_gradient(self, tiny_config):
+        # p0 trails the best POI by a logit gap of 30; a loss clamped at
+        # probability 1e-12 would read 27.63 with an all-zero gradient
+        model, _, _ = small_model(tiny_config)
+        d = tiny_config.d
+        table = np.zeros((6, d))
+        table[model.poi_index["p3"], 0] = 30.0
+        model.params["poi_table"].data = table
+        s_u = Tensor(np.eye(1, d), requires_grad=True)
+        loss = model.rec_loss(model.predict(s_u), ["p0"])
+        loss.backward()
+        assert loss.item() == pytest.approx(30.0, abs=1e-9)
+        assert s_u.grad[0, 0] == pytest.approx(30.0, abs=1e-9)
+        grad = model.params["poi_table"].grad
+        assert grad[model.poi_index["p3"], 0] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestGradients:
@@ -383,7 +400,7 @@ class TestGradients:
 
         def f():
             s_u = model.encode(mg)
-            return model.rec_loss([model.predict(s_u)], ["p2"])
+            return model.rec_loss(model.predict(s_u), ["p2"])
 
         report = ad.grad_check(f, model.params)
         assert max(report.values()) < 1e-4, report

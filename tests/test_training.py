@@ -177,6 +177,33 @@ class TestTrainingLoop:
         with pytest.raises(NumericError, match="non-finite"):
             tr.train_epoch()
 
+    def test_nonfinite_logits_fail_ranking(self, small_split):
+        tr = small_trainer(small_split, epochs=1)
+        tr.model.params["poi_table"].data[3, 2] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            tr.rank_pairs(small_split.test)
+
+    def test_frozen_poi_table(self, small_split, tmp_path):
+        tr = small_trainer(small_split, epochs=1, lam=0.1, freeze_poi_table=True)
+        before = param_bytes(tr)
+        tr.train_epoch()
+        after = param_bytes(tr)
+        assert after["poi_table"] == before["poi_table"]
+        assert all(after[k] != before[k] for k in tr.optimizer.params)
+        assert "poi_table" not in tr.optimizer.params
+        assert "poi_table" not in tr.optimizer.m and "poi_table" not in tr.optimizer.v
+
+        tr.save(tmp_path / "frozen.ckpt")
+        arrays, _ = load_checkpoint(tmp_path / "frozen.ckpt")
+        assert not any(k.endswith(".poi_table") and k.startswith("adam.") for k in arrays)
+        other = small_trainer(small_split, epochs=1, lam=0.1, freeze_poi_table=True)
+        other.load(tmp_path / "frozen.ckpt")
+        assert param_bytes(other) == after
+        assert other.optimizer.step_count == tr.optimizer.step_count
+        assert all(np.array_equal(other.optimizer.m[k], tr.optimizer.m[k])
+                   and np.array_equal(other.optimizer.v[k], tr.optimizer.v[k])
+                   for k in tr.optimizer.params)
+
     def test_evaluate_counts_pairs(self, small_split):
         tr = small_trainer(small_split, epochs=1, lam=0.0)
         rep = tr.evaluate(small_split.test)
@@ -201,6 +228,23 @@ class TestCheckpointResume:
         for _ in range(2):
             resumed.train_epoch()
         assert param_bytes(resumed) == param_bytes(full)
+
+    def test_fit_after_load_stops_at_configured_epochs(self, small_split, tmp_path):
+        full = small_trainer(small_split, epochs=4, lam=0.1)
+        full.fit()
+
+        first = small_trainer(small_split, epochs=2, lam=0.1)
+        first.fit()
+        first.save(tmp_path / "mid.ckpt")
+
+        resumed = small_trainer(small_split, epochs=4, lam=0.1)
+        resumed.load(tmp_path / "mid.ckpt")
+        seen = []
+        reports = resumed.fit(on_epoch=lambda report: seen.append(report.epoch))
+        assert seen == [3, 4] and [r.epoch for r in reports] == [3, 4]
+        assert resumed.epoch == 4
+        assert param_bytes(resumed) == param_bytes(full)
+        assert resumed.fit() == reports  # nothing left to run
 
     def test_save_load_round_trip_state(self, small_split, tmp_path):
         tr = small_trainer(small_split, epochs=1, lam=0.1)
