@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
+SPATIAL_BLOCK = 64  # catalog rows per distance block of the spatial graph
 
 
 def haversine(lat1, lon1, lat2, lon2):
@@ -20,13 +21,14 @@ def haversine(lat1, lon1, lat2, lon2):
     return 2 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
 
 
-def haversine_matrix(coords):
-    """All-pairs `haversine` of an (n, 2) array of (lat, lon) degrees: entry
-    [i, j] is the distance from point i to point j; NaN coordinates give NaN."""
+def haversine_matrix(coords, other=None):
+    """Pairwise `haversine` of (n, 2) and (m, 2) arrays of (lat, lon) degrees:
+    entry [i, j] is the distance from coords[i] to other[j] (other defaults
+    to coords); NaN coordinates give NaN."""
     rad = np.radians(coords)
-    s = np.sin((rad - rad[:, None]) / 2) ** 2  # [i, j] = sin^2 of (dphi, dlam) / 2
-    cos = np.cos(rad[:, 0])
-    a = s[..., 0] + cos[:, None] * cos * s[..., 1]
+    orad = rad if other is None else np.radians(other)
+    s = np.sin((orad - rad[:, None]) / 2) ** 2  # [i, j] = sin^2 of (dphi, dlam) / 2
+    a = s[..., 0] + np.cos(rad[:, 0])[:, None] * np.cos(orad[:, 0]) * s[..., 1]
     return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(a, 1.0)))
 
 
@@ -160,23 +162,30 @@ class GlobalSpatialGraph:
 def build_global_spatial(catalog, alpha_km):
     """Undirected proximity graph: edge iff haversine distance < alpha_km.
 
-    Quadratic scan with a latitude-band prefilter; adequate at desk scale.
+    Distances come from `haversine_matrix` over SPATIAL_BLOCK rows of the
+    id-sorted catalog at a time, never the full P x P matrix. Its rounding
+    differs from the scalar `haversine` in the last bits, so a pair within
+    1e-9 km of alpha_km is decided by the scalar form; the edge set is the
+    one a scalar scan gives.
     """
     if alpha_km <= 0:
         raise ValueError("alpha_km must be > 0")
-    pois = sorted(catalog, key=lambda p: p.lat)
-    # 1 degree of latitude is ~111.19 km everywhere on the sphere
-    lat_band = alpha_km / (math.pi * EARTH_RADIUS_KM / 180.0)
+    pois = sorted(catalog, key=lambda p: p.poi_id)
+    ids = np.array([p.poi_id for p in pois], dtype=object)
+    coords = np.array([(p.lat, p.lon) for p in pois], dtype=np.float64).reshape(-1, 2)
     edges = {}
-    for i, a in enumerate(pois):
-        for b in pois[i + 1:]:
-            if b.lat - a.lat > lat_band:
-                break
-            d = haversine(a.lat, a.lon, b.lat, b.lon)
-            if d < alpha_km:
-                key = (a.poi_id, b.poi_id) if a.poi_id <= b.poi_id else (b.poi_id, a.poi_id)
-                edges[key] = d
-    return GlobalSpatialGraph(sorted(p.poi_id for p in catalog), edges)
+    for lo in range(0, len(pois), SPATIAL_BLOCK):
+        hi = min(lo + SPATIAL_BLOCK, len(pois))
+        dist = haversine_matrix(coords[lo:hi], coords[lo:])
+        upper = np.arange(lo, len(pois)) > np.arange(lo, hi)[:, None]  # a < b only
+        near = upper & (np.abs(dist - alpha_km) < 1e-9)
+        for i, j in zip(*np.nonzero(near)):
+            a, b = pois[lo + i], pois[lo + j]
+            dist[i, j] = haversine(a.lat, a.lon, b.lat, b.lon)
+        rows, cols = np.nonzero(upper & (dist < alpha_km))
+        edges.update(zip(zip(ids[rows + lo].tolist(), ids[cols + lo].tolist()),
+                         dist[rows, cols].tolist()))
+    return GlobalSpatialGraph(ids.tolist(), edges)
 
 
 def adjacency_from_pairs(nodes, pairs):

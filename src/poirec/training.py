@@ -13,6 +13,7 @@ from .augment import CorrelationIndex, infonce, make_views
 from .autodiff import Adam, NumericError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RngHub
+from .data import DataError
 from .encoder import GsanModel, build_category_vocab, fit_distance_bins
 from .graphs import (add_master_node, build_global_spatial,
                      build_global_temporal, build_trajectory_graph)
@@ -64,6 +65,16 @@ class Trainer:
 
     def __init__(self, split, config, spatial_table=None, temporal_table=None,
                  fused_table=None, dtype=np.float32):
+        catalog_ids = sorted(p.poi_id for p in split.catalog)
+        for name, table in (("spatial", spatial_table), ("temporal", temporal_table),
+                            ("fused", fused_table)):
+            if table is not None and table.ids != catalog_ids:
+                missing = len(set(catalog_ids) - set(table.ids))
+                extra = len(set(table.ids) - set(catalog_ids))
+                raise DataError(
+                    f"{name} embedding table does not match the catalog: {missing} "
+                    f"catalog POIs missing, {extra} unknown POIs, rows must be the "
+                    f"{len(catalog_ids)} catalog ids in sorted order; pretrain on this data")
         self.split = split
         self.config = config
         self.hub = RngHub(config.seed)
@@ -236,7 +247,8 @@ class Trainer:
 
 
 def pretrain_tables(split, config):
-    """node2vec over the two global graphs, plus the fused table."""
+    """node2vec over the two global graphs, plus the fused table; logs one
+    INFO line per graph (see `node2vec_embed`)."""
     hub = RngHub(config.seed)
     gt = build_global_temporal(split.train, config.n_neighbors, catalog=split.catalog)
     gs = build_global_spatial(split.catalog, config.alpha_km)
@@ -245,8 +257,8 @@ def pretrain_tables(split, config):
                   window=config.n2v_window, negatives=config.n2v_negatives,
                   epochs=config.n2v_epochs, lr=config.n2v_lr)
     nodes = [p.poi_id for p in split.catalog]
-    temporal = node2vec_embed(temporal_adjacency(gt), nodes,
+    temporal = node2vec_embed(temporal_adjacency(gt), nodes, name="temporal",
                               rng=hub.stream("pretrain.temporal"), **common)
-    spatial = node2vec_embed(spatial_adjacency(gs), nodes,
+    spatial = node2vec_embed(spatial_adjacency(gs), nodes, name="spatial",
                              rng=hub.stream("pretrain.spatial"), **common)
     return spatial, temporal, fuse_embeddings(spatial, temporal)

@@ -1,15 +1,18 @@
 """Reference implementations the tests check the program against: the
 per-pair BFS and loop forms of the master-graph structure and of the
 attention bias, the sorted-row correlation ranking, the catalog-loop
-target rank, the clamped softmax loss chain, plus small autodiff
-compositions used only by tests."""
+target rank, the clamped softmax loss chain, the per-step node2vec walks
+and per-update skip-gram, the scalar spatial-graph scan, plus small
+autodiff compositions used only by tests."""
 
+import math
 from collections import deque
 
 import numpy as np
 
 from poirec import autodiff as ad
-from poirec.graphs import MASTER, adjacency_from_pairs, haversine
+from poirec.graphs import EARTH_RADIUS_KM, MASTER, adjacency_from_pairs, haversine
+from poirec.pretrain import EmbeddingTable
 
 UNKNOWN_PAIR_INDEX = 0
 
@@ -213,3 +216,127 @@ def rank_target(scores, poi_ids, target):
         if s > s_t or (s == s_t and p < target):
             rank += 1
     return rank
+
+
+# -- global spatial graph, one scalar haversine per pair -------------------
+
+
+def global_spatial_edges(catalog, alpha_km):
+    """{(a, b): km} with a < b for every catalog pair closer than alpha_km,
+    by a scalar `haversine` per pair after a latitude-band prefilter."""
+    pois = sorted(catalog, key=lambda p: p.lat)
+    # 1 degree of latitude is ~111.19 km everywhere on the sphere
+    lat_band = alpha_km / (math.pi * EARTH_RADIUS_KM / 180.0)
+    edges = {}
+    for i, a in enumerate(pois):
+        for b in pois[i + 1:]:
+            if b.lat - a.lat > lat_band:
+                break
+            d = haversine(a.lat, a.lon, b.lat, b.lon)
+            if d < alpha_km:
+                key = (a.poi_id, b.poi_id) if a.poi_id <= b.poi_id else (b.poi_id, a.poi_id)
+                edges[key] = d
+    return edges
+
+
+# -- node2vec, one rng.choice per walk step / skip-gram update -------------
+
+
+def random_walks(adjacency, walks_per_node, walk_len, p, q, rng):
+    """Second-order biased walks per the node2vec transition rule, one
+    `Generator.choice` over freshly built weights per step.
+
+    adjacency: {node: sorted list of neighbors}. Isolated nodes yield
+    length-1 walks. Return-parameter p and in-out parameter q reweight
+    transitions by the previous step: 1/p back to it, 1 to its neighbors,
+    1/q elsewhere.
+    """
+    if walk_len < 2:
+        raise ValueError("walk_len must be >= 2")
+    if p <= 0 or q <= 0:
+        raise ValueError("p and q must be > 0")
+    neighbor_sets = {v: set(nbrs) for v, nbrs in adjacency.items()}
+    walks = []
+    for _ in range(walks_per_node):
+        for start in sorted(adjacency):
+            walk = [start]
+            while len(walk) < walk_len:
+                cur = walk[-1]
+                nbrs = adjacency[cur]
+                if not nbrs:
+                    break
+                if len(walk) == 1:
+                    nxt = nbrs[rng.integers(len(nbrs))]
+                else:
+                    prev = walk[-2]
+                    prev_nbrs = neighbor_sets[prev]
+                    weights = np.empty(len(nbrs))
+                    for i, x in enumerate(nbrs):
+                        if x == prev:
+                            weights[i] = 1.0 / p
+                        elif x in prev_nbrs:
+                            weights[i] = 1.0
+                        else:
+                            weights[i] = 1.0 / q
+                    weights /= weights.sum()
+                    nxt = nbrs[rng.choice(len(nbrs), p=weights)]
+                walk.append(nxt)
+            walks.append(walk)
+    return walks
+
+
+def train_skipgram(walks, all_nodes, dim, window=5, negatives=5, epochs=5,
+                   lr=0.025, rng=None):
+    """Skip-gram with negative sampling over walk corpora: per-pair SGD
+    with one `Generator.choice` call for the negatives of each update.
+
+    Negative distribution is the unigram count over walk tokens raised to
+    0.75. Nodes absent from every walk keep their random initialization.
+    """
+    if dim < 1 or window < 1:
+        raise ValueError("dim and window must be >= 1")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    ids = sorted(all_nodes)
+    index = {v: i for i, v in enumerate(ids)}
+    n = len(ids)
+    w_in = ((rng.random((n, dim)) - 0.5) / dim).astype(np.float32)
+    w_out = np.zeros((n, dim), dtype=np.float32)
+
+    counts = np.zeros(n)
+    encoded = []
+    for walk in walks:
+        enc = np.array([index[v] for v in walk], dtype=np.int64)
+        encoded.append(enc)
+        np.add.at(counts, enc, 1)
+    if counts.sum() == 0:
+        return EmbeddingTable(ids, np.zeros((n, dim), dtype=np.float32))
+
+    noise = counts**0.75
+    noise /= noise.sum()
+
+    total_steps = max(1, epochs * sum(len(e) for e in encoded))
+    step = 0
+    for _ in range(epochs):
+        for enc in encoded:
+            for pos, center in enumerate(enc):
+                cur_lr = lr * max(1e-4, 1.0 - step / total_steps)
+                step += 1
+                lo = max(0, pos - window)
+                hi = min(len(enc), pos + window + 1)
+                for cpos in range(lo, hi):
+                    if cpos == pos:
+                        continue
+                    context = enc[cpos]
+                    targets = np.empty(negatives + 1, dtype=np.int64)
+                    targets[0] = context
+                    targets[1:] = rng.choice(n, size=negatives, p=noise)
+                    labels = np.zeros(negatives + 1, dtype=np.float32)
+                    labels[0] = 1.0
+                    vc = w_in[center]
+                    vt = w_out[targets]
+                    scores = 1.0 / (1.0 + np.exp(-vt @ vc))
+                    err = (labels - scores) * cur_lr
+                    grad_c = err @ vt
+                    np.add.at(w_out, targets, err[:, None] * vc[None, :])
+                    w_in[center] += grad_c
+    return EmbeddingTable(ids, w_in)

@@ -154,6 +154,28 @@ class TestTrainEvaluate:
         assert code == 0
         assert "resumed from epoch 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n_pois", [10, 14])
+    def test_tables_of_another_catalog_exit_3(self, data_dir, tmp_path, capsys, n_pois):
+        # 10: the tables miss catalog POIs; 14: they hold unknown ones
+        other = tmp_path / "other"
+        save_split(markov_dataset(n_pois=n_pois, n_traj=25, traj_len=5, seed=2), other)
+        emb = tmp_path / "emb"
+        assert main(["pretrain", "--data", str(other), "--out", str(emb)] + TINY) == 0
+        capsys.readouterr()
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                     "--embeddings", str(emb), "--epochs", "1", "--lam", "0.0"] + TINY)
+        assert code == 3
+        assert "embedding table does not match the catalog" in capsys.readouterr().err
+
+    def test_truncated_table_exit_3(self, data_dir, tmp_path, capsys):
+        emb = tmp_path / "emb"
+        assert main(["pretrain", "--data", str(data_dir), "--out", str(emb)] + TINY) == 0
+        (emb / "fused.emb").write_bytes((emb / "fused.emb").read_bytes()[:-1])
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                     "--embeddings", str(emb), "--epochs", "1", "--lam", "0.0"] + TINY)
+        assert code == 3
+        assert "fused.emb" in capsys.readouterr().err
+
     def test_train_from_scratch_flag(self, data_dir, tmp_path):
         run = tmp_path / "scratch"
         code = main(["train", "--data", str(data_dir), "--out", str(run),

@@ -121,6 +121,41 @@ class TestGlobalSpatial:
         for (a, b) in g.edges:
             assert a < b and a != b  # stored once per unordered pair
 
+    @staticmethod
+    def random_catalog(rng, n):
+        # unsorted ids, clustered coordinates with some exact duplicates
+        ids = [f"q{k}" for k in rng.permutation(n)]
+        lat = rng.uniform(40.0, 40.06, size=n)
+        lon = rng.uniform(-74.0, -73.94, size=n)
+        dup = n // 10
+        lat[:dup], lon[:dup] = lat[n - dup:], lon[n - dup:]
+        return [Poi(pid, "c", float(a), float(b)) for pid, a, b in zip(ids, lat, lon)]
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (64, 2), (65, 3), (150, 4), (150, 5)])
+    def test_matches_scalar_scan_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        catalog = self.random_catalog(rng, n)
+        g = build_global_spatial(catalog, alpha_km=2.5)
+        ref = oracles.global_spatial_edges(catalog, 2.5)
+        assert g.nodes == sorted(p.poi_id for p in catalog)
+        assert set(g.edges) == set(ref)
+        assert list(g.edges) == sorted(g.edges)
+        for e, d in ref.items():
+            assert g.edges[e] == pytest.approx(d, rel=0, abs=1e-9)
+
+    def test_alpha_equal_to_a_pair_distance(self, rng):
+        # alpha exactly at a pair's scalar distance: the scalar form keeps
+        # no edge there, whatever the last bits of the blocked distance
+        catalog = self.random_catalog(rng, 40)
+        for _ in range(25):
+            a, b = (catalog[k] for k in rng.choice(len(catalog), 2, replace=False))
+            alpha = haversine(a.lat, a.lon, b.lat, b.lon)
+            if alpha == 0:
+                continue
+            g = build_global_spatial(catalog, alpha_km=alpha)
+            assert set(g.edges) == set(oracles.global_spatial_edges(catalog, alpha))
+            assert tuple(sorted((a.poi_id, b.poi_id))) not in g.edges
+
 
 class TestShortestPaths:
     def test_path_graph(self):

@@ -1,9 +1,18 @@
+import logging
+
 import numpy as np
 import pytest
 
+import oracles
+from poirec import pretrain
+from poirec.config import RngHub, RunConfig
+from poirec.graphs import GlobalSpatialGraph, build_global_temporal
 from poirec.pretrain import (EmbeddingTable, fuse_embeddings, load_table,
                              node2vec_embed, random_walks, save_table,
+                             spatial_adjacency, temporal_adjacency,
                              train_skipgram)
+from poirec.synth import markov_dataset
+from poirec.training import pretrain_tables
 
 
 def two_cliques(size=4):
@@ -15,6 +24,56 @@ def two_cliques(size=4):
         for n in group:
             adj[n] = sorted(x for x in group if x != n)
     return adj, names
+
+
+def random_graph(rng, n, density, isolated):
+    """Undirected graph on n nodes; the first `isolated` nodes have no edge."""
+    names = [f"v{i}" for i in range(n)]
+    adj = {v: [] for v in names}
+    for i in range(isolated, n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                adj[names[i]].append(names[j])
+                adj[names[j]].append(names[i])
+    return {v: sorted(nbrs) for v, nbrs in adj.items()}, names
+
+
+def assert_matches_oracle(adj, nodes, walks_per_node, walk_len, p, q, seed,
+                          **skipgram):
+    """Walks and skip-gram equal the per-step / per-update oracles: same
+    walks, byte-equal table, same rng state after each part."""
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref_walks = oracles.random_walks(adj, walks_per_node, walk_len, p, q, ref_rng)
+    walks = random_walks(adj, walks_per_node, walk_len, p, q, rng)
+    assert walks == ref_walks
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    ref = oracles.train_skipgram(ref_walks, nodes, rng=ref_rng, **skipgram)
+    table = train_skipgram(walks, nodes, rng=rng, **skipgram)
+    assert table.ids == ref.ids
+    assert table.vectors.dtype == np.float32
+    assert table.vectors.tobytes() == ref.vectors.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return walks
+
+
+def oracle_pretrain(split, cfg):
+    """`pretrain_tables` with the oracle walks, skip-gram and spatial scan."""
+    hub = RngHub(cfg.seed)
+    nodes = [p.poi_id for p in split.catalog]
+    spatial_graph = GlobalSpatialGraph(
+        sorted(nodes), oracles.global_spatial_edges(split.catalog, cfg.alpha_km))
+    gt = build_global_temporal(split.train, cfg.n_neighbors, catalog=split.catalog)
+    tables, corpora = {}, {}
+    for name, adj in (("temporal", temporal_adjacency(gt)),
+                      ("spatial", spatial_adjacency(spatial_graph))):
+        rng = hub.stream(f"pretrain.{name}")
+        walks = oracles.random_walks(adj, cfg.walks_per_node, cfg.walk_len,
+                                     cfg.n2v_p, cfg.n2v_q, rng)
+        tables[name] = oracles.train_skipgram(
+            walks, nodes, cfg.d, window=cfg.n2v_window, negatives=cfg.n2v_negatives,
+            epochs=cfg.n2v_epochs, lr=cfg.n2v_lr, rng=rng)
+        corpora[name] = walks
+    return tables, corpora
 
 
 class TestWalks:
@@ -124,6 +183,85 @@ class TestSkipGram:
         assert runs[0] == runs[1]
 
 
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("p,q", [(1, 1), (0.5, 2.0)])
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_two_cliques(self, p, q, epochs):
+        adj, names = two_cliques()
+        assert_matches_oracle(adj, names, 3, 7, p, q, seed=epochs, dim=8,
+                              window=2, negatives=5, epochs=epochs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs_with_isolated_nodes(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        adj, names = random_graph(rng, int(rng.integers(4, 30)),
+                                  float(rng.uniform(0.05, 0.6)), isolated=1 + seed % 3)
+        walk_len = int(rng.integers(2, 9))
+        p, q = [(1, 1), (0.5, 2.0)][seed % 2]
+        window = walk_len + 2 if seed % 3 == 0 else int(rng.integers(1, 4))
+        walks = assert_matches_oracle(
+            adj, names, 2, walk_len, p, q, seed=seed, dim=int(rng.integers(1, 12)),
+            window=window, negatives=(0, 1, 5)[seed % 3], epochs=1 + seed % 3)
+        assert ["v0"] in walks  # an isolated node's length-1 walk
+
+    @pytest.mark.parametrize("negatives", [0, 1, 5])
+    def test_two_node_graph_repeats_targets(self, negatives):
+        # with two nodes the negatives repeat each other and the context
+        assert_matches_oracle({"a": ["b"], "b": ["a"]}, ["a", "b"], 4, 6, 1, 1,
+                              seed=3, dim=4, window=3, negatives=negatives, epochs=3)
+
+    def test_length_one_walks_only(self):
+        assert_matches_oracle({"a": [], "b": []}, ["a", "b", "c"], 2, 5, 1, 1,
+                              seed=4, dim=3, window=2, negatives=2, epochs=2)
+
+    def test_empty_corpus(self, caplog):
+        ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+        ref = oracles.train_skipgram([], ["a", "b"], 4, rng=ref_rng)
+        with caplog.at_level(logging.WARNING, logger="poirec.pretrain"):
+            table = train_skipgram([], ["a", "b"], 4, rng=rng)
+        assert "empty walk corpus" in caplog.text
+        assert table.vectors.tobytes() == ref.vectors.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("block", [1, 5, 6, 7, 97])
+    def test_block_edges(self, monkeypatch, block):
+        # blocks of one token, of fewer updates than one token has, and
+        # boundaries inside walks; the stream does not depend on the block
+        monkeypatch.setattr(pretrain, "SKIPGRAM_BLOCK", block)
+        adj, names = two_cliques(3)
+        assert_matches_oracle(adj, names, 3, 9, 0.5, 2.0, seed=block, dim=5,
+                              window=3, negatives=2, epochs=2)
+
+    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (0.5, 2.0)])
+    def test_pretrain_tables_match_oracle_path(self, p, q):
+        split = markov_dataset(n_pois=20, n_traj=40, traj_len=6, seed=3)
+        cfg = RunConfig(d=8, walks_per_node=2, walk_len=6, n2v_window=3,
+                        n2v_epochs=2, n_neighbors=5, n2v_p=p, n2v_q=q)
+        spatial, temporal, fused = pretrain_tables(split, cfg)
+        ref, _ = oracle_pretrain(split, cfg)
+        assert spatial.vectors.tobytes() == ref["spatial"].vectors.tobytes()
+        assert temporal.vectors.tobytes() == ref["temporal"].vectors.tobytes()
+        assert fused.vectors.tobytes() == (
+            ref["spatial"].vectors + ref["temporal"].vectors).tobytes()
+
+    def test_pretrain_logs_one_line_per_graph(self, caplog):
+        split = markov_dataset(n_pois=15, n_traj=30, traj_len=6, seed=4)
+        cfg = RunConfig(d=4, walks_per_node=2, walk_len=5, n2v_window=2,
+                        n2v_epochs=3, n_neighbors=5)
+        with caplog.at_level(logging.INFO, logger="poirec.pretrain"):
+            pretrain_tables(split, cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == "poirec.pretrain"]
+        _, corpora = oracle_pretrain(split, cfg)
+        assert len(lines) == 2
+        for line, name in zip(lines, ("temporal", "spatial")):
+            walks = corpora[name]
+            pairs = sum(1 for w in walks for i in range(len(w)) for j in range(len(w))
+                        if i != j and abs(i - j) <= cfg.n2v_window)
+            assert line.startswith(
+                f"node2vec {name}: {sum(map(len, walks))} walk tokens, "
+                f"{cfg.n2v_epochs * pairs} skip-gram updates, walks ")
+
+
 class TestFusion:
     def test_zero_temporal_is_identity(self):
         sp = EmbeddingTable(["a", "b"], np.arange(8, dtype=np.float32).reshape(2, 4))
@@ -170,3 +308,30 @@ class TestPersistence:
         (tmp_path / "bad.emb").write_bytes(b"XXXX" + b"\0" * 12)
         with pytest.raises(ValueError, match="magic"):
             load_table(tmp_path / "bad.emb")
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda emb, ids: emb.write_bytes(emb.read_bytes()[:-3]), "bytes, expected"),
+        (lambda emb, ids: emb.write_bytes(emb.read_bytes()[:10]), "truncated header"),
+        (lambda emb, ids: emb.write_bytes(emb.read_bytes() + b"\0" * 4), "bytes, expected"),
+        (lambda emb, ids: ids.write_text("".join(ids.read_text().splitlines(True)[:-1])),
+         "no poi_id for row 3"),
+        (lambda emb, ids: ids.write_text(ids.read_text() + "1\tp9\n"), "new row index"),
+        (lambda emb, ids: ids.write_text(ids.read_text().replace("3\tp3", "4\tp3")),
+         "new row index"),
+        (lambda emb, ids: ids.write_text(ids.read_text().replace("3\tp3", "-3\tp3")),
+         "new row index"),
+        (lambda emb, ids: ids.write_text(ids.read_text().replace("3\tp3", "3 p3")),
+         "new row index"),
+        (lambda emb, ids: ids.write_text(ids.read_text().replace("p3", "p0")),
+         "duplicate poi_ids"),
+    ], ids=["truncated-vectors", "truncated-header", "trailing-bytes",
+            "sidecar-short", "sidecar-repeated-row", "sidecar-row-out-of-range",
+            "sidecar-negative-row", "sidecar-no-tab", "duplicate-ids"])
+    def test_corrupt_table_fails_loudly(self, tmp_path, rng, corrupt, message):
+        table = EmbeddingTable([f"p{i}" for i in range(4)],
+                               rng.normal(size=(4, 3)).astype(np.float32))
+        emb = tmp_path / "t.emb"
+        save_table(table, emb)
+        corrupt(emb, tmp_path / "t.emb.ids")
+        with pytest.raises(ValueError, match=message):
+            load_table(emb)

@@ -8,6 +8,8 @@ from poirec.autodiff import NumericError, Tensor
 from poirec.checkpoint import (CheckpointError, load_checkpoint,
                                save_checkpoint)
 from poirec.config import RngHub, RunConfig, load_config, save_config
+from poirec.data import DataError
+from poirec.pretrain import EmbeddingTable
 from poirec.synth import markov_dataset
 from poirec.training import Trainer, pretrain_tables, total_loss
 
@@ -265,6 +267,21 @@ class TestPretrainIntegration:
         ids = [p.poi_id for p in small_split.catalog]
         assert spatial.ids == ids == temporal.ids == fused.ids
         assert np.allclose(fused.vectors, spatial.vectors + temporal.vectors)
+
+    @pytest.mark.parametrize("which", ["spatial", "temporal", "fused"])
+    @pytest.mark.parametrize("change", ["missing", "extra", "reordered"])
+    def test_tables_must_match_catalog(self, small_split, which, change):
+        ids = sorted(p.poi_id for p in small_split.catalog)
+        vectors = np.zeros((len(ids), 8), dtype=np.float32)
+        good = EmbeddingTable(ids, vectors)
+        bad = {"missing": EmbeddingTable(ids[:-1], vectors[:-1]),
+               "extra": EmbeddingTable(ids + ["zz"], np.zeros((len(ids) + 1, 8), np.float32)),
+               "reordered": EmbeddingTable(ids[::-1], vectors)}[change]
+        tables = {"spatial_table": good, "temporal_table": good, "fused_table": good,
+                  f"{which}_table": bad}
+        cfg = RunConfig(d=8, t_max=20, m_bins=4, degree_buckets=4, n_neighbors=5)
+        with pytest.raises(DataError, match=f"{which} embedding table does not match"):
+            Trainer(small_split, cfg, **tables)
 
     def test_pretrained_init_lands_in_model(self, small_split):
         cfg = RunConfig(d=8, t_max=20, m_bins=4, degree_buckets=4,
