@@ -2,8 +2,12 @@
 
 Tensors hold float32 or float64 numpy data. Reductions accumulate in 64-bit
 regardless of storage dtype; gradient checks should be run with float64
-parameters (finite differences are unreliable in 32-bit).
+parameters (finite differences are unreliable in 32-bit). Inside a
+`no_grad()` block ops record no graph, so their results cannot be
+backpropagated.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -117,8 +121,23 @@ def _wrap(x, like=None):
     return Tensor(_as_array(x, dtype))
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the block record no parents and no backward closures, as
+    for inference; the previous mode comes back on exit, also on an error."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _needs(*tensors):
-    return any(t.requires_grad or t._parents for t in tensors)
+    return _grad_enabled and any(t.requires_grad or t._parents for t in tensors)
 
 
 def _unbroadcast(g, shape):
@@ -217,14 +236,29 @@ def clamp_min(a, floor):
 
 
 def matmul(a, b):
+    """(n, k) @ (k, m), or a stack of G products: (G, n, k) @ (k, m), which
+    runs as one (G*n, k) @ (k, m) product, and (G, n, k) @ (G, k, m)."""
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    x, y = a.data, b.data
+    if (x.ndim not in (2, 3) or y.ndim not in (2, x.ndim) or x.shape[-1] != y.shape[-2]
+            or (y.ndim == 3 and x.shape[0] != y.shape[0])):
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, parents=(a, b) if _needs(a, b) else ())
+    flat = x.ndim == 3 and y.ndim == 2  # the stack as one 2-D product
+    if flat:
+        x = x.reshape(-1, x.shape[-1])
+        out_data = (x @ y).reshape(a.shape[:-1] + y.shape[-1:])
+    else:
+        out_data = x @ y
+    out = Tensor(out_data, parents=(a, b) if _needs(a, b) else ())
 
     def backward(g):
-        a.grad += (g @ b.data.T).astype(a.dtype)
-        b.grad += (a.data.T @ g).astype(b.dtype)
+        if flat:
+            g = g.reshape(-1, g.shape[-1])
+            a.grad += (g @ y.T).astype(a.dtype).reshape(a.shape)
+            b.grad += (x.T @ g).astype(b.dtype)
+        else:
+            a.grad += (g @ y.swapaxes(-1, -2)).astype(a.dtype)
+            b.grad += (x.swapaxes(-1, -2) @ g).astype(b.dtype)
 
     if out._parents:
         out._backward = backward
@@ -232,11 +266,12 @@ def matmul(a, b):
 
 
 def transpose(a):
+    """Swap the last two axes."""
     a = _wrap(a)
-    out = Tensor(a.data.T, parents=(a,) if _needs(a) else ())
+    out = Tensor(a.data.swapaxes(-1, -2), parents=(a,) if _needs(a) else ())
 
     def backward(g):
-        a.grad += g.T
+        a.grad += g.swapaxes(-1, -2)
 
     if out._parents:
         out._backward = backward

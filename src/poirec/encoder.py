@@ -1,5 +1,8 @@
 """Graph-biased self-attention encoder: feature encodings, distance / hop /
-category attention biases, master-node readout, and the prediction head."""
+category attention biases, master-node readout, and the prediction head.
+
+A master graph becomes an `EncoderPlan` once; `GsanModel.encode_plans` runs
+any number of plans through one stacked forward per node count."""
 
 import math
 from dataclasses import dataclass
@@ -62,6 +65,26 @@ def build_category_vocab(traj_graphs):
     for g in traj_graphs:
         pairs.update(g.edge_category.values())
     return {pair: i + 1 for i, pair in enumerate(sorted(pairs))}
+
+
+def _stack(arrays, axis=0):
+    """Plan arrays of one group stacked along a new axis (0, or 1 for bias
+    arrays); a group of one plan keeps its arrays as they are, so a single
+    graph, as in training, runs on 2-D arrays without the group axis."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays, axis=axis)
+
+
+@dataclass
+class EncoderPlan:
+    """What one master graph contributes to its encoder pass, with no
+    parameter in it: table rows and bias indices and weights. A plan stays
+    valid while the parameters change."""
+
+    poi_rows: np.ndarray  # (n,) poi_table row of each base node
+    pos_rows: np.ndarray  # (n,) `pos` row: reverse position, 0 for synthetic nodes
+    bias_idx: np.ndarray  # (terms, n+1, n+1) int32 rows of `bias_table()`
+    bias_w: np.ndarray  # (terms, n+1, n+1) their weights, in the model dtype
+    last: int  # index of the last-visited base node
 
 
 class GsanModel:
@@ -132,31 +155,49 @@ class GsanModel:
         return {k: v for k, v in self.trainable().items()
                 if k not in ("b_spd", "b_dist")}
 
-    # -- feature encoding --------------------------------------------------
+    # -- encoder plans and the stacked forward ------------------------------
 
-    def node_features(self, mgraph):
+    def plan(self, mgraph):
+        """The parameter-free inputs of `mgraph`'s encoder pass (see
+        `EncoderPlan`). Raises NumericError when a node's reverse position
+        exceeds t_max."""
+        cfg = self.config
         g = mgraph.base
-        idx = np.array([self.poi_index[p] for p in g.nodes], dtype=np.int64)
-        pos_idx = []
-        for p in g.nodes:
-            step = g.last_step.get(p)
-            if step is None:
-                pos_idx.append(0)  # synthetic nodes use the padding row
-            else:
-                rev = g.seq_len - step + 1
-                if rev > self.config.t_max:
-                    raise NumericError(
-                        f"position index {rev} exceeds t_max={self.config.t_max}")
-                pos_idx.append(rev)
-        h = ad.gather_rows(self.params["poi_table"], idx)
-        h = h + ad.gather_rows(self.params["deg_in"], self.deg_in_bucket[idx])
-        h = h + ad.gather_rows(self.params["deg_out"], self.deg_out_bucket[idx])
-        h = h + ad.gather_rows(self.params["pop"], self.pop_bucket[idx])
-        h = h + ad.gather_rows(self.params["pos"], np.array(pos_idx, dtype=np.int64))
-        master = ad.tmean(h, axis=0, keepdims=True) + ad.gather_rows(self.params["pos"], [0])
-        return ad.concat([h, master], axis=0)
+        poi_rows = np.array([self.poi_index[p] for p in g.nodes], dtype=np.int64)
+        # reverse positions; synthetic nodes (no step) take the padding row 0
+        steps = [g.last_step.get(p) for p in g.nodes]
+        pos = [0 if step is None else g.seq_len - step + 1 for step in steps]
+        if max(pos) > cfg.t_max:
+            raise NumericError(f"position index {max(pos)} exceeds t_max={cfg.t_max}")
 
-    # -- attention bias ----------------------------------------------------
+        # attention bias over `mgraph.nodes` (master last): hop count,
+        # interpolated distance bins and the mean category-pair score along
+        # the canonical shortest path, each pair's bias a weighted sum of
+        # entries of `bias_table()`
+        size = len(mgraph.nodes)
+        n = size - 1
+        n_spd = self.params["b_spd"].shape[0]
+        terms = 5 if cfg.use_category_bias else 3
+        idx = np.empty((terms, size, size), dtype=np.int32)
+        w = np.empty((terms, size, size), dtype=self.dtype)
+        # hop count, master pairs in their own slot
+        idx[0] = np.minimum(mgraph.hops, cfg.spd_cap)
+        idx[0, n, :] = idx[0, :, n] = cfg.spd_cap + 1
+        w[0] = 1.0
+        # distance, interpolated between two boundaries of b_dist
+        dist = np.full((size, size), np.nan) if mgraph.geo is None else mgraph.geo
+        idx[1], idx[2], w[1], w[2] = self.bins.locate(dist)
+        idx[1:3] += n_spd
+        if cfg.use_category_bias:
+            # mean over the path edges: i -> mid -> j on a 2-hop path, else
+            # the edge i -> j (or i's self-loop) taken twice
+            cat = self._category_index(mgraph) + (n_spd + self.params["b_dist"].shape[0])
+            nodes = np.arange(size)
+            idx[3] = cat[nodes[:, None], mgraph.mid]
+            idx[4] = np.where(mgraph.hops == 2, cat[mgraph.mid, nodes], idx[3])
+            w[3:] = 0.5
+        return EncoderPlan(poi_rows, np.array(pos, dtype=np.int64), idx, w,
+                           g.nodes.index(g.last_node))
 
     def _category_index(self, mgraph):
         """(n+1, n+1) `cat_pairs` row of each base edge's category pair, read
@@ -173,40 +214,71 @@ class GsanModel:
         out[fwd] = k
         return out.reshape(size, size)
 
-    def bias_matrix(self, mgraph):
-        """Additive attention bias over `mgraph.nodes` (master last): hop
-        count, interpolated distance bins and the mean category-pair score
-        along the canonical shortest path. Each pair's bias is a weighted sum
-        of entries gathered from the stacked scalar tables."""
-        cfg = self.config
-        size = len(mgraph.nodes)
-        n = size - 1
+    def bias_table(self):
+        """The (rows, 1) column that plan bias indices point into: the hop
+        slots of b_spd, the boundaries of b_dist, then (with the category
+        bias) one score cat_pairs @ w_r per category-pair row."""
         tables = [self.params["b_spd"], self.params["b_dist"]]
-        terms = 5 if cfg.use_category_bias else 3
-        idx = np.empty((terms, size, size), dtype=np.int64)
-        w = np.empty((terms, size, size))
-        # hop count, master pairs in their own slot
-        idx[0] = np.minimum(mgraph.hops, cfg.spd_cap)
-        idx[0, n, :] = idx[0, :, n] = cfg.spd_cap + 1
-        w[0] = 1.0
-        # distance, interpolated between two boundaries of b_dist
-        dist = np.full((size, size), np.nan) if mgraph.geo is None else mgraph.geo
-        idx[1], idx[2], w[1], w[2] = self.bins.locate(dist)
-        idx[1:3] += tables[0].shape[0]
-        if cfg.use_category_bias:
-            # mean over the path edges: i -> mid -> j on a 2-hop path, else
-            # the edge i -> j (or i's self-loop) taken twice
-            cat = self._category_index(mgraph) + (tables[0].shape[0] + tables[1].shape[0])
+        if self.config.use_category_bias:
             tables.append(ad.matmul(self.params["cat_pairs"], self.params["w_r"]))
-            nodes = np.arange(size)
-            idx[3] = cat[nodes[:, None], mgraph.mid]
-            idx[4] = np.where(mgraph.hops == 2, cat[mgraph.mid, nodes], idx[3])
-            w[3:] = 0.5
-        return ad.gather_sum(ad.concat(tables, axis=0), idx, w)
+        return ad.concat(tables, axis=0)
 
-    # -- attention + readout -----------------------------------------------
+    def encode_plans(self, plans):
+        """Trajectory representations s_u of a list of plans, one (B, d) row
+        per plan in input order. Plans with the same node count run as one
+        stacked forward, so nothing is padded or masked."""
+        if not plans:
+            raise ValueError("encode_plans needs at least one plan")
+        table = self.bias_table()
+        groups = {}
+        for i, p in enumerate(plans):
+            groups.setdefault(len(p.poi_rows), []).append(i)
+        outs = [self._forward([plans[i] for i in members], table)
+                for members in groups.values()]
+        s_u = outs[0] if len(outs) == 1 else ad.concat(outs, axis=0)
+        order = np.concatenate(list(groups.values()))
+        if (order != np.arange(len(plans))).any():
+            s_u = ad.gather_rows(s_u, np.argsort(order))
+        return s_u
 
-    def attention_layer(self, x, bias, layer):
+    def encode(self, mgraph):
+        """Full encoder pass over one master graph; returns s_u (1, d). The
+        same ops as `encode_plans([self.plan(mgraph)])`, without grouping."""
+        return self._forward([self.plan(mgraph)], self.bias_table())
+
+    def _forward(self, plans, table):
+        """The encoder over G plans of n base nodes each, as (G, n+1, d)
+        stacks (one plan: (n+1, d)): node features, `layers` biased
+        self-attention layers, and the readout [master row, last-visited
+        row] @ w_s. Returns (G, d)."""
+        x = self._features(plans)
+        bias = ad.gather_sum(table, _stack([p.bias_idx for p in plans], axis=1),
+                             _stack([p.bias_w for p in plans], axis=1))
+        for layer in range(self.config.layers):
+            x = self._attention(x, bias, layer)
+        g, (size, d) = len(plans), x.shape[-2:]
+        pick = [[i * size + size - 1, i * size + p.last] for i, p in enumerate(plans)]
+        readout = ad.gather_rows(ad.reshape(x, (g * size, d)), pick)
+        return ad.matmul(ad.reshape(readout, (g, 2 * d)), self.params["w_s"])
+
+    def _features(self, plans):
+        """(G, n+1, d), or (n+1, d) for one plan: per base node the sum of
+        its POI, degree, popularity and reverse-position rows; the master row
+        is their mean plus the padding position row."""
+        prm = self.params
+        rows = _stack([p.poi_rows for p in plans])
+        x = ad.gather_rows(prm["poi_table"], rows)
+        x = x + ad.gather_rows(prm["deg_in"], self.deg_in_bucket[rows])
+        x = x + ad.gather_rows(prm["deg_out"], self.deg_out_bucket[rows])
+        x = x + ad.gather_rows(prm["pop"], self.pop_bucket[rows])
+        x = x + ad.gather_rows(prm["pos"], _stack([p.pos_rows for p in plans]))
+        master = ad.tmean(x, axis=-2, keepdims=True) + ad.gather_rows(prm["pos"], [0])
+        return ad.concat([x, master], axis=-2)
+
+    def _attention(self, x, bias, layer):
+        """One biased self-attention layer over (G, n+1, d) features and a
+        (G, n+1, n+1) bias (or one graph's 2-D ones); heads are
+        concatenated, then projected by wo."""
         cfg = self.config
         scale = 1.0 / math.sqrt(cfg.d)
         heads = []
@@ -217,22 +289,9 @@ class GsanModel:
             scores = ad.mul(ad.matmul(q, k.T), scale) + bias
             if not np.all(np.isfinite(scores.data)):
                 raise NumericError("non-finite attention scores")
-            attn = ad.row_softmax(scores)
-            heads.append(ad.matmul(attn, v))
-        merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
+            heads.append(ad.matmul(ad.row_softmax(scores), v))
+        merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=-1)
         return ad.matmul(merged, self.params[f"l{layer}.wo"])
-
-    def encode(self, mgraph):
-        """Full encoder pass; returns the trajectory representation s_u (1, d)."""
-        x = self.node_features(mgraph)
-        bias = self.bias_matrix(mgraph)
-        for layer in range(self.config.layers):
-            x = self.attention_layer(x, bias, layer)
-        n = len(mgraph.nodes)
-        v_s = ad.gather_rows(x, [n - 1])
-        last_idx = mgraph.base.nodes.index(mgraph.base.last_node)
-        v_last = ad.gather_rows(x, [last_idx])
-        return ad.matmul(ad.concat([v_s, v_last], axis=1), self.params["w_s"])
 
     def predict(self, s_u):
         """Catalog logits s_u @ poi_table^T of a (B, d) batch of trajectory

@@ -8,21 +8,29 @@ import numpy as np
 DEFAULT_KS = (1, 5, 10, 20)
 
 
-def rank_target(scores, poi_ids, target):
-    """1-based rank of the target over the whole POI set.
+def rank_targets(scores, poi_ids, targets):
+    """1-based rank of each row's target over the whole POI set: row i of the
+    (B, P) score matrix ranks targets[i], column j scores poi_ids[j].
 
     Ties are broken deterministically: equal-score POIs with a smaller
     poi_id precede the target.
     """
     scores = np.asarray(scores)
-    try:
-        t = poi_ids.index(target)
-    except ValueError:
-        raise ValueError(f"target {target!r} not in catalog") from None
-    s_t = scores[t]
-    tied = np.flatnonzero(scores == s_t)
-    return 1 + int(np.count_nonzero(scores > s_t)) + sum(
-        1 for j in tied.tolist() if poi_ids[j] < target)
+    column = {p: j for j, p in enumerate(poi_ids)}
+    missing = [t for t in targets if t not in column]
+    if missing:
+        raise ValueError(f"target {missing[0]!r} not in catalog")
+    cols = np.array([column[t] for t in targets], dtype=np.int64)
+    id_order = np.empty(len(poi_ids), dtype=np.int64)  # position in sorted id order
+    id_order[sorted(range(len(poi_ids)), key=poi_ids.__getitem__)] = np.arange(len(poi_ids))
+    s_t = scores[np.arange(len(cols)), cols][:, None]
+    ahead = (scores > s_t) | ((scores == s_t) & (id_order < id_order[cols][:, None]))
+    return (1 + np.count_nonzero(ahead, axis=1)).tolist()
+
+
+def rank_target(scores, poi_ids, target):
+    """`rank_targets` of one score row."""
+    return rank_targets(np.asarray(scores)[None, :], poi_ids, [target])[0]
 
 
 def hit_rate(ranks, k):

@@ -5,6 +5,7 @@ import logging
 import struct
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -212,11 +213,20 @@ def temporal_adjacency(gt_graph):
 
 
 def spatial_adjacency(gs_graph):
-    adj = {v: set() for v in gs_graph.nodes}
-    for (a, b) in gs_graph.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return {v: sorted(nbrs) for v, nbrs in adj.items()}
+    """{node: sorted neighbours} of the undirected spatial graph. Edge ends
+    become catalog indices in one pass; both directions of every edge are
+    then sorted and deduplicated as integer codes row * n + column."""
+    ids = sorted(gs_graph.nodes)
+    n = len(ids)
+    index = dict(zip(ids, range(n)))
+    ends = np.fromiter(map(index.__getitem__, chain.from_iterable(gs_graph.edges)),
+                       dtype=np.int64, count=2 * len(gs_graph.edges)).reshape(-1, 2)
+    codes = np.sort(np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]]))
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    nbrs = np.array(ids, dtype=object)[codes % n].tolist()
+    bounds = np.searchsorted(codes // n, np.arange(n + 1)).tolist()
+    by_row = {v: nbrs[bounds[i]:bounds[i + 1]] for i, v in enumerate(ids)}
+    return {v: by_row[v] for v in gs_graph.nodes}
 
 
 # -- persistence -----------------------------------------------------------

@@ -17,7 +17,7 @@ from .data import DataError
 from .encoder import GsanModel, build_category_vocab, fit_distance_bins
 from .graphs import (add_master_node, build_global_spatial,
                      build_global_temporal, build_trajectory_graph)
-from .metrics import rank_target, report_from_ranks
+from .metrics import rank_targets, report_from_ranks
 from .pretrain import (EmbeddingTable, fuse_embeddings, node2vec_embed,
                        spatial_adjacency, temporal_adjacency)
 
@@ -68,13 +68,19 @@ class Trainer:
         catalog_ids = sorted(p.poi_id for p in split.catalog)
         for name, table in (("spatial", spatial_table), ("temporal", temporal_table),
                             ("fused", fused_table)):
-            if table is not None and table.ids != catalog_ids:
+            if table is None:
+                continue
+            if table.ids != catalog_ids:
                 missing = len(set(catalog_ids) - set(table.ids))
                 extra = len(set(table.ids) - set(catalog_ids))
                 raise DataError(
                     f"{name} embedding table does not match the catalog: {missing} "
                     f"catalog POIs missing, {extra} unknown POIs, rows must be the "
                     f"{len(catalog_ids)} catalog ids in sorted order; pretrain on this data")
+            if table.dim != config.d:
+                raise DataError(
+                    f"{name} embedding table has width {table.dim}, but the model "
+                    f"width d is {config.d}; pretrain with the same d")
         self.split = split
         self.config = config
         self.hub = RngHub(config.seed)
@@ -206,13 +212,16 @@ class Trainer:
     # -- evaluation --------------------------------------------------------
 
     def rank_pairs(self, pairs):
-        ranks = []
-        for prefix, target in pairs:
-            g = build_trajectory_graph(prefix, categories=self.categories)
-            mg = add_master_node(g, self.coords, self.config.spd_cap)
-            logits = self.model.predict(self.model.encode(mg)).data[0]
-            ranks.append(rank_target(logits, self.model.poi_ids, target.poi_id))
-        return ranks
+        """Full-catalog rank of each (prefix, target) pair's target: all
+        prefixes through one `encode_plans`, one (B, P) logit matrix."""
+        if not pairs:
+            return []
+        plans = [self.model.plan(add_master_node(
+                    build_trajectory_graph(prefix, categories=self.categories),
+                    self.coords, self.config.spd_cap)) for prefix, _ in pairs]
+        with ad.no_grad():
+            logits = self.model.predict(self.model.encode_plans(plans)).data
+        return rank_targets(logits, self.model.poi_ids, [t.poi_id for _, t in pairs])
 
     def evaluate(self, pairs, split_name="test", ks=(1, 5, 10, 20)):
         return report_from_ranks(self.rank_pairs(pairs), split=split_name, ks=ks)

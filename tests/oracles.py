@@ -1,9 +1,10 @@
 """Reference implementations the tests check the program against: the
 per-pair BFS and loop forms of the master-graph structure and of the
-attention bias, the sorted-row correlation ranking, the catalog-loop
-target rank, the clamped softmax loss chain, the per-step node2vec walks
-and per-update skip-gram, the scalar spatial-graph scan, plus small
-autodiff compositions used only by tests."""
+attention bias, the per-graph encoder, the sorted-row correlation ranking,
+the catalog-loop target rank, the clamped softmax loss chain, the per-step
+node2vec walks and per-update skip-gram, the scalar spatial-graph scan and
+the per-edge spatial adjacency, plus small autodiff compositions used only
+by tests."""
 
 import math
 from collections import deque
@@ -173,6 +174,94 @@ def bias_matrix(model, mgraph, coords=None):
     return out
 
 
+# -- the encoder, one graph at a time --------------------------------------
+
+
+def node_features(model, mgraph):
+    """(n+1, d) features of `mgraph`'s nodes, the master row last: the sum of
+    each node's POI, degree, popularity and reverse-position rows; the
+    master takes the mean plus the padding position row."""
+    g = mgraph.base
+    idx = np.array([model.poi_index[p] for p in g.nodes], dtype=np.int64)
+    pos_idx = []
+    for p in g.nodes:
+        step = g.last_step.get(p)
+        if step is None:
+            pos_idx.append(0)  # synthetic nodes use the padding row
+        else:
+            rev = g.seq_len - step + 1
+            if rev > model.config.t_max:
+                raise ad.NumericError(
+                    f"position index {rev} exceeds t_max={model.config.t_max}")
+            pos_idx.append(rev)
+    h = ad.gather_rows(model.params["poi_table"], idx)
+    h = h + ad.gather_rows(model.params["deg_in"], model.deg_in_bucket[idx])
+    h = h + ad.gather_rows(model.params["deg_out"], model.deg_out_bucket[idx])
+    h = h + ad.gather_rows(model.params["pop"], model.pop_bucket[idx])
+    h = h + ad.gather_rows(model.params["pos"], np.array(pos_idx, dtype=np.int64))
+    master = ad.tmean(h, axis=0, keepdims=True) + ad.gather_rows(model.params["pos"], [0])
+    return ad.concat([h, master], axis=0)
+
+
+def gather_bias(model, mgraph):
+    """The attention bias of one graph as a Tensor: index gathers over the
+    stacked b_spd, b_dist and cat_pairs @ w_r tables summed by one
+    `gather_sum`."""
+    cfg = model.config
+    size = len(mgraph.nodes)
+    n = size - 1
+    tables = [model.params["b_spd"], model.params["b_dist"]]
+    terms = 5 if cfg.use_category_bias else 3
+    idx = np.empty((terms, size, size), dtype=np.int64)
+    w = np.empty((terms, size, size))
+    idx[0] = np.minimum(mgraph.hops, cfg.spd_cap)
+    idx[0, n, :] = idx[0, :, n] = cfg.spd_cap + 1
+    w[0] = 1.0
+    dist = np.full((size, size), np.nan) if mgraph.geo is None else mgraph.geo
+    idx[1], idx[2], w[1], w[2] = model.bins.locate(dist)
+    idx[1:3] += tables[0].shape[0]
+    if cfg.use_category_bias:
+        cat = model._category_index(mgraph) + (tables[0].shape[0] + tables[1].shape[0])
+        tables.append(ad.matmul(model.params["cat_pairs"], model.params["w_r"]))
+        nodes = np.arange(size)
+        idx[3] = cat[nodes[:, None], mgraph.mid]
+        idx[4] = np.where(mgraph.hops == 2, cat[mgraph.mid, nodes], idx[3])
+        w[3:] = 0.5
+    return ad.gather_sum(ad.concat(tables, axis=0), idx, w)
+
+
+def attention_layer(model, x, bias, layer):
+    """One biased self-attention layer over (n+1, d) features."""
+    cfg = model.config
+    scale = 1.0 / math.sqrt(cfg.d)
+    heads = []
+    for h in range(cfg.heads):
+        q = ad.matmul(x, model.params[f"l{layer}.h{h}.wq"])
+        k = ad.matmul(x, model.params[f"l{layer}.h{h}.wk"])
+        v = ad.matmul(x, model.params[f"l{layer}.h{h}.wv"])
+        scores = ad.mul(ad.matmul(q, k.T), scale) + bias
+        if not np.all(np.isfinite(scores.data)):
+            raise ad.NumericError("non-finite attention scores")
+        attn = ad.row_softmax(scores)
+        heads.append(ad.matmul(attn, v))
+    merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
+    return ad.matmul(merged, model.params[f"l{layer}.wo"])
+
+
+def encode(model, mgraph):
+    """The encoder pass of one master graph, s_u (1, d), built op by op on
+    that graph alone; also usable as a `GsanModel.encode` replacement."""
+    x = node_features(model, mgraph)
+    bias = gather_bias(model, mgraph)
+    for layer in range(model.config.layers):
+        x = attention_layer(model, x, bias, layer)
+    n = len(mgraph.nodes)
+    v_s = ad.gather_rows(x, [n - 1])
+    last_idx = mgraph.base.nodes.index(mgraph.base.last_node)
+    v_last = ad.gather_rows(x, [last_idx])
+    return ad.matmul(ad.concat([v_s, v_last], axis=1), model.params["w_s"])
+
+
 # -- correlation index and ranking, one row / one POI at a time ------------
 
 
@@ -237,6 +326,16 @@ def global_spatial_edges(catalog, alpha_km):
                 key = (a.poi_id, b.poi_id) if a.poi_id <= b.poi_id else (b.poi_id, a.poi_id)
                 edges[key] = d
     return edges
+
+
+def spatial_adjacency(gs_graph):
+    """{node: sorted neighbours} of the spatial graph, one set.add per edge
+    end."""
+    adj = {v: set() for v in gs_graph.nodes}
+    for (a, b) in gs_graph.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return {v: sorted(nbrs) for v, nbrs in adj.items()}
 
 
 # -- node2vec, one rng.choice per walk step / skip-gram update -------------

@@ -128,6 +128,71 @@ class TestGradients:
         assert max(report.values()) < 1e-4
 
 
+class TestStackedMatmul:
+    @pytest.mark.parametrize("b_shape", [(4, 2), (3, 4, 2)], ids=["shared", "per-item"])
+    def test_each_item_is_its_2d_product(self, b_shape):
+        a, b = randt((3, 5, 4), seed=0), randt(b_shape, seed=1)
+        out = ad.matmul(a, b).data
+        for i in range(3):
+            b_i = b.data if b.data.ndim == 2 else b.data[i]
+            assert np.allclose(out[i], a.data[i] @ b_i, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("b_shape", [(4, 2), (3, 4, 2)], ids=["shared", "per-item"])
+    def test_against_finite_differences(self, b_shape):
+        a, b = randt((3, 5, 4), seed=2), randt(b_shape, seed=3)
+        probe = Tensor(np.random.default_rng(4).normal(size=(3, 5, 2)))
+        report = ad.grad_check(lambda: ad.tsum(ad.mul(ad.matmul(a, b), probe)),
+                               {"a": a, "b": b})
+        assert max(report.values()) < 1e-4
+
+    def test_transpose_swaps_last_two_axes(self):
+        a = randt((2, 3, 4), seed=5)
+        assert np.array_equal(a.T.data, np.swapaxes(a.data, 1, 2))
+        probe = Tensor(np.random.default_rng(6).normal(size=(2, 4, 3)))
+        report = ad.grad_check(lambda: ad.tsum(ad.mul(a.T, probe)), {"a": a})
+        assert report["a"] < 1e-4
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((3, 5, 4), (5, 2)), ((3, 5, 4), (2, 4, 2)), ((5, 4), (3, 4, 2)),
+        ((2, 3, 5, 4), (4, 2)), ((4,), (4, 2)),
+    ])
+    def test_shape_errors(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="matmul shape mismatch"):
+            ad.matmul(randt(a_shape), randt(b_shape))
+
+
+class TestNoGrad:
+    def test_records_no_graph(self):
+        a, b = randt((2, 3, 4), seed=0), randt((4, 2), seed=1)
+        with ad.no_grad():
+            out = ad.tsum(ad.row_softmax(ad.matmul(a, b)))
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        # the same ops outside the block record their parents again
+        assert ad.tsum(ad.matmul(a, b))._parents
+
+    def test_values_equal_recorded_ops(self):
+        a, b = randt((2, 3, 4), seed=2), randt((2, 4, 3), seed=3)
+        with ad.no_grad():
+            quiet = ad.row_softmax(ad.matmul(a, b)).data
+        assert np.array_equal(quiet, ad.row_softmax(ad.matmul(a, b)).data)
+
+    def test_mode_restored_after_an_error(self):
+        a = randt((2, 2))
+        with pytest.raises(ShapeError):
+            with ad.no_grad():
+                ad.matmul(a, randt((3, 3)))
+        assert ad.mul(a, 2.0)._parents
+
+    def test_nested_blocks_restore_the_outer_mode(self):
+        a = randt((2, 2))
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.mul(a, 2.0)._parents == ()
+        assert ad.mul(a, 2.0)._parents
+
+
 class TestLogSoftmaxNll:
     def test_grad_check_float64(self):
         x = randt((4, 6), seed=12, scale=2.0)

@@ -167,6 +167,17 @@ class TestTrainEvaluate:
         assert code == 3
         assert "embedding table does not match the catalog" in capsys.readouterr().err
 
+    def test_tables_of_another_width_exit_3(self, data_dir, tmp_path, capsys):
+        emb = tmp_path / "emb"
+        assert main(["pretrain", "--data", str(data_dir), "--out", str(emb)]
+                    + TINY + ["--d", "4"]) == 0
+        capsys.readouterr()
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                     "--embeddings", str(emb), "--epochs", "1", "--lam", "0.0"] + TINY)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "embedding table has width 4, but the model width d is 8" in err
+
     def test_truncated_table_exit_3(self, data_dir, tmp_path, capsys):
         emb = tmp_path / "emb"
         assert main(["pretrain", "--data", str(data_dir), "--out", str(emb)] + TINY) == 0

@@ -37,6 +37,17 @@ def small_model(config, seq=("p0", "p1", "p2", "p0", "p3"), dtype=np.float64,
     return model, mg, catalog
 
 
+def features(model, mg):
+    """(n+1, d) node features of one graph from the encoder forward."""
+    return model._features([model.plan(mg)])
+
+
+def plan_bias(model, mg):
+    """(n+1, n+1) attention bias of one graph from its plan."""
+    plan = model.plan(mg)
+    return ad.gather_sum(model.bias_table(), plan.bias_idx, plan.bias_w)
+
+
 def distance_bias(dist, bins, values):
     """Interpolated bias scalar through the vectorized `DistanceBins.locate`;
     `values` has one entry per boundary (the unknown slot is padded on)."""
@@ -180,7 +191,7 @@ class TestBiasMatrixOracle:
         model, mgraphs, coords = self.build(cfg, coords_for, rng)
         for mg in mgraphs:
             expected = oracles.bias_matrix(model, mg, coords)
-            assert np.allclose(model.bias_matrix(mg).data, expected, rtol=0, atol=1e-9)
+            assert np.allclose(plan_bias(model, mg).data, expected, rtol=0, atol=1e-9)
 
     def test_missing_coordinates_take_unknown_slot(self, tiny_config, rng):
         cfg = tiny_config.override(use_category_bias=False)
@@ -192,7 +203,7 @@ class TestBiasMatrixOracle:
         assert with_p0
         for mg in with_p0:
             a = mg.nodes.index("p0")
-            bias = model.bias_matrix(mg).data
+            bias = plan_bias(model, mg).data
             hops = np.minimum(mg.hops[a, :-1], cfg.spd_cap)
             assert np.allclose(bias[a, :-1], b_spd[hops] + unknown, rtol=0, atol=1e-12)
 
@@ -202,7 +213,7 @@ class TestNodeFeatures:
         model, mg, _ = small_model(tiny_config)
         for name in ("deg_in", "deg_out", "pop", "pos"):
             model.params[name].data[:] = 0.0
-        x = model.node_features(mg).data
+        x = features(model, mg).data
         n_base = len(mg.base.nodes)
         idx = [model.poi_index[p] for p in mg.base.nodes]
         assert np.allclose(x[:n_base], model.params["poi_table"].data[idx])
@@ -220,14 +231,24 @@ class TestNodeFeatures:
         cfg = tiny_config.override(t_max=2)
         model, mg, _ = small_model(cfg)
         with pytest.raises(NumericError, match="t_max"):
-            model.node_features(mg)
+            model.plan(mg)
+        with pytest.raises(NumericError, match="t_max"):
+            model.encode(mg)
+
+    def test_position_equal_to_t_max_is_allowed(self, tiny_config):
+        # p1 was last seen 4 steps from the end of p0 p1 p2 p0 p3
+        model, mg, _ = small_model(tiny_config.override(t_max=4))
+        assert model.plan(mg).pos_rows.max() == 4
+        model, mg, _ = small_model(tiny_config.override(t_max=3))
+        with pytest.raises(NumericError, match="position index 4 exceeds t_max=3"):
+            model.plan(mg)
 
     def test_all_equal_features_give_master_mean(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
         for name in ("deg_in", "deg_out", "pop", "pos"):
             model.params[name].data[:] = 0.0
         model.params["poi_table"].data[:] = 3.25
-        x = model.node_features(mg).data
+        x = features(model, mg).data
         assert np.allclose(x[-1], 3.25)
 
 
@@ -237,13 +258,13 @@ class TestAttention:
         n = len(mg.nodes)
         x = Tensor(np.ones((n, tiny_config.d)))
         bias = Tensor(np.zeros((n, n)))
-        out = model.attention_layer(x, bias, 0)
+        out = model._attention(x, bias, 0)
         # identical features -> uniform attention -> identical outputs
         assert np.allclose(out.data, out.data[0], atol=1e-10)
 
     def test_rows_sum_to_one_with_extreme_bias(self, tiny_config, rng):
         model, mg, _ = small_model(tiny_config)
-        x = model.node_features(mg)
+        x = features(model, mg)
         n = len(mg.nodes)
         bias = Tensor(rng.uniform(-50, 50, size=(n, n)))
         q = ad.matmul(x, model.params["l0.h0.wq"])
@@ -257,7 +278,7 @@ class TestAttention:
         n = len(mg.nodes)
         bias = np.zeros((n, n))
         bias[0, 3] = 1e9
-        x = model.node_features(mg)
+        x = features(model, mg)
         q = ad.matmul(x, model.params["l0.h0.wq"])
         k = ad.matmul(x, model.params["l0.h0.wk"])
         scores = ad.mul(ad.matmul(q, k.T), 1 / math.sqrt(tiny_config.d)) + Tensor(bias)
@@ -266,8 +287,8 @@ class TestAttention:
 
     def test_no_structural_zeros(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
-        x = model.node_features(mg)
-        bias = model.bias_matrix(mg)
+        x = features(model, mg)
+        bias = plan_bias(model, mg)
         q = ad.matmul(x, model.params["l0.h0.wq"])
         k = ad.matmul(x, model.params["l0.h0.wk"])
         scores = ad.mul(ad.matmul(q, k.T), 1 / math.sqrt(tiny_config.d)) + bias
@@ -320,9 +341,9 @@ class TestReadoutAndPrediction:
         model2, mg2, _ = small_model(tiny_config)
         for name, p in model.params.items():
             model2.params[name].data = p.data.copy()
-        feats = model2.node_features(mg2)
-        bias = model2.bias_matrix(mg2)
-        updated = model2.attention_layer(feats, bias, 0).data
+        feats = features(model2, mg2)
+        bias = plan_bias(model2, mg2)
+        updated = model2._attention(feats, bias, 0).data
         assert np.allclose(x.data[0], updated[-1], atol=1e-9)
 
         w2 = np.zeros((2 * d, d))
@@ -404,3 +425,85 @@ class TestGradients:
 
         report = ad.grad_check(f, model.params)
         assert max(report.values()) < 1e-4, report
+
+
+class TestEncodePlans:
+    """The stacked forward over plans equals the per-graph oracle encoder,
+    row by row in input order, on graphs of mixed sizes in one call."""
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"heads": 2, "layers": 2}, {"use_category_bias": False},
+    ], ids=["1x1", "2heads-2layers", "no-category-bias"])
+    def test_matches_oracle_encode(self, tiny_config, rng, overrides):
+        cfg = tiny_config.override(t_max=40, **overrides)
+        model, mgraphs, _ = TestBiasMatrixOracle.build(cfg, lambda c: c, rng)
+        for p in model.params.values():
+            p.data *= 0.3  # keep the attention rows away from one-hot
+        sizes = [len(mg.nodes) for mg in mgraphs]
+        assert len(set(sizes)) > 3 and sizes != sorted(sizes)
+        s_u = model.encode_plans([model.plan(mg) for mg in mgraphs]).data
+        expected = np.vstack([oracles.encode(model, mg).data for mg in mgraphs])
+        assert s_u.shape == (len(mgraphs), cfg.d)
+        assert np.allclose(s_u, expected, rtol=0, atol=1e-9)
+
+    def test_random_graphs_without_coordinates(self, tiny_config, rng):
+        model, mgraphs, _ = TestBiasMatrixOracle.build(tiny_config, lambda c: None, rng)
+        for p in model.params.values():
+            p.data *= 0.3
+        order = rng.permutation(len(mgraphs))
+        s_u = model.encode_plans([model.plan(mgraphs[i]) for i in order]).data
+        for row, i in zip(s_u, order):
+            assert np.allclose(row, oracles.encode(model, mgraphs[i]).data[0],
+                               rtol=0, atol=1e-9)
+
+    def test_grad_check_on_mixed_sizes(self, tiny_config):
+        """Finite differences through two groups of two and three graphs, so
+        every stacked matmul form carries a gradient."""
+        cfg = tiny_config.override(d=4, m_bins=3, degree_buckets=2, t_max=8, heads=2)
+        model, _, catalog = small_model(cfg, n_pois=6)
+        cats = {p.poi_id: p.category_id for p in catalog}
+        coords = {p.poi_id: (p.lat, p.lon) for p in catalog}
+        seqs = [("p0", "p1", "p2", "p0"), ("p3", "p4"), ("p1", "p5", "p2"),
+                ("p2", "p3"), ("p5", "p0", "p1")]
+        graphs = [build_trajectory_graph(make_traj(list(s), categories=cats), categories=cats)
+                  for s in seqs]
+        plans = [model.plan(add_master_node(g, coords)) for g in graphs]
+        targets = ["p2", "p0", "p4", "p1", "p3"]
+
+        def f():
+            return model.rec_loss(model.predict(model.encode_plans(plans)), targets)
+
+        report = ad.grad_check(f, model.params)
+        assert max(report.values()) < 1e-4, report
+
+    def test_plan_holds_no_parameters(self, tiny_config):
+        model, mg, _ = small_model(tiny_config)
+        plan = model.plan(mg)
+        before = model.encode_plans([plan]).data.copy()
+        model.params["poi_table"].data += 1.0
+        assert not np.allclose(model.encode_plans([plan]).data, before)
+        assert np.allclose(model.encode_plans([plan]).data, model.encode(mg).data,
+                           rtol=0, atol=0)
+        assert plan.bias_idx.dtype == np.int32
+        assert plan.bias_w.dtype == model.dtype
+        assert plan.poi_rows.tolist() == [model.poi_index[p] for p in mg.base.nodes]
+
+    def test_empty_plan_list_fatal(self, tiny_config):
+        model, _, _ = small_model(tiny_config)
+        with pytest.raises(ValueError, match="at least one plan"):
+            model.encode_plans([])
+
+    def test_non_finite_attention_scores_fatal(self, tiny_config):
+        model, mg, _ = small_model(tiny_config)
+        model.params["l0.h0.wq"].data[:] = np.inf
+        other = small_model(tiny_config, seq=("p1", "p2"))[1]
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError,
+                                                          match="attention scores"):
+            model.encode_plans([model.plan(mg), model.plan(other)])
+
+    def test_non_finite_logits_fatal(self, tiny_config):
+        model, mg, _ = small_model(tiny_config)
+        model.params["w_s"].data[:] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError,
+                                                          match="catalog logits"):
+            model.predict(model.encode_plans([model.plan(mg)] * 2))

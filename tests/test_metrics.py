@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from poirec.metrics import (DEFAULT_KS, hit_rate, ndcg, rank_target,
-                            report_from_ranks)
+                            rank_targets, report_from_ranks)
 import oracles
 
 
@@ -63,6 +63,33 @@ class TestRankTarget:
             assert rank_target(list(scores), catalog, target) == want
             assert rank_target(scores, catalog, target) == want
             assert rank_target(scores.astype(np.float32), catalog, target) == want
+
+
+class TestRankTargets:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_match_loop_oracle(self, rng, dtype):
+        for _ in range(20):
+            n, b = int(rng.integers(1, 80)), int(rng.integers(1, 12))
+            scores = rng.integers(0, 4, size=(b, n)).astype(dtype)  # forced ties
+            catalog = [ids(n)[j] for j in rng.permutation(n)]  # unsorted ids
+            targets = [catalog[j] for j in rng.integers(n, size=b)]
+            want = [oracles.rank_target(list(row), catalog, t)
+                    for row, t in zip(scores, targets)]
+            assert rank_targets(scores, catalog, targets) == want
+
+    def test_continuous_scores(self, rng):
+        scores = rng.normal(size=(30, 50)).astype(np.float32)
+        catalog = ids(50)
+        targets = [catalog[j] for j in rng.integers(50, size=30)]
+        want = [oracles.rank_target(list(row), catalog, t) for row, t in zip(scores, targets)]
+        assert rank_targets(scores, catalog, targets) == want
+
+    def test_missing_target_fatal(self):
+        with pytest.raises(ValueError, match="'zzz' not in catalog"):
+            rank_targets(np.ones((2, 2)), ["a", "b"], ["a", "zzz"])
+
+    def test_no_rows(self):
+        assert rank_targets(np.ones((0, 3)), ids(3), []) == []
 
 
 class TestHitRate:

@@ -6,7 +6,9 @@ import pytest
 import oracles
 from poirec import pretrain
 from poirec.config import RngHub, RunConfig
-from poirec.graphs import GlobalSpatialGraph, build_global_temporal
+from poirec.data import Poi
+from poirec.graphs import (GlobalSpatialGraph, build_global_spatial,
+                           build_global_temporal)
 from poirec.pretrain import (EmbeddingTable, fuse_embeddings, load_table,
                              node2vec_embed, random_walks, save_table,
                              spatial_adjacency, temporal_adjacency,
@@ -65,7 +67,7 @@ def oracle_pretrain(split, cfg):
     gt = build_global_temporal(split.train, cfg.n_neighbors, catalog=split.catalog)
     tables, corpora = {}, {}
     for name, adj in (("temporal", temporal_adjacency(gt)),
-                      ("spatial", spatial_adjacency(spatial_graph))):
+                      ("spatial", oracles.spatial_adjacency(spatial_graph))):
         rng = hub.stream(f"pretrain.{name}")
         walks = oracles.random_walks(adj, cfg.walks_per_node, cfg.walk_len,
                                      cfg.n2v_p, cfg.n2v_q, rng)
@@ -260,6 +262,34 @@ class TestOracleEquivalence:
             assert line.startswith(
                 f"node2vec {name}: {sum(map(len, walks))} walk tokens, "
                 f"{cfg.n2v_epochs * pairs} skip-gram updates, walks ")
+
+
+class TestSpatialAdjacency:
+    """The sorted-code adjacency equals the per-edge set build."""
+
+    @pytest.mark.parametrize("n,alpha", [(1, 3.0), (2, 50.0), (40, 0.5), (150, 2.0), (300, 4.0)])
+    def test_matches_oracle_on_spatial_graphs(self, rng, n, alpha):
+        catalog = [Poi(f"q{j}", "c", 40.0 + 0.05 * rng.random(), -74.0 + 0.05 * rng.random())
+                   for j in rng.permutation(n)]
+        graph = build_global_spatial(catalog, alpha)
+        assert spatial_adjacency(graph) == oracles.spatial_adjacency(graph)
+
+    def test_edge_cases(self):
+        # unsorted nodes, an isolated node, a self pair, an edge stored in
+        # both directions, and no edges at all
+        graph = GlobalSpatialGraph(["c", "a", "d", "b"], {("a", "b"): 1.0, ("b", "a"): 1.0,
+                                                         ("c", "c"): 0.0, ("a", "c"): 2.0})
+        adj = spatial_adjacency(graph)
+        assert adj == oracles.spatial_adjacency(graph)
+        assert adj == {"a": ["b", "c"], "b": ["a"], "c": ["a", "c"], "d": []}
+        assert list(adj) == graph.nodes
+        empty = GlobalSpatialGraph(["b", "a"], {})
+        assert spatial_adjacency(empty) == {"b": [], "a": []}
+        assert spatial_adjacency(GlobalSpatialGraph([], {})) == {}
+
+    def test_unknown_edge_end_fatal(self):
+        with pytest.raises(KeyError):
+            spatial_adjacency(GlobalSpatialGraph(["a"], {("a", "z"): 1.0}))
 
 
 class TestFusion:

@@ -9,9 +9,13 @@ from poirec.checkpoint import (CheckpointError, load_checkpoint,
                                save_checkpoint)
 from poirec.config import RngHub, RunConfig, load_config, save_config
 from poirec.data import DataError
+from poirec.encoder import GsanModel
+from poirec.graphs import add_master_node, build_trajectory_graph
+from poirec.metrics import rank_target
 from poirec.pretrain import EmbeddingTable
 from poirec.synth import markov_dataset
 from poirec.training import Trainer, pretrain_tables, total_loss
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +217,53 @@ class TestTrainingLoop:
         assert 0.0 <= rep.hr[10] <= 1.0
 
 
+class TestBatchedRanking:
+    def test_no_pairs(self, small_split):
+        assert small_trainer(small_split).rank_pairs([]) == []
+
+    @pytest.mark.parametrize("overrides", [{}, {"heads": 2, "layers": 2}])
+    def test_matches_per_pair_oracle_ranking(self, small_split, overrides):
+        """In float64 the one-pass ranks equal encoding and ranking each pair
+        alone through the per-graph oracle encoder."""
+        cfg = small_trainer(small_split).config.override(**overrides)
+        tr = Trainer(small_split, cfg, dtype=np.float64)
+        tr.fit()
+        pairs = small_split.val + small_split.test
+        want = []
+        for prefix, target in pairs:
+            mg = add_master_node(build_trajectory_graph(prefix, categories=tr.categories),
+                                 tr.coords, cfg.spd_cap)
+            logits = tr.model.predict(oracles.encode(tr.model, mg)).data[0]
+            want.append(rank_target(logits, tr.model.poi_ids, target.poi_id))
+        assert tr.rank_pairs(pairs) == want
+        assert len(set(len(p.checkins) for p, _ in pairs)) > 1
+
+    def test_ranking_records_no_graph(self, small_split, monkeypatch):
+        tr = small_trainer(small_split)
+        seen = []
+        predict = GsanModel.predict
+        monkeypatch.setattr(GsanModel, "predict",
+                            lambda self, s_u: seen.append(s_u) or predict(self, s_u))
+        tr.rank_pairs(small_split.test)
+        assert len(seen) == 1 and seen[0]._parents == ()
+        assert seen[0].shape == (len(small_split.test), tr.config.d)
+
+    @pytest.mark.parametrize("overrides", [{"lam": 0.1}, {"lam": 0.5, "heads": 2},
+                                           {"all_prefix": True, "use_category_bias": False}])
+    def test_fit_equals_per_graph_oracle_encoder(self, small_split, tmp_path, monkeypatch,
+                                                 overrides):
+        """Training through `encode_plans` is byte-identical to training
+        through the per-graph encoder: same checkpoint bytes after 2 epochs."""
+        tr = small_trainer(small_split, **overrides)
+        tr.fit()
+        tr.save(tmp_path / "plans.ckpt")
+        monkeypatch.setattr(GsanModel, "encode", oracles.encode)
+        ref = small_trainer(small_split, **overrides)
+        ref.fit()
+        ref.save(tmp_path / "oracle.ckpt")
+        assert (tmp_path / "plans.ckpt").read_bytes() == (tmp_path / "oracle.ckpt").read_bytes()
+
+
 class TestCheckpointResume:
     def test_resume_matches_uninterrupted_run(self, small_split, tmp_path):
         full = small_trainer(small_split, epochs=4, lam=0.1)
@@ -281,6 +332,18 @@ class TestPretrainIntegration:
                   f"{which}_table": bad}
         cfg = RunConfig(d=8, t_max=20, m_bins=4, degree_buckets=4, n_neighbors=5)
         with pytest.raises(DataError, match=f"{which} embedding table does not match"):
+            Trainer(small_split, cfg, **tables)
+
+    @pytest.mark.parametrize("which", ["spatial", "temporal", "fused"])
+    def test_tables_must_have_model_width(self, small_split, which):
+        ids = sorted(p.poi_id for p in small_split.catalog)
+        good = EmbeddingTable(ids, np.zeros((len(ids), 8), dtype=np.float32))
+        narrow = EmbeddingTable(ids, np.zeros((len(ids), 4), dtype=np.float32))
+        tables = {"spatial_table": good, "temporal_table": good, "fused_table": good,
+                  f"{which}_table": narrow}
+        cfg = RunConfig(d=8, t_max=20, m_bins=4, degree_buckets=4, n_neighbors=5)
+        with pytest.raises(DataError, match=f"{which} embedding table has width 4, "
+                                            f"but the model width d is 8"):
             Trainer(small_split, cfg, **tables)
 
     def test_pretrained_init_lands_in_model(self, small_split):
