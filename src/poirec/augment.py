@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import ShapeError
 from .graphs import category_pair
 
 OPERATORS = ("dropout", "insertion", "substitution")
@@ -242,19 +242,17 @@ def make_views(g, config, index, rng, categories):
 # -- contrastive loss ------------------------------------------------------
 
 
-def infonce(batch_a, batch_b, tau=1.0):
+def infonce(a, b, tau=1.0):
     """Mean per-row InfoNCE over in-batch negatives.
 
-    batch_a / batch_b: lists of (1, d) tensors where row i of each are two
-    views of the same trajectory; similarity is cosine.
+    a / b: (n, d) tensors whose row i are two views of the same trajectory;
+    similarity is cosine.
     """
-    if len(batch_a) != len(batch_b):
-        raise ShapeError(f"batch size mismatch: {len(batch_a)} vs {len(batch_b)}")
-    n = len(batch_a)
+    if a.shape[0] != b.shape[0]:
+        raise ShapeError(f"batch size mismatch: {a.shape[0]} vs {b.shape[0]}")
+    n = a.shape[0]
     if n < 2:
         raise ShapeError("infonce needs batch size >= 2 (no negatives otherwise)")
-    a = ad.concat(batch_a, axis=0)
-    b = ad.concat(batch_b, axis=0)
 
     def normalize(x):
         sq = ad.tsum(ad.mul(x, x), axis=1, keepdims=True)

@@ -252,19 +252,30 @@ def save_split(split, out_dir):
 
 
 def load_split(in_dir):
+    """Read a `save_split` directory. Raises DataError when catalog ids
+    repeat, or when a check-in or target names a POI not in the catalog."""
     src = Path(in_dir)
     cat_path = src / "catalog.jsonl"
     traj_path = src / "trajectories.jsonl"
     if not cat_path.is_file() or not traj_path.is_file():
         raise DataError(f"processed dataset not found under {src}")
     split = DatasetSplit()
+    known = set()
     with cat_path.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             poi_id, cat, lat, lon = json.loads(line)
+            if poi_id in known:
+                raise DataError(f"{cat_path}:{lineno}: POI {poi_id!r} is listed twice")
+            known.add(poi_id)
             split.catalog.append(Poi(poi_id, cat, float(lat), float(lon)))
     with traj_path.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             rec = json.loads(line)
+            rows = rec["checkins"] + ([rec["target"]] if "target" in rec else [])
+            missing = sorted({row[1] for row in rows} - known)
+            if missing:
+                raise DataError(f"{traj_path}:{lineno}: {rec['kind']} record names POI "
+                                f"{missing[0]!r}, which is not in the catalog")
             traj = Trajectory(rec["user"], [_checkin_from_row(r) for r in rec["checkins"]])
             if rec["kind"] == "train":
                 split.train.append(traj)

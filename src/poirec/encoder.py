@@ -69,8 +69,9 @@ def build_category_vocab(traj_graphs):
 
 def _stack(arrays, axis=0):
     """Plan arrays of one group stacked along a new axis (0, or 1 for bias
-    arrays); a group of one plan keeps its arrays as they are, so a single
-    graph, as in training, runs on 2-D arrays without the group axis."""
+    arrays); a group of one plan keeps its arrays as they are, so a graph
+    whose node count no other plan shares runs on 2-D arrays without the
+    group axis."""
     return arrays[0] if len(arrays) == 1 else np.stack(arrays, axis=axis)
 
 
@@ -240,11 +241,6 @@ class GsanModel:
         if (order != np.arange(len(plans))).any():
             s_u = ad.gather_rows(s_u, np.argsort(order))
         return s_u
-
-    def encode(self, mgraph):
-        """Full encoder pass over one master graph; returns s_u (1, d). The
-        same ops as `encode_plans([self.plan(mgraph)])`, without grouping."""
-        return self._forward([self.plan(mgraph)], self.bias_table())
 
     def _forward(self, plans, table):
         """The encoder over G plans of n base nodes each, as (G, n+1, d)

@@ -1,8 +1,8 @@
 """Local trajectory graphs, global temporal/spatial graphs, Haversine
-distances, shortest-path tables and the master-node augmentation."""
+distances and the master-node augmentation with its closed-form hop
+counts."""
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,27 +51,6 @@ class TrajectoryGraph:
             list(self.nodes), set(self.edges), dict(self.edge_category),
             dict(self.last_step), self.last_node, self.seq_len,
         )
-
-    def undirected_adjacency(self):
-        adj = {n: set() for n in self.nodes}
-        for i, j in self.edges:
-            if i != j:
-                adj[i].add(j)
-                adj[j].add(i)
-        return adj
-
-    def is_connected(self):
-        if not self.nodes:
-            return False
-        adj = self.undirected_adjacency()
-        seen = {self.nodes[0]}
-        queue = deque([self.nodes[0]])
-        while queue:
-            for nb in adj[queue.popleft()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return len(seen) == len(self.nodes)
 
 
 def build_trajectory_graph(traj, categories=None):
@@ -186,37 +165,6 @@ def build_global_spatial(catalog, alpha_km):
         edges.update(zip(zip(ids[rows + lo].tolist(), ids[cols + lo].tolist()),
                          dist[rows, cols].tolist()))
     return GlobalSpatialGraph(ids.tolist(), edges)
-
-
-def adjacency_from_pairs(nodes, pairs):
-    adj = {n: set() for n in nodes}
-    for i, j in pairs:
-        if i != j:
-            adj[i].add(j)
-            adj[j].add(i)
-    return adj
-
-
-def all_pairs_spd(nodes, adjacency, cap):
-    """Hop-count table by per-node BFS over an undirected adjacency.
-    Values (and unreachable pairs) are clamped to cap."""
-    if not nodes:
-        raise ValueError("empty graph")
-    spd = {}
-    for src in nodes:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= cap:
-                continue
-            for v in sorted(adjacency[u]):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for dst in nodes:
-            spd[(src, dst)] = min(dist.get(dst, cap), cap)
-    return spd
 
 
 MASTER = "__master__"

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .augment import CorrelationIndex, infonce, make_views
 from .autodiff import Adam, NumericError
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RngHub
 from .data import DataError
 from .encoder import GsanModel, build_category_vocab, fit_distance_bins
@@ -135,21 +135,22 @@ class Trainer:
     # -- training ----------------------------------------------------------
 
     def _batch_loss(self, batch):
+        """Catalog and contrastive losses of one batch from one
+        `encode_plans` call. Its rows are the B samples, then, with the
+        contrastive term, view a and view b of each sample."""
         cfg = self.config
-        s_u = ad.concat([self.model.encode(sample.mgraph) for sample in batch], axis=0)
-        rec = self.model.rec_loss(self.model.predict(s_u), [sample.target for sample in batch])
-
-        ssl = None
-        if cfg.lam != 0 and len(batch) >= 2:
-            views_a, views_b = [], []
-            for sample in batch:
-                pair = make_views(sample.mgraph.base, cfg, self.corr_index,
-                                  self.aug_rng, self.categories)
-                ga = add_master_node(pair.view_a, self.coords, cfg.spd_cap)
-                gb = add_master_node(pair.view_b, self.coords, cfg.spd_cap)
-                views_a.append(self.model.encode(ga))
-                views_b.append(self.model.encode(gb))
-            ssl = infonce(views_a, views_b, tau=cfg.tau)
+        plans = [self.model.plan(sample.mgraph) for sample in batch]
+        contrast = cfg.lam != 0 and len(batch) >= 2
+        if contrast:
+            pairs = [make_views(sample.mgraph.base, cfg, self.corr_index, self.aug_rng,
+                                self.categories) for sample in batch]
+            plans += [self.model.plan(add_master_node(view, self.coords, cfg.spd_cap))
+                      for view in ([p.view_a for p in pairs] + [p.view_b for p in pairs])]
+        s_u = self.model.encode_plans(plans)
+        n = len(batch)
+        rows = [ad.gather_rows(s_u, np.arange(lo, lo + n)) for lo in range(0, len(plans), n)]
+        rec = self.model.rec_loss(self.model.predict(rows[0]), [sample.target for sample in batch])
+        ssl = infonce(rows[1], rows[2], tau=cfg.tau) if contrast else None
         return rec, ssl
 
     def train_epoch(self):
@@ -243,7 +244,19 @@ class Trainer:
         save_checkpoint(path, arrays, meta)
 
     def load(self, path):
+        """Restore a `save`d state. Raises CheckpointError, before changing
+        anything, when a parameter or Adam moment is missing or its shape
+        differs from this model's (a checkpoint of other data or config)."""
         arrays, meta = load_checkpoint(path)
+        want = {f"param.{k}": p.data for k, p in self.model.params.items()}
+        want.update(self.optimizer.state_arrays())
+        for name, ref in want.items():
+            if name not in arrays:
+                raise CheckpointError(f"checkpoint {path} has no tensor {name}")
+            if arrays[name].shape != ref.shape:
+                raise CheckpointError(
+                    f"checkpoint tensor {name} has shape {arrays[name].shape}, but this "
+                    f"model's is {ref.shape}; the checkpoint comes from other data or config")
         for k, p in self.model.params.items():
             p.data = arrays[f"param.{k}"].astype(p.dtype).copy()
         self.optimizer.load_state_arrays(arrays, meta["adam_step"])

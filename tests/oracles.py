@@ -1,10 +1,10 @@
-"""Reference implementations the tests check the program against: the
-per-pair BFS and loop forms of the master-graph structure and of the
-attention bias, the per-graph encoder, the sorted-row correlation ranking,
-the catalog-loop target rank, the clamped softmax loss chain, the per-step
-node2vec walks and per-update skip-gram, the scalar spatial-graph scan and
-the per-edge spatial adjacency, plus small autodiff compositions used only
-by tests."""
+"""Reference implementations the tests check the program against: BFS hop
+counts and connectivity of plain graphs, the per-pair BFS and loop forms of
+the master-graph structure and of the attention bias, the per-graph
+encoder, the sorted-row correlation ranking, the catalog-loop target rank,
+the clamped softmax loss chain, the per-step node2vec walks and per-update
+skip-gram, the scalar spatial-graph scan and the per-edge spatial
+adjacency, plus small autodiff compositions used only by tests."""
 
 import math
 from collections import deque
@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 
 from poirec import autodiff as ad
-from poirec.graphs import EARTH_RADIUS_KM, MASTER, adjacency_from_pairs, haversine
+from poirec.graphs import EARTH_RADIUS_KM, MASTER, haversine
 from poirec.pretrain import EmbeddingTable
 
 UNKNOWN_PAIR_INDEX = 0
@@ -42,6 +42,58 @@ def softmax_nll(logits, targets, floor=1e-12):
     probs = e / e.sum(axis=1, keepdims=True)
     picked = probs[np.arange(len(targets)), np.asarray(targets)]
     return float(-np.log(np.maximum(picked, floor)).mean())
+
+
+# -- plain graphs by BFS ---------------------------------------------------
+
+
+def adjacency_from_pairs(nodes, pairs):
+    """{node: set of neighbours} of `nodes` joined by `pairs`, direction and
+    self-loops ignored."""
+    adj = {n: set() for n in nodes}
+    for i, j in pairs:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    return adj
+
+
+def all_pairs_spd(nodes, adjacency, cap):
+    """Hop-count table by per-node BFS over an undirected adjacency.
+    Values (and unreachable pairs) are clamped to cap."""
+    if not nodes:
+        raise ValueError("empty graph")
+    spd = {}
+    for src in nodes:
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= cap:
+                continue
+            for v in sorted(adjacency[u]):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for dst in nodes:
+            spd[(src, dst)] = min(dist.get(dst, cap), cap)
+    return spd
+
+
+def is_connected(g):
+    """Whether a trajectory graph is one component, edge direction
+    ignored; an empty graph is not."""
+    if not g.nodes:
+        return False
+    adj = adjacency_from_pairs(g.nodes, g.edges)
+    seen = {g.nodes[0]}
+    queue = deque([g.nodes[0]])
+    while queue:
+        for nb in adj[queue.popleft()]:
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return len(seen) == len(g.nodes)
 
 
 # -- master graph by BFS ---------------------------------------------------
@@ -250,7 +302,7 @@ def attention_layer(model, x, bias, layer):
 
 def encode(model, mgraph):
     """The encoder pass of one master graph, s_u (1, d), built op by op on
-    that graph alone; also usable as a `GsanModel.encode` replacement."""
+    that graph alone."""
     x = node_features(model, mgraph)
     bias = gather_bias(model, mgraph)
     for layer in range(model.config.layers):

@@ -17,14 +17,14 @@ from poirec.cli import main
 from poirec.config import RunConfig
 from poirec.data import Poi, save_split
 from poirec.encoder import GsanModel, build_category_vocab, fit_distance_bins
-from poirec.graphs import (add_master_node, adjacency_from_pairs,
-                           all_pairs_spd, build_global_temporal,
+from poirec.graphs import (add_master_node, build_global_temporal,
                            build_trajectory_graph, haversine)
 from poirec.metrics import hit_rate, ndcg, rank_target
 from poirec.pretrain import EmbeddingTable
 from poirec.synth import markov_dataset
 from poirec.training import Trainer, pretrain_tables, total_loss
 from conftest import make_traj
+from oracles import adjacency_from_pairs, all_pairs_spd, is_connected
 
 
 def verdict(num, ok, detail=""):
@@ -77,13 +77,13 @@ def test_criterion_1_gradient_integrity():
         views.append((add_master_node(a, coords, cfg.spd_cap),
                       add_master_node(b, coords, cfg.spd_cap)))
     targets = ["p4", "p2"]
+    # as in training: the samples, then view a and view b of each, in one call
+    plans = [model.plan(mg) for mg in mgraphs + [a for a, _ in views] + [b for _, b in views]]
 
     def f():
-        s_u = ad.concat([model.encode(mg) for mg in mgraphs], axis=0)
-        rec = model.rec_loss(model.predict(s_u), targets)
-        za = [model.encode(a) for a, _ in views]
-        zb = [model.encode(b) for _, b in views]
-        ssl = infonce(za, zb, tau=cfg.tau)
+        s_u = model.encode_plans(plans)
+        rec = model.rec_loss(model.predict(ad.gather_rows(s_u, [0, 1])), targets)
+        ssl = infonce(ad.gather_rows(s_u, [2, 3]), ad.gather_rows(s_u, [4, 5]), tau=cfg.tau)
         return total_loss(rec, ssl, model, cfg.lam, cfg.gamma)
 
     errors = ad.grad_check(f, model.params, eps=1e-5)
@@ -203,19 +203,19 @@ def test_criterion_6_metric_oracle():
 
 
 def test_criterion_7_infonce_closed_forms():
-    two = [Tensor(np.eye(2)[i:i + 1]) for i in range(2)]
-    sep = infonce(two, list(two)).item()
+    two = Tensor(np.eye(2))
+    sep = infonce(two, two).item()
     target = -math.log(math.e / (math.e + 1.0))
 
-    same = [Tensor(np.ones((1, 4)))] * 5
-    collapsed = infonce(same, list(same)).item()
+    same = Tensor(np.ones((5, 4)))
+    collapsed = infonce(same, same).item()
 
     rng = np.random.default_rng(53)
     negative = 0
     for _ in range(1000):
         b, d = int(rng.integers(2, 9)), int(rng.integers(2, 8))
-        batch_a = [Tensor(rng.normal(size=(1, d))) for _ in range(b)]
-        batch_b = [Tensor(rng.normal(size=(1, d))) for _ in range(b)]
+        batch_a = Tensor(rng.normal(size=(b, d)))
+        batch_b = Tensor(rng.normal(size=(b, d)))
         if infonce(batch_a, batch_b).item() < 0:
             negative += 1
     ok = (abs(sep - target) <= 1e-6 and abs(collapsed - math.log(5)) <= 1e-6
@@ -267,7 +267,7 @@ def test_criterion_9_augmentation_safety():
                                        rng, cats)
         else:
             out = correlated_substitute(g, 2, index, rng, cats)
-        if not (out.is_connected() and out.last_node in out.nodes
+        if not (is_connected(out) and out.last_node in out.nodes
                 and set(out.nodes) <= catalog_ids):
             bad += 1
 

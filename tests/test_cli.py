@@ -187,6 +187,37 @@ class TestTrainEvaluate:
         assert code == 3
         assert "fused.emb" in capsys.readouterr().err
 
+    def test_checkpoint_of_another_catalog_exit_3(self, data_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--out", str(run),
+                     "--from-scratch", "--epochs", "1", "--lam", "0.0"] + TINY) == 0
+        other = tmp_path / "other"
+        save_split(markov_dataset(n_pois=14, n_traj=25, traj_len=5, seed=2), other)
+        capsys.readouterr()
+        code = main(["evaluate", "--data", str(other),
+                     "--checkpoint", str(run / "checkpoint.bin")])
+        assert code == 3
+        assert "checkpoint tensor param.poi_table has shape (12, 8)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        ("drop", "record names POI 'p000', which is not in the catalog"),
+        ("repeat", "catalog.jsonl:2: POI 'p000' is listed twice"),
+    ])
+    def test_catalog_not_matching_records_exit_3(self, data_dir, tmp_path, capsys,
+                                                 change, message):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "trajectories.jsonl").write_bytes(
+            (data_dir / "trajectories.jsonl").read_bytes())
+        lines = (data_dir / "catalog.jsonl").read_text().splitlines(keepends=True)
+        assert lines[0].startswith('["p000"')
+        lines = lines[1:] if change == "drop" else lines[:1] + lines
+        (bad / "catalog.jsonl").write_text("".join(lines))
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "run"),
+                     "--from-scratch", "--epochs", "1"] + TINY)
+        assert code == 3
+        assert message in capsys.readouterr().err
+
     def test_train_from_scratch_flag(self, data_dir, tmp_path):
         run = tmp_path / "scratch"
         code = main(["train", "--data", str(data_dir), "--out", str(run),

@@ -213,3 +213,19 @@ class TestRoundTrip:
         cs = [ci("u", p, i) for i, p in enumerate("cabca")]
         cat = build_catalog(cs)
         assert [p.poi_id for p in cat] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("kind, field", [("train", "checkins"), ("val", "checkins"),
+                                             ("test", "checkins"), ("val", "target"),
+                                             ("test", "target")])
+    def test_load_rejects_poi_missing_from_catalog(self, tmp_path, kind, field):
+        cs = [ci(f"u{u}", f"p{j}", u * 5000.0 + j * 10) for u in range(12) for j in range(12)]
+        save_split(make_split(cs), tmp_path)
+        path = tmp_path / "trajectories.jsonl"
+        recs = [json.loads(line) for line in path.read_text().splitlines()]
+        lineno = next(i for i, r in enumerate(recs, 1) if r["kind"] == kind)
+        rec = recs[lineno - 1]
+        (rec["target"] if field == "target" else rec["checkins"][-1])[1] = "zz"
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(DataError, match=f"trajectories.jsonl:{lineno}: {kind} record "
+                                            f"names POI 'zz', which is not in the catalog"):
+            load_split(tmp_path)

@@ -37,6 +37,11 @@ def small_model(config, seq=("p0", "p1", "p2", "p0", "p3"), dtype=np.float64,
     return model, mg, catalog
 
 
+def encode(model, mg):
+    """s_u (1, d) of one graph through the encoder forward."""
+    return model.encode_plans([model.plan(mg)])
+
+
 def features(model, mg):
     """(n+1, d) node features of one graph from the encoder forward."""
     return model._features([model.plan(mg)])
@@ -233,7 +238,7 @@ class TestNodeFeatures:
         with pytest.raises(NumericError, match="t_max"):
             model.plan(mg)
         with pytest.raises(NumericError, match="t_max"):
-            model.encode(mg)
+            encode(model, mg)
 
     def test_position_equal_to_t_max_is_allowed(self, tiny_config):
         # p1 was last seen 4 steps from the end of p0 p1 p2 p0 p3
@@ -297,7 +302,7 @@ class TestAttention:
     def test_matches_dense_oracle(self, tiny_config):
         model, mg, _ = small_model(tiny_config, seq=("p0", "p1", "p2"))
         cfg = tiny_config
-        s_u = model.encode(mg).data
+        s_u = encode(model, mg).data
 
         # independent dense-matrix oracle over the full biased-attention eq.
         P = model.params["poi_table"].data
@@ -336,7 +341,7 @@ class TestReadoutAndPrediction:
         w = np.zeros((2 * d, d))
         w[:d, :] = np.eye(d)
         model.params["w_s"].data = w
-        x = model.encode(mg)  # with [I; 0], s_u equals the master row
+        x = encode(model, mg)  # with [I; 0], s_u equals the master row
 
         model2, mg2, _ = small_model(tiny_config)
         for name, p in model.params.items():
@@ -349,7 +354,7 @@ class TestReadoutAndPrediction:
         w2 = np.zeros((2 * d, d))
         w2[d:, :] = np.eye(d)
         model.params["w_s"].data = w2
-        x2 = model.encode(mg)
+        x2 = encode(model, mg)
         last = mg.base.nodes.index(mg.base.last_node)
         assert np.allclose(x2.data[0], updated[last], atol=1e-9)
 
@@ -371,13 +376,13 @@ class TestReadoutAndPrediction:
 
     def test_prediction_is_distribution(self, tiny_config, rng):
         model, mg, _ = small_model(tiny_config)
-        probs = ad.row_softmax(model.predict(model.encode(mg))).data
+        probs = ad.row_softmax(model.predict(encode(model, mg))).data
         assert (probs >= 0).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_scaling_s_u_preserves_ranking(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
-        s_u = model.encode(mg).data
+        s_u = encode(model, mg).data
         logits1 = (s_u @ model.params["poi_table"].data.T)[0]
         logits2 = (3.0 * s_u @ model.params["poi_table"].data.T)[0]
         assert list(np.argsort(-logits1)) == list(np.argsort(-logits2))
@@ -420,7 +425,7 @@ class TestGradients:
         model, mg, _ = small_model(cfg, seq=("p0", "p1", "p2", "p0"), n_pois=4)
 
         def f():
-            s_u = model.encode(mg)
+            s_u = encode(model, mg)
             return model.rec_loss(model.predict(s_u), ["p2"])
 
         report = ad.grad_check(f, model.params)
@@ -482,7 +487,7 @@ class TestEncodePlans:
         before = model.encode_plans([plan]).data.copy()
         model.params["poi_table"].data += 1.0
         assert not np.allclose(model.encode_plans([plan]).data, before)
-        assert np.allclose(model.encode_plans([plan]).data, model.encode(mg).data,
+        assert np.allclose(model.encode_plans([plan]).data, encode(model, mg).data,
                            rtol=0, atol=0)
         assert plan.bias_idx.dtype == np.int32
         assert plan.bias_w.dtype == model.dtype

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from poirec.data import Poi
-from poirec.graphs import (add_master_node, adjacency_from_pairs,
-                           all_pairs_spd, build_global_spatial,
+from poirec.graphs import (add_master_node, build_global_spatial,
                            build_global_temporal, build_trajectory_graph,
                            haversine, save_spatial_graph, save_temporal_graph)
 import oracles
+from oracles import adjacency_from_pairs, all_pairs_spd
 from conftest import augmented_graphs, make_traj
 
 

@@ -1,9 +1,11 @@
 import io
+import re
 
 import numpy as np
 import pytest
 
 from poirec import autodiff as ad
+from poirec.augment import infonce, make_views
 from poirec.autodiff import NumericError, Tensor
 from poirec.checkpoint import (CheckpointError, load_checkpoint,
                                save_checkpoint)
@@ -250,18 +252,69 @@ class TestBatchedRanking:
 
     @pytest.mark.parametrize("overrides", [{"lam": 0.1}, {"lam": 0.5, "heads": 2},
                                            {"all_prefix": True, "use_category_bias": False}])
-    def test_fit_equals_per_graph_oracle_encoder(self, small_split, tmp_path, monkeypatch,
-                                                 overrides):
-        """Training through `encode_plans` is byte-identical to training
-        through the per-graph encoder: same checkpoint bytes after 2 epochs."""
-        tr = small_trainer(small_split, **overrides)
+    def test_fit_equals_per_graph_oracle_encoder(self, small_split, monkeypatch, overrides):
+        """In float64, every batch of a 2-epoch fit has the rec and ssl
+        losses, and the parameter gradients of each, of encoding every
+        sample and view alone through `oracles.encode`, with the views drawn
+        from a copy of the augmentation rng."""
+        cfg = small_trainer(small_split).config.override(**overrides)
+        tr = Trainer(small_split, cfg, dtype=np.float64)
+        batch_loss = Trainer._batch_loss
+        checked = []
+
+        def checked_batch_loss(self, batch):
+            rng = np.random.default_rng()
+            rng.bit_generator.state = self.aug_rng.bit_generator.state
+            want = oracle_batch_loss(self, batch, rng)
+            got = batch_loss(self, batch)
+            assert rng.bit_generator.state == self.aug_rng.bit_generator.state
+            for g, w in zip(got, want):
+                assert abs(g.item() - w.item()) <= 1e-9
+                got_grads, want_grads = loss_grads(self.model, g), loss_grads(self.model, w)
+                for name, grad in got_grads.items():
+                    assert np.allclose(grad, want_grads[name], rtol=0, atol=1e-9), name
+            checked.append(len(batch))
+            return got
+
+        monkeypatch.setattr(Trainer, "_batch_loss", checked_batch_loss)
         tr.fit()
-        tr.save(tmp_path / "plans.ckpt")
-        monkeypatch.setattr(GsanModel, "encode", oracles.encode)
-        ref = small_trainer(small_split, **overrides)
-        ref.fit()
-        ref.save(tmp_path / "oracle.ckpt")
-        assert (tmp_path / "plans.ckpt").read_bytes() == (tmp_path / "oracle.ckpt").read_bytes()
+        assert sum(checked) == 2 * len(tr.samples)
+
+    @pytest.mark.parametrize("lam, views", [(0.0, 0), (0.1, 2)])
+    def test_batch_is_one_encode_plans_call(self, small_split, monkeypatch, lam, views):
+        """A batch of B samples encodes B plans at lam=0 and, with both
+        views of each sample, 3B plans otherwise, all in one call."""
+        tr = small_trainer(small_split, lam=lam)
+        sizes = []
+        encode_plans = GsanModel.encode_plans
+        monkeypatch.setattr(GsanModel, "encode_plans",
+                            lambda self, plans: sizes.append(len(plans))
+                            or encode_plans(self, plans))
+        tr._batch_loss(tr.samples[:8])
+        assert sizes == [8 * (1 + views)]
+
+
+def loss_grads(model, loss):
+    """{parameter name: gradient of `loss`}, zeros where it does not reach."""
+    for p in model.params.values():
+        p.grad = None
+    loss.backward()
+    return {k: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+            for k, p in model.params.items()}
+
+
+def oracle_batch_loss(trainer, batch, rng):
+    """(rec, ssl) of `batch` with each sample and each view encoded alone by
+    `oracles.encode`, the views drawn from `rng` in training's order."""
+    cfg, model = trainer.config, trainer.model
+    s_u = ad.concat([oracles.encode(model, s.mgraph) for s in batch], axis=0)
+    rec = model.rec_loss(model.predict(s_u), [s.target for s in batch])
+    za, zb = [], []
+    for sample in batch:
+        pair = make_views(sample.mgraph.base, cfg, trainer.corr_index, rng, trainer.categories)
+        za.append(oracles.encode(model, add_master_node(pair.view_a, trainer.coords)))
+        zb.append(oracles.encode(model, add_master_node(pair.view_b, trainer.coords)))
+    return rec, infonce(ad.concat(za, axis=0), ad.concat(zb, axis=0), tau=cfg.tau)
 
 
 class TestCheckpointResume:
@@ -308,6 +361,29 @@ class TestCheckpointResume:
         assert param_bytes(other) == param_bytes(tr)
         assert other.optimizer.step_count == tr.optimizer.step_count
         assert other.epoch == tr.epoch
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("adam.v.w_s", "drop", "has no tensor adam.v.w_s"),
+        ("param.pos", "drop", "has no tensor param.pos"),
+        ("param.l0.wo", "shape", "tensor param.l0.wo has shape (7, 8)"),
+        ("adam.m.poi_table", "shape", "tensor adam.m.poi_table has shape (11, 8)"),
+    ])
+    def test_load_rejects_missing_or_misshapen_tensor(self, small_split, tmp_path,
+                                                     name, change, message):
+        tr = small_trainer(small_split, epochs=1, lam=0.1)
+        tr.train_epoch()
+        tr.save(tmp_path / "a.ckpt")
+        arrays, meta = load_checkpoint(tmp_path / "a.ckpt")
+        if change == "drop":
+            del arrays[name]
+        else:
+            arrays[name] = arrays[name][:-1]
+        save_checkpoint(tmp_path / "bad.ckpt", arrays, meta)
+        other = small_trainer(small_split, epochs=1, lam=0.1)
+        before = param_bytes(other)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            other.load(tmp_path / "bad.ckpt")
+        assert param_bytes(other) == before and other.epoch == 0
 
 
 class TestPretrainIntegration:
