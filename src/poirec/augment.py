@@ -7,7 +7,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError
-from .graphs import category_pair
 
 OPERATORS = ("dropout", "insertion", "substitution")
 
@@ -105,24 +104,18 @@ class CorrelationIndex:
 # -- operators -------------------------------------------------------------
 
 
-def _remove_node(g, victim, categories):
+def _remove_node(g, victim):
     """Drop one node, rewiring every predecessor to every successor so the
     direction-ignored graph stays connected."""
     preds = {a for (a, b) in g.edges if b == victim and a != victim}
     succs = {b for (a, b) in g.edges if a == victim and b != victim}
     g.edges = {(a, b) for (a, b) in g.edges if victim not in (a, b)}
-    g.edge_category = {e: c for e, c in g.edge_category.items() if victim not in e}
-    for a in preds:
-        for b in succs:
-            if a == b:
-                continue
-            g.edges.add((a, b))
-            g.edge_category[(a, b)] = category_pair(categories[a], categories[b])
+    g.edges.update((a, b) for a in preds for b in succs if a != b)
     g.nodes.remove(victim)
     g.last_step.pop(victim, None)
 
 
-def node_dropout(g, beta, rng, categories):
+def node_dropout(g, beta, rng):
     """Drop each non-last node independently with probability beta."""
     if not (0 <= beta < 1):
         raise ValueError(f"beta must be in [0, 1), got {beta}")
@@ -134,21 +127,21 @@ def node_dropout(g, beta, rng, categories):
     for victim in victims:
         if len(out.nodes) <= 1:
             break
-        _remove_node(out, victim, categories)
+        _remove_node(out, victim)
     return out
 
 
-def _insert_node(g, new, categories):
+def _insert_node(g, new):
     g.nodes.append(new)
     g.edges.add((new, new))
-    g.edge_category[(new, new)] = category_pair(categories[new], categories[new])
     g.last_step[new] = None  # no check-in step: position padding index
 
 
 def correlated_insertion(g, k, index, mode, rng, categories):
     """Insert the top correlated unvisited neighbor of k randomly selected
     nodes. Temporal mode splices the new node onto an outgoing edge; spatial
-    mode attaches it with a bidirected edge pair."""
+    mode attaches it with a bidirected edge pair. A candidate missing from
+    `categories` (the catalog's POIs) is skipped."""
     if k < 0:
         raise ValueError("k must be >= 0")
     out = g.copy()
@@ -167,24 +160,18 @@ def correlated_insertion(g, k, index, mode, rng, categories):
                 continue
             a, b = out_edges[rng.integers(len(out_edges))]
             out.edges.discard((a, b))
-            out.edge_category.pop((a, b), None)
-            _insert_node(out, new, categories)
-            out.edges.add((a, new))
-            out.edge_category[(a, new)] = category_pair(categories[a], categories[new])
-            out.edges.add((new, b))
-            out.edge_category[(new, b)] = category_pair(categories[new], categories[b])
+            _insert_node(out, new)
+            out.edges.update(((a, new), (new, b)))
         else:
-            _insert_node(out, new, categories)
-            for e in ((anchor, new), (new, anchor)):
-                out.edges.add(e)
-                out.edge_category[e] = category_pair(categories[e[0]], categories[e[1]])
+            _insert_node(out, new)
+            out.edges.update(((anchor, new), (new, anchor)))
     return out
 
 
 def correlated_substitute(g, k, index, rng, categories):
     """Replace k randomly selected non-last nodes with their most correlated
-    POI not already in the graph, rewiring incident edges and recomputing
-    edge category labels."""
+    POI not already in the graph, rewiring incident edges. A candidate
+    missing from `categories` (the catalog's POIs) is skipped."""
     if k < 0:
         raise ValueError("k must be >= 0")
     out = g.copy()
@@ -200,13 +187,8 @@ def correlated_substitute(g, k, index, rng, categories):
             continue
         pos = out.nodes.index(old)
         out.nodes[pos] = sub
-        new_edges = {}
-        for (a, b) in out.edges:
-            a2 = sub if a == old else a
-            b2 = sub if b == old else b
-            new_edges[(a2, b2)] = category_pair(categories[a2], categories[b2])
-        out.edges = set(new_edges)
-        out.edge_category = new_edges
+        out.edges = {(sub if a == old else a, sub if b == old else b)
+                     for (a, b) in out.edges}
         out.last_step[sub] = out.last_step.pop(old)
     return out
 
@@ -224,7 +206,7 @@ def make_views(g, config, index, rng, categories):
     for _ in range(2):
         op = OPERATORS[rng.integers(len(OPERATORS))]
         if op == "dropout":
-            views.append(node_dropout(g, config.beta, rng, categories))
+            views.append(node_dropout(g, config.beta, rng))
             tags.append("dropout")
         elif op == "insertion":
             mode = ("spatial", "temporal")[rng.integers(2)]

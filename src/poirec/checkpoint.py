@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"PCKP"
-VERSION = 1
+VERSION = 2  # 2: b_spd holds hops 0-2 and the master slot
 
 
 class CheckpointError(RuntimeError):
@@ -40,21 +40,37 @@ def save_checkpoint(path, arrays, meta=None):
 
 
 def load_checkpoint(path):
+    """(arrays, meta) of a `save_checkpoint` file. Raises CheckpointError
+    naming the file on a bad magic, another format version, a cut or
+    unreadable manifest, a cut tensor section (naming the tensor) and
+    trailing bytes."""
     path = Path(path)
     with path.open("rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CheckpointError(f"bad checkpoint magic {magic!r} in {path}")
-        version, blob_len = struct.unpack("<II", fh.read(8))
+        head = fh.read(12)
+        if head[:4] != MAGIC:
+            raise CheckpointError(f"bad checkpoint magic {head[:4]!r} in {path}")
+        if len(head) < 12:
+            raise CheckpointError(f"checkpoint {path} is cut inside its header")
+        version, blob_len = struct.unpack("<II", head[4:])
         if version != VERSION:
             raise CheckpointError(
-                f"checkpoint version {version}, this build reads {VERSION}")
-        manifest = json.loads(fh.read(blob_len).decode("utf-8"))
+                f"checkpoint {path} has format version {version}, this build reads "
+                f"version {VERSION}; train again to write a version-{VERSION} file")
+        try:  # a cut manifest is cut JSON
+            manifest = json.loads(fh.read(blob_len).decode("utf-8"))
+            meta = manifest["meta"]
+            entries = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"]))
+                       for e in manifest["tensors"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"checkpoint {path} has a bad manifest: {exc}") from None
         arrays = {}
-        for entry in manifest["tensors"]:
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            buf = fh.read(count * dtype.itemsize)
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(
-                entry["shape"]).copy()
-    return arrays, manifest["meta"]
+        for name, dtype, shape in entries:
+            size = int(np.prod(shape)) * dtype.itemsize
+            buf = fh.read(size)
+            if len(buf) < size:
+                raise CheckpointError(f"checkpoint {path} is cut inside tensor {name} "
+                                      f"({len(buf)} of {size} bytes)")
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        if fh.read(1):
+            raise CheckpointError(f"checkpoint {path} has bytes after its last tensor")
+    return arrays, meta

@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as ingest
-from .augment import (CorrelationIndex, correlated_insertion,
-                      correlated_substitute, node_dropout)
+from .augment import correlated_insertion, correlated_substitute, node_dropout
 from .autodiff import NumericError
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import RunConfig, config_keys, load_config, save_config
@@ -159,11 +158,10 @@ def cmd_train(args):
 
 
 def _trainer_from_checkpoint(ckpt_path, data_dir):
-    _arrays, meta = load_checkpoint(ckpt_path)
-    cfg = RunConfig(**meta["config"])
+    arrays, meta = load_checkpoint(ckpt_path)
     split = ingest.load_split(data_dir)
-    trainer = Trainer(split, cfg)
-    trainer.load(ckpt_path)
+    trainer = Trainer(split, RunConfig(**meta["config"]))
+    trainer.restore(arrays, meta, ckpt_path)
     return trainer, split
 
 
@@ -211,7 +209,7 @@ def cmd_augment_debug(args):
                         f"(0..{len(split.train) - 1})")
     traj = split.train[args.traj_index]
     categories = {p.poi_id: p.category_id for p in split.catalog}
-    g = build_trajectory_graph(traj, categories=categories)
+    g = build_trajectory_graph(traj)
     trainer = Trainer(split, cfg)
     index = trainer.corr_index
     rng = np.random.default_rng(cfg.seed)
@@ -222,7 +220,7 @@ def cmd_augment_debug(args):
             print(f"  {e[0]} -> {e[1]}")
 
     show("source", g)
-    show(f"node_dropout(beta={cfg.beta})", node_dropout(g, cfg.beta, rng, categories))
+    show(f"node_dropout(beta={cfg.beta})", node_dropout(g, cfg.beta, rng))
     for mode in ("spatial", "temporal"):
         show(f"correlated_insertion(k=1, {mode})",
              correlated_insertion(g, 1, index, mode, rng, categories))

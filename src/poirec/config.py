@@ -15,10 +15,6 @@ class RunConfig:
     heads: int = 1
     layers: int = 1
     m_bins: int = 20
-    # b_spd has spd_cap + 2 rows (hops 0..spd_cap, then the master slot).
-    # The master node caps every hop count at 2, so rows 3..spd_cap are
-    # never indexed: the key only sets the table size (and checkpoint shape).
-    spd_cap: int = 5
     degree_buckets: int = 50
     use_category_bias: bool = True
     freeze_poi_table: bool = False

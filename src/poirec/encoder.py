@@ -13,6 +13,9 @@ from . import autodiff as ad
 from .autodiff import NumericError, Tensor
 
 UNKNOWN_PAIR_INDEX = 0
+# b_spd row of every pair with the master node; rows 0-2 are the hop counts
+# of base pairs, which the master node caps at 2
+MASTER_HOP_ROW = 3
 
 
 @dataclass
@@ -58,12 +61,17 @@ def fit_distance_bins(mgraphs, m):
     return DistanceBins(lo, hi, m)
 
 
-def build_category_vocab(traj_graphs):
-    """Observed unordered category pairs -> table row, index 0 reserved for
-    the UNKNOWN pair (master edges and unseen combinations)."""
-    pairs = set()
-    for g in traj_graphs:
-        pairs.update(g.edge_category.values())
+def category_pair(cat_a, cat_b):
+    """Unordered category pair label for an edge."""
+    return (cat_a, cat_b) if cat_a <= cat_b else (cat_b, cat_a)
+
+
+def build_category_vocab(traj_graphs, categories):
+    """Observed unordered category pairs of the graphs' edges (self-loops
+    included) -> table row, index 0 reserved for the UNKNOWN pair (master
+    edges and unseen combinations). `categories` maps poi_id -> category."""
+    pairs = {category_pair(categories[a], categories[b])
+             for g in traj_graphs for a, b in g.edges}
     return {pair: i + 1 for i, pair in enumerate(sorted(pairs))}
 
 
@@ -123,7 +131,7 @@ class GsanModel:
                 for name in ("wq", "wk", "wv"):
                     params[f"l{layer}.h{h}.{name}"] = init((d, d), 1.0 / math.sqrt(d))
             params[f"l{layer}.wo"] = init((config.heads * d, d), 1.0 / math.sqrt(d))
-        params["b_spd"] = Tensor(np.zeros((config.spd_cap + 2, 1), dtype=dtype),
+        params["b_spd"] = Tensor(np.zeros((MASTER_HOP_ROW + 1, 1), dtype=dtype),
                                  requires_grad=True)
         params["b_dist"] = Tensor(np.zeros((config.m_bins + 2, 1), dtype=dtype),
                                   requires_grad=True)
@@ -145,6 +153,17 @@ class GsanModel:
         self.pop_bucket = np.array(
             [bucket(int(math.log2(1 + gt_graph.visits.get(p, 0)))) for p in self.poi_ids],
             dtype=np.int64)
+
+        # category code per POI row, and the cat_pairs row of each pair of
+        # codes (UNKNOWN for pairs outside the vocabulary)
+        category = {p.poi_id: p.category_id for p in catalog}
+        names = sorted(set(category.values()))
+        code = {c: i for i, c in enumerate(names)}
+        self.category_code = np.array([code[category[p]] for p in self.poi_ids],
+                                      dtype=np.int64)
+        self.pair_row = np.full((len(names), len(names)), UNKNOWN_PAIR_INDEX, dtype=np.int64)
+        for (a, b), row in cat_vocab.items():
+            self.pair_row[code[a], code[b]] = self.pair_row[code[b], code[a]] = row
 
     def trainable(self):
         if self.config.freeze_poi_table:
@@ -182,8 +201,8 @@ class GsanModel:
         idx = np.empty((terms, size, size), dtype=np.int32)
         w = np.empty((terms, size, size), dtype=self.dtype)
         # hop count, master pairs in their own slot
-        idx[0] = np.minimum(mgraph.hops, cfg.spd_cap)
-        idx[0, n, :] = idx[0, :, n] = cfg.spd_cap + 1
+        idx[0] = mgraph.hops
+        idx[0, n, :] = idx[0, :, n] = MASTER_HOP_ROW
         w[0] = 1.0
         # distance, interpolated between two boundaries of b_dist
         dist = np.full((size, size), np.nan) if mgraph.geo is None else mgraph.geo
@@ -192,7 +211,8 @@ class GsanModel:
         if cfg.use_category_bias:
             # mean over the path edges: i -> mid -> j on a 2-hop path, else
             # the edge i -> j (or i's self-loop) taken twice
-            cat = self._category_index(mgraph) + (n_spd + self.params["b_dist"].shape[0])
+            cat = (self._category_index(mgraph, poi_rows)
+                   + (n_spd + self.params["b_dist"].shape[0]))
             nodes = np.arange(size)
             idx[3] = cat[nodes[:, None], mgraph.mid]
             idx[4] = np.where(mgraph.hops == 2, cat[mgraph.mid, nodes], idx[3])
@@ -200,20 +220,18 @@ class GsanModel:
         return EncoderPlan(poi_rows, np.array(pos, dtype=np.int64), idx, w,
                            g.nodes.index(g.last_node))
 
-    def _category_index(self, mgraph):
-        """(n+1, n+1) `cat_pairs` row of each base edge's category pair, read
-        in both directions (a stored direction wins over its reverse); 0, the
-        UNKNOWN row, for unlabeled pairs and every master edge."""
-        size = len(mgraph.nodes)
-        order = {p: k for k, p in enumerate(mgraph.base.nodes)}
-        fwd, rev, k = np.array([(order[a] * size + order[b], order[b] * size + order[a],
-                                 self.cat_vocab.get(label, UNKNOWN_PAIR_INDEX))
-                                for (a, b), label in mgraph.base.edge_category.items()],
-                               dtype=np.int64).reshape(-1, 3).T
-        out = np.zeros(size * size, dtype=np.int64)
-        out[rev] = k
-        out[fwd] = k
-        return out.reshape(size, size)
+    def _category_index(self, mgraph, poi_rows):
+        """(n+1, n+1) `cat_pairs` row of each base pair joined by an edge in
+        either direction or a self-loop, looked up from the catalog
+        categories of its POI rows; 0, the UNKNOWN row, elsewhere and on
+        every master edge."""
+        n = len(poi_rows)
+        codes = self.category_code[poi_rows]
+        linked = mgraph.adj[:n, :n] | np.eye(n, dtype=bool)
+        out = np.zeros(mgraph.adj.shape, dtype=np.int64)
+        out[:n, :n] = np.where(linked, self.pair_row[codes[:, None], codes],
+                               UNKNOWN_PAIR_INDEX)
+        return out
 
     def bias_table(self):
         """The (rows, 1) column that plan bias indices point into: the hop

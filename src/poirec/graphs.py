@@ -32,55 +32,33 @@ def haversine_matrix(coords, other=None):
     return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(a, 1.0)))
 
 
-def category_pair(cat_a, cat_b):
-    """Unordered category pair label for an edge."""
-    return (cat_a, cat_b) if cat_a <= cat_b else (cat_b, cat_a)
-
-
 @dataclass
 class TrajectoryGraph:
     nodes: list  # unique poi_ids, first-visit order
     edges: set  # directed (i, j) poi_id pairs, includes one self-loop per node
-    edge_category: dict  # (i, j) -> unordered (cat, cat) pair
     last_step: dict  # poi_id -> 1-based index of last occurrence; None = synthetic
     last_node: str
     seq_len: int
 
     def copy(self):
         return TrajectoryGraph(
-            list(self.nodes), set(self.edges), dict(self.edge_category),
-            dict(self.last_step), self.last_node, self.seq_len,
+            list(self.nodes), set(self.edges), dict(self.last_step),
+            self.last_node, self.seq_len,
         )
 
 
-def build_trajectory_graph(traj, categories=None):
+def build_trajectory_graph(traj):
     """Convert a trajectory into a directed graph of its unique POIs.
 
     One edge per observed consecutive pair, plus a self-loop per node.
-    `categories` maps poi_id -> category; defaults to the categories carried
-    by the check-ins themselves.
     """
     if len(traj) < 1:
         raise ValueError("empty trajectory")
-    if categories is None:
-        categories = {c.poi_id: c.category_id for c in traj.checkins}
     seq = traj.poi_ids()
-    nodes = []
-    seen = set()
-    for p in seq:
-        if p not in seen:
-            seen.add(p)
-            nodes.append(p)
-    edges = set()
-    edge_category = {}
-    for p in nodes:
-        edges.add((p, p))
-        edge_category[(p, p)] = category_pair(categories[p], categories[p])
-    for a, b in zip(seq, seq[1:]):
-        edges.add((a, b))
-        edge_category[(a, b)] = category_pair(categories[a], categories[b])
+    nodes = list(dict.fromkeys(seq))
+    edges = {(p, p) for p in nodes} | set(zip(seq, seq[1:]))
     last_step = {p: t + 1 for t, p in enumerate(seq)}
-    return TrajectoryGraph(nodes, edges, edge_category, last_step, seq[-1], len(seq))
+    return TrajectoryGraph(nodes, edges, last_step, seq[-1], len(seq))
 
 
 @dataclass
@@ -191,14 +169,13 @@ class MasterGraph:
     geo: object
 
 
-def add_master_node(g, coords=None, spd_cap=5):
+def add_master_node(g, coords=None):
     """Attach the readout master node: undirected edges to every base node,
     the closed-form hop and midpoint matrices, and base-pair Haversine
     distances.
 
     `coords` maps poi_id -> (lat, lon); without it `geo` is None. Pairs
     without a distance take the attention's master/unknown bias slot.
-    `spd_cap` has no effect: hop counts never exceed 2.
     """
     if not g.nodes:
         raise ValueError("empty base graph")

@@ -4,7 +4,7 @@ penalty, Adam updates, validation-driven early stopping, checkpoints."""
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,8 +90,8 @@ class Trainer:
         self.gt_graph = build_global_temporal(split.train, config.n_neighbors,
                                               catalog=split.catalog)
         self.samples = self._build_samples()
-        prefix_graphs = [s.mgraph.base for s in self.samples]
-        self.cat_vocab = build_category_vocab(prefix_graphs)
+        self.cat_vocab = build_category_vocab([s.mgraph.base for s in self.samples],
+                                              self.categories)
         self.bins = fit_distance_bins([s.mgraph for s in self.samples], config.m_bins)
 
         poi_init = None if config.from_scratch else fused_table
@@ -126,9 +126,8 @@ class Trainer:
             cut_points = range(2, len(traj) + 1) if cfg.all_prefix else [len(traj)]
             for cut in cut_points:
                 prefix = type(traj)(traj.user_id, traj.checkins[:cut - 1])
-                g = build_trajectory_graph(prefix, categories=self.categories)
                 samples.append(TrainSample(
-                    add_master_node(g, self.coords, cfg.spd_cap),
+                    add_master_node(build_trajectory_graph(prefix), self.coords),
                     traj.checkins[cut - 1].poi_id))
         return samples
 
@@ -144,7 +143,7 @@ class Trainer:
         if contrast:
             pairs = [make_views(sample.mgraph.base, cfg, self.corr_index, self.aug_rng,
                                 self.categories) for sample in batch]
-            plans += [self.model.plan(add_master_node(view, self.coords, cfg.spd_cap))
+            plans += [self.model.plan(add_master_node(view, self.coords))
                       for view in ([p.view_a for p in pairs] + [p.view_b for p in pairs])]
         s_u = self.model.encode_plans(plans)
         n = len(batch)
@@ -217,9 +216,8 @@ class Trainer:
         prefixes through one `encode_plans`, one (B, P) logit matrix."""
         if not pairs:
             return []
-        plans = [self.model.plan(add_master_node(
-                    build_trajectory_graph(prefix, categories=self.categories),
-                    self.coords, self.config.spd_cap)) for prefix, _ in pairs]
+        plans = [self.model.plan(add_master_node(build_trajectory_graph(prefix), self.coords))
+                 for prefix, _ in pairs]
         with ad.no_grad():
             logits = self.model.predict(self.model.encode_plans(plans)).data
         return rank_targets(logits, self.model.poi_ids, [t.poi_id for _, t in pairs])
@@ -244,10 +242,14 @@ class Trainer:
         save_checkpoint(path, arrays, meta)
 
     def load(self, path):
-        """Restore a `save`d state. Raises CheckpointError, before changing
-        anything, when a parameter or Adam moment is missing or its shape
-        differs from this model's (a checkpoint of other data or config)."""
-        arrays, meta = load_checkpoint(path)
+        """Restore the `save`d state in the file `path` (see `restore`)."""
+        return self.restore(*load_checkpoint(path), path)
+
+    def restore(self, arrays, meta, path):
+        """Restore a decoded checkpoint of the file `path`. Raises
+        CheckpointError, before changing anything, when a parameter or Adam
+        moment is missing or its shape differs from this model's (a
+        checkpoint of other data or config)."""
         want = {f"param.{k}": p.data for k, p in self.model.params.items()}
         want.update(self.optimizer.state_arrays())
         for name, ref in want.items():

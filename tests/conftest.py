@@ -32,7 +32,7 @@ def augmented_graphs(rng, count, cats=None):
         seq = [f"p{i}" for i in rng.integers(0, 12, size=rng.integers(1, 16))]
         g = build_trajectory_graph(make_traj(seq, categories=cats))
         out.append(g)
-        out.append(node_dropout(g, 0.4, rng, cats))
+        out.append(node_dropout(g, 0.4, rng))
         for mode in ("spatial", "temporal"):
             out.append(correlated_insertion(g, 2, index, mode, rng, cats))
         out.append(correlated_substitute(g, 2, index, rng, cats))
@@ -41,7 +41,7 @@ def augmented_graphs(rng, count, cats=None):
 
 @pytest.fixture
 def tiny_config():
-    return RunConfig(d=8, t_max=20, m_bins=4, spd_cap=5, degree_buckets=4,
+    return RunConfig(d=8, t_max=20, m_bins=4, degree_buckets=4,
                      batch_size=8, epochs=2, n_neighbors=5, walks_per_node=2,
                      walk_len=8, n2v_epochs=1, correlation_top=10, patience=10)
 

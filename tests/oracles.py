@@ -159,36 +159,40 @@ def distance_bias(dist, bins, boundary_values):
     return w_lo * boundary_values[lo] + w_hi * boundary_values[hi]
 
 
-def pair_index(vocab, base, u, w):
-    """Category-pair table index for the path edge between u and w."""
-    if u == MASTER or w == MASTER:
+def pair_index(vocab, categories, base, u, w):
+    """Category-pair table index for the path edge between u and w: the
+    sorted pair of their categories (`categories` maps poi_id -> category)
+    when an edge joins them in either direction or u == w."""
+    if MASTER in (u, w) or (u != w and (u, w) not in base.edges
+                            and (w, u) not in base.edges):
         return UNKNOWN_PAIR_INDEX
-    label = base.edge_category.get((u, w)) or base.edge_category.get((w, u))
-    if label is None:
-        return UNKNOWN_PAIR_INDEX
+    label = tuple(sorted((categories[u], categories[w])))
     return vocab.get(label, UNKNOWN_PAIR_INDEX)
 
 
-def path_pair_indices(mgraph, vocab, i, j, paths=None):
+def path_pair_indices(mgraph, vocab, categories, i, j, paths=None):
     """Category-pair indices along the canonical shortest path i -> j.
     The i == j case uses the node's self-loop edge."""
     if i == j:
-        return [pair_index(vocab, mgraph.base, i, i)]
+        return [pair_index(vocab, categories, mgraph.base, i, i)]
     path = (paths or master_paths(mgraph))[(i, j)]
-    return [pair_index(vocab, mgraph.base, u, w) for u, w in zip(path, path[1:])]
+    return [pair_index(vocab, categories, mgraph.base, u, w)
+            for u, w in zip(path, path[1:])]
 
 
-def category_bias(mgraph, vocab, i, j, pair_table, w_r, paths=None):
+def category_bias(mgraph, vocab, categories, i, j, pair_table, w_r, paths=None):
     """Scalar c_ij: mean over shortest-path edges of <w_r, r_edge>."""
-    idxs = path_pair_indices(mgraph, vocab, i, j, paths)
+    idxs = path_pair_indices(mgraph, vocab, categories, i, j, paths)
     dots = [float(pair_table[k] @ w_r) for k in idxs]
     return sum(dots) / len(dots)
 
 
-def bias_matrix(model, mgraph, coords=None):
+def bias_matrix(model, mgraph, coords, categories):
     """The attention bias of `model` built pair by pair from BFS hop counts,
     scalar Haversine distances and canonical paths. `coords` maps poi_id ->
-    (lat, lon); a pair missing either takes the master/unknown distance slot."""
+    (lat, lon); a pair missing either takes the master/unknown distance slot.
+    `categories` maps poi_id -> category. The last b_spd row is the master
+    slot."""
     cfg = model.config
     nodes, adjacency = master_adjacency(mgraph.base)
     spd = {}
@@ -212,16 +216,16 @@ def bias_matrix(model, mgraph, coords=None):
     for a, i in enumerate(nodes):
         for b, j in enumerate(nodes):
             if MASTER in (i, j):
-                out[a, b] = b_spd[cfg.spd_cap + 1] + b_dist[cfg.m_bins + 1]
+                out[a, b] = b_spd[-1] + b_dist[cfg.m_bins + 1]
             else:
-                out[a, b] = b_spd[min(spd[(i, j)], cfg.spd_cap)]
+                out[a, b] = b_spd[spd[(i, j)]]
                 if i in coords and j in coords:
                     km = haversine(*coords[i], *coords[j])
                     out[a, b] += distance_bias(km, model.bins, b_dist)
                 else:
                     out[a, b] += b_dist[cfg.m_bins + 1]
             if cfg.use_category_bias:
-                out[a, b] += category_bias(mgraph, model.cat_vocab, i, j,
+                out[a, b] += category_bias(mgraph, model.cat_vocab, categories, i, j,
                                            cat_table, w_r, paths)
     return out
 
@@ -266,14 +270,15 @@ def gather_bias(model, mgraph):
     terms = 5 if cfg.use_category_bias else 3
     idx = np.empty((terms, size, size), dtype=np.int64)
     w = np.empty((terms, size, size))
-    idx[0] = np.minimum(mgraph.hops, cfg.spd_cap)
-    idx[0, n, :] = idx[0, :, n] = cfg.spd_cap + 1
+    idx[0] = mgraph.hops
+    idx[0, n, :] = idx[0, :, n] = tables[0].shape[0] - 1
     w[0] = 1.0
     dist = np.full((size, size), np.nan) if mgraph.geo is None else mgraph.geo
     idx[1], idx[2], w[1], w[2] = model.bins.locate(dist)
     idx[1:3] += tables[0].shape[0]
     if cfg.use_category_bias:
-        cat = model._category_index(mgraph) + (tables[0].shape[0] + tables[1].shape[0])
+        rows = [model.poi_index[p] for p in mgraph.base.nodes]
+        cat = model._category_index(mgraph, rows) + (tables[0].shape[0] + tables[1].shape[0])
         tables.append(ad.matmul(model.params["cat_pairs"], model.params["w_r"]))
         nodes = np.arange(size)
         idx[3] = cat[nodes[:, None], mgraph.mid]

@@ -45,7 +45,7 @@ def random_traj_graph(rng, n_pool=10, max_len=12):
 def test_criterion_1_gradient_integrity():
     """Full multi-task loss on a 6-node fixture passes finite differences."""
     start = time.time()
-    cfg = RunConfig(d=4, t_max=16, m_bins=3, spd_cap=5, degree_buckets=3,
+    cfg = RunConfig(d=4, t_max=16, m_bins=3, degree_buckets=3,
                     lam=0.1, gamma=1e-5, correlation_top=10)
     cats = ["food", "shop", "park"]
     catalog = [Poi(f"p{i}", cats[i % 3], 40.0 + 0.01 * i, -74.0 + 0.005 * i)
@@ -55,10 +55,10 @@ def test_criterion_1_gradient_integrity():
     trajs = [make_traj(["p0", "p1", "p2", "p3", "p4", "p5"], categories=cmap,
                        coords=coords),
              make_traj(["p5", "p3", "p1", "p0"], categories=cmap, coords=coords)]
-    graphs = [build_trajectory_graph(t, categories=cmap) for t in trajs]
-    mgraphs = [add_master_node(g, coords, cfg.spd_cap) for g in graphs]
+    graphs = [build_trajectory_graph(t) for t in trajs]
+    mgraphs = [add_master_node(g, coords) for g in graphs]
     gt = build_global_temporal(trajs, 5, catalog=catalog)
-    vocab = build_category_vocab(graphs)
+    vocab = build_category_vocab(graphs, cmap)
     bins = fit_distance_bins(mgraphs, cfg.m_bins)
     model = GsanModel(catalog, gt, vocab, bins, cfg,
                       np.random.default_rng(3), dtype=np.float64)
@@ -70,12 +70,12 @@ def test_criterion_1_gradient_integrity():
     index = CorrelationIndex(table, table, top=10)
     views = []
     for g in graphs:
-        a = node_dropout(g, 0.4, rng, cmap)
+        a = node_dropout(g, 0.4, rng)
         b = correlated_substitute(correlated_insertion(g, 1, index, "spatial",
                                                        rng, cmap),
                                   1, index, rng, cmap)
-        views.append((add_master_node(a, coords, cfg.spd_cap),
-                      add_master_node(b, coords, cfg.spd_cap)))
+        views.append((add_master_node(a, coords),
+                      add_master_node(b, coords)))
     targets = ["p4", "p2"]
     # as in training: the samples, then view a and view b of each, in one call
     plans = [model.plan(mg) for mg in mgraphs + [a for a, _ in views] + [b for _, b in views]]
@@ -156,7 +156,7 @@ def test_criterion_5_master_node_property():
         g, _ = random_traj_graph(rng)
         op = int(rng.integers(3))
         if op == 0:
-            g = node_dropout(g, 0.4, rng, cats)
+            g = node_dropout(g, 0.4, rng)
         elif op == 1:
             g = correlated_insertion(g, 2, index,
                                      ("spatial", "temporal")[int(rng.integers(2))],
@@ -260,7 +260,7 @@ def test_criterion_9_augmentation_safety():
         g, _ = random_traj_graph(rng, n_pool=pool)
         op = trial % 3
         if op == 0:
-            out = node_dropout(g, 0.4, rng, cats)
+            out = node_dropout(g, 0.4, rng)
         elif op == 1:
             out = correlated_insertion(g, 2, index,
                                        ("spatial", "temporal")[trial % 2],
@@ -272,7 +272,7 @@ def test_criterion_9_augmentation_safety():
             bad += 1
 
     g, _ = random_traj_graph(rng, n_pool=pool)
-    ident_drop = node_dropout(g, 0.0, rng, cats)
+    ident_drop = node_dropout(g, 0.0, rng)
     ident_ins = correlated_insertion(g, 0, index, "spatial", rng, cats)
     identities = (ident_drop.nodes == g.nodes and ident_drop.edges == g.edges
                   and ident_ins.nodes == g.nodes and ident_ins.edges == g.edges)

@@ -5,6 +5,7 @@ from poirec.augment import (CorrelationIndex, auto_insert_count,
                             correlated_insertion, correlated_substitute,
                             infonce, make_views, node_dropout)
 from poirec.autodiff import ShapeError, Tensor
+from poirec.encoder import build_category_vocab
 from poirec.graphs import build_trajectory_graph
 from poirec.pretrain import EmbeddingTable
 from conftest import make_traj
@@ -116,13 +117,13 @@ class TestCorrelationIndexOracle:
 class TestNodeDropout:
     def test_beta_zero_identity(self, rng):
         g = path_graph(["a", "b", "c"])
-        out = node_dropout(g, 0.0, rng, CATS)
+        out = node_dropout(g, 0.0, rng)
         assert out.nodes == g.nodes and out.edges == g.edges
         assert out is not g
 
     def test_last_node_survives_beta_near_one(self):
         g = path_graph(["a", "b", "c", "d"])
-        out = node_dropout(g, 0.999, np.random.default_rng(0), CATS)
+        out = node_dropout(g, 0.999, np.random.default_rng(0))
         assert "d" in out.nodes and out.last_node == "d"
 
     def test_middle_drop_rewires_path(self):
@@ -130,30 +131,31 @@ class TestNodeDropout:
         # find a seed that drops exactly b
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            out = node_dropout(g, 0.5, rng, CATS)
+            out = node_dropout(g, 0.5, rng)
             if set(out.nodes) == {"a", "c"}:
                 assert ("a", "c") in out.edges
-                assert out.edge_category[("a", "c")] == \
-                    tuple(sorted((CATS["a"], CATS["c"])))
+                assert set(build_category_vocab([out], CATS)) == {
+                    (CATS["a"], CATS["a"]), tuple(sorted((CATS["a"], CATS["c"]))),
+                    (CATS["c"], CATS["c"])}
                 return
         pytest.fail("no seed dropped exactly the middle node")
 
     def test_drop_rate_statistics(self):
         g = path_graph([f"p{i}" for i in range(10)])
         rng = np.random.default_rng(1)
-        kept = [len(node_dropout(g, 0.3, rng, CATS).nodes) for _ in range(300)]
+        kept = [len(node_dropout(g, 0.3, rng).nodes) for _ in range(300)]
         # 9 droppable nodes at rate 0.3 plus the protected last node
         assert np.mean(kept) == pytest.approx(1 + 9 * 0.7, abs=0.15)
 
     def test_original_untouched(self, rng):
         g = path_graph(["a", "b", "c", "d"])
         before = (list(g.nodes), set(g.edges), dict(g.last_step))
-        node_dropout(g, 0.8, rng, CATS)
+        node_dropout(g, 0.8, rng)
         assert (g.nodes, g.edges, g.last_step) == before
 
     def test_bad_beta(self, rng):
         with pytest.raises(ValueError):
-            node_dropout(path_graph(["a"]), 1.0, rng, CATS)
+            node_dropout(path_graph(["a"]), 1.0, rng)
 
 
 class TestInsertion:
@@ -232,8 +234,10 @@ class TestSubstitution:
             out = correlated_substitute(g, 1, idx, np.random.default_rng(seed), CATS)
             if "x" in out.nodes and "b" not in out.nodes:
                 assert ("a", "x") in out.edges and ("x", "c") in out.edges
-                assert out.edge_category[("a", "x")] == \
-                    tuple(sorted((CATS["a"], CATS["x"])))
+                assert set(build_category_vocab([out], CATS)) == {
+                    (CATS[p], CATS[p]) for p in "axc"} | {
+                    tuple(sorted((CATS["a"], CATS["x"]))),
+                    tuple(sorted((CATS["x"], CATS["c"])))}
                 assert out.last_step["x"] == 2
                 return
         pytest.fail("substitution of b never happened")
@@ -255,7 +259,10 @@ class TestSubstitution:
         idx = clustered_index([["a", "x"], ["b", "y"], ["c", "z"]])
         out = correlated_substitute(g, 2, idx, rng, CATS)
         assert len(out.nodes) == 4
-        assert out.edge_category.keys() == out.edges
+        # every edge joins two catalog POIs of the view, so its label exists
+        assert {p for e in out.edges for p in e} == set(out.nodes) <= set(CATS)
+        assert set(build_category_vocab([out], CATS)) == {
+            tuple(sorted((CATS[a], CATS[b]))) for a, b in out.edges}
 
 
 class TestMakeViews:

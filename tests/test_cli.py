@@ -2,8 +2,10 @@ import json
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from poirec import checkpoint, cli, training
 from poirec.cli import build_parser, main
 from poirec.data import save_split
 from poirec.synth import markov_dataset
@@ -198,6 +200,56 @@ class TestTrainEvaluate:
                      "--checkpoint", str(run / "checkpoint.bin")])
         assert code == 3
         assert "checkpoint tensor param.poi_table has shape (12, 8)" in capsys.readouterr().err
+
+    @staticmethod
+    def trained_run(data_dir, run, capsys):
+        assert main(["train", "--data", str(data_dir), "--out", str(run),
+                     "--from-scratch", "--epochs", "1", "--lam", "0.0"] + TINY) == 0
+        capsys.readouterr()
+        return run / "checkpoint.bin"
+
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    def test_version_1_checkpoint_exit_3(self, data_dir, tmp_path, capsys, monkeypatch,
+                                         command):
+        ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
+        # rewrite it as the version-1 format did: the spd_cap key, and a
+        # b_spd of hop rows 0-5 plus the master row, with its Adam moments
+        arrays, meta = checkpoint.load_checkpoint(ckpt)
+        meta["config"]["spd_cap"] = 5
+        for name in ("param.b_spd", "adam.m.b_spd", "adam.v.b_spd"):
+            arrays[name] = np.insert(arrays[name], [3] * 3, 0.0, axis=0)
+        monkeypatch.setattr(checkpoint, "VERSION", 1)
+        checkpoint.save_checkpoint(ckpt, arrays, meta)
+        monkeypatch.undo()
+        if command == "evaluate":
+            code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
+        else:
+            code = main(["train", "--data", str(data_dir), "--out", str(ckpt.parent),
+                         "--from-scratch", "--epochs", "2", "--lam", "0.0", "--resume"]
+                        + TINY)
+        assert code == 3
+        assert "format version 1, this build reads version 2" in capsys.readouterr().err
+
+    def test_cut_checkpoint_exit_3(self, data_dir, tmp_path, capsys):
+        ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
+        ckpt.write_bytes(ckpt.read_bytes()[:6])
+        code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
+        assert code == 3
+        assert f"checkpoint {ckpt} is cut inside its header" in capsys.readouterr().err
+
+    def test_evaluate_decodes_checkpoint_once(self, data_dir, tmp_path, capsys,
+                                              monkeypatch):
+        ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return checkpoint.load_checkpoint(path)
+
+        monkeypatch.setattr(cli, "load_checkpoint", counted)
+        monkeypatch.setattr(training, "load_checkpoint", counted)
+        assert main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("change, message", [
         ("drop", "record names POI 'p000', which is not in the catalog"),

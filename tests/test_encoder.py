@@ -21,16 +21,19 @@ def grid_catalog(n=6):
             for i in range(n)]
 
 
+GRID_CATS = {p.poi_id: p.category_id for p in grid_catalog()}
+
+
 def small_model(config, seq=("p0", "p1", "p2", "p0", "p3"), dtype=np.float64,
                 n_pois=6, seed=5):
     catalog = grid_catalog(n_pois)
     cats = {p.poi_id: p.category_id for p in catalog}
     coords = {p.poi_id: (p.lat, p.lon) for p in catalog}
     traj = make_traj(list(seq), categories=cats, coords=coords)
-    g = build_trajectory_graph(traj, categories=cats)
-    mg = add_master_node(g, coords, config.spd_cap)
+    g = build_trajectory_graph(traj)
+    mg = add_master_node(g, coords)
     gt = build_global_temporal([traj], config.n_neighbors, catalog=catalog)
-    vocab = build_category_vocab([g])
+    vocab = build_category_vocab([g], cats)
     bins = fit_distance_bins([mg], config.m_bins)
     model = GsanModel(catalog, gt, vocab, bins, config,
                       np.random.default_rng(seed), dtype=dtype)
@@ -126,10 +129,11 @@ class TestCategoryBias:
         vocab = model.cat_vocab
         table = np.zeros((len(vocab) + 1, tiny_config.d))
         r = np.arange(1.0, tiny_config.d + 1)
-        (k,) = path_pair_indices(mg, vocab, "p0", "p1")
+        (k,) = path_pair_indices(mg, vocab, GRID_CATS, "p0", "p1")
         table[k] = r
         w_r = r / (r @ r)
-        assert category_bias(mg, vocab, "p0", "p1", table, w_r) == pytest.approx(1.0)
+        assert category_bias(mg, vocab, GRID_CATS, "p0", "p1", table, w_r) == \
+            pytest.approx(1.0)
 
     def test_zero_weight_vector(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
@@ -137,14 +141,14 @@ class TestCategoryBias:
         w_r = np.zeros(tiny_config.d)
         for i in mg.base.nodes:
             for j in mg.base.nodes:
-                assert category_bias(mg, model.cat_vocab, i, j, table, w_r) == 0.0
+                assert category_bias(mg, model.cat_vocab, GRID_CATS, i, j, table, w_r) == 0.0
 
     def test_two_edge_path_is_mean(self):
         cats = {"a": "ca", "b": "cb", "c": "cc"}
         g = build_trajectory_graph(make_traj(["a", "b", "c"], categories=cats))
         g.edges.discard(("a", "c"))
         mg = add_master_node(g)
-        vocab = build_category_vocab([g])
+        vocab = build_category_vocab([g], cats)
         d = 1
         table = np.zeros((len(vocab) + 1, d))
         table[vocab[("ca", "cb")]] = [0.2]
@@ -152,33 +156,36 @@ class TestCategoryBias:
         # canonical a->c path goes a,b,c (2 hops) rather than via master
         assert master_paths(mg)[("a", "c")] == ["a", "b", "c"]
         assert mg.mid[0, 2] == 1
-        assert category_bias(mg, vocab, "a", "c", table, np.ones(1)) == pytest.approx(0.4)
+        assert category_bias(mg, vocab, cats, "a", "c", table, np.ones(1)) == \
+            pytest.approx(0.4)
 
     def test_self_pair_uses_self_loop(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
-        idxs = path_pair_indices(mg, model.cat_vocab, "p0", "p0")
+        idxs = path_pair_indices(mg, model.cat_vocab, GRID_CATS, "p0", "p0")
         assert idxs == [model.cat_vocab[("food", "food")]]
 
     def test_master_edges_use_unknown(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
-        assert path_pair_indices(mg, model.cat_vocab, MASTER, "p0") == [0]
+        assert path_pair_indices(mg, model.cat_vocab, GRID_CATS, MASTER, "p0") == [0]
 
 
 class TestBiasMatrixOracle:
     """The index-gather bias equals the pair-by-pair loop over BFS hop
     counts, scalar distances and canonical paths."""
 
+    CATS = {f"p{i}": f"c{i % 4}" for i in range(30)}
+
     @staticmethod
     def build(config, coords_for, rng):
-        cats = {f"p{i}": f"c{i % 4}" for i in range(30)}
+        cats = TestBiasMatrixOracle.CATS
         catalog = [Poi(p, c, 40.0 + 0.01 * rng.random(), -74.0 + 0.01 * rng.random())
                    for p, c in cats.items()]
         coords = coords_for({p.poi_id: (p.lat, p.lon) for p in catalog})
         graphs = augmented_graphs(rng, 12, cats)
-        mgraphs = [add_master_node(g, coords, config.spd_cap) for g in graphs]
+        mgraphs = [add_master_node(g, coords) for g in graphs]
         gt = build_global_temporal([], config.n_neighbors, catalog=catalog)
         # fit the vocabulary on half the graphs so some pairs are UNKNOWN
-        vocab = build_category_vocab(graphs[::2])
+        vocab = build_category_vocab(graphs[::2], cats)
         model = GsanModel(catalog, gt, vocab, fit_distance_bins(mgraphs[::3], config.m_bins),
                           config, rng, dtype=np.float64)
         for p in model.params.values():
@@ -195,7 +202,7 @@ class TestBiasMatrixOracle:
         cfg = tiny_config.override(use_category_bias=use_category_bias)
         model, mgraphs, coords = self.build(cfg, coords_for, rng)
         for mg in mgraphs:
-            expected = oracles.bias_matrix(model, mg, coords)
+            expected = oracles.bias_matrix(model, mg, coords, self.CATS)
             assert np.allclose(plan_bias(model, mg).data, expected, rtol=0, atol=1e-9)
 
     def test_missing_coordinates_take_unknown_slot(self, tiny_config, rng):
@@ -209,8 +216,43 @@ class TestBiasMatrixOracle:
         for mg in with_p0:
             a = mg.nodes.index("p0")
             bias = plan_bias(model, mg).data
-            hops = np.minimum(mg.hops[a, :-1], cfg.spd_cap)
-            assert np.allclose(bias[a, :-1], b_spd[hops] + unknown, rtol=0, atol=1e-12)
+            assert np.allclose(bias[a, :-1], b_spd[mg.hops[a, :-1]] + unknown, rtol=0, atol=1e-12)
+
+
+class TestCategoryIndex:
+    """Category rows looked up from the catalog equal the oracle's per-edge
+    labels."""
+
+    def test_matches_oracle_on_augmented_graphs(self, tiny_config, rng):
+        model, mgraphs, _ = TestBiasMatrixOracle.build(tiny_config, lambda c: c, rng)
+        one_way = 0
+        for mg in mgraphs:
+            got = model._category_index(mg, model.plan(mg).poi_rows)
+            want = [[oracles.pair_index(model.cat_vocab, TestBiasMatrixOracle.CATS,
+                                        mg.base, u, w) for w in mg.nodes] for u in mg.nodes]
+            assert got.tolist() == want
+            one_way += sum((b, a) not in mg.base.edges for a, b in mg.base.edges)
+        assert one_way  # some labels are read against their edge's direction
+
+    def test_unseen_pair_maps_to_unknown_row(self, tiny_config):
+        # the vocabulary holds food-shop and shop-park edges, not food-park
+        model, _, _ = small_model(tiny_config, seq=("p0", "p1", "p2"))
+        assert ("food", "park") not in model.cat_vocab
+        mg = add_master_node(build_trajectory_graph(make_traj(["p0", "p2"],
+                                                              categories=GRID_CATS)))
+        plan = model.plan(mg)
+        cat = model._category_index(mg, plan.poi_rows)
+        assert cat[0, 1] == cat[1, 0] == 0
+        assert cat[0, 0] == model.cat_vocab[("food", "food")]
+        offset = len(model.params["b_spd"].data) + len(model.params["b_dist"].data)
+        assert plan.bias_idx[3, 0, 1] == plan.bias_idx[3, 1, 0] == offset
+
+    def test_hop_rows(self, tiny_config):
+        model, mg, _ = small_model(tiny_config)
+        hop_idx = model.plan(mg).bias_idx[0]
+        assert model.params["b_spd"].shape == (4, 1)
+        assert (hop_idx[:-1, :-1] == mg.hops[:-1, :-1]).all()
+        assert (hop_idx[-1] == 3).all() and (hop_idx[:, -1] == 3).all()
 
 
 class TestNodeFeatures:
@@ -318,7 +360,7 @@ class TestAttention:
         x = np.vstack([x, master])
 
         coords = {p.poi_id: (p.lat, p.lon) for p in grid_catalog()}
-        bias = oracles.bias_matrix(model, mg, coords)
+        bias = oracles.bias_matrix(model, mg, coords, GRID_CATS)
 
         def softmax(m):
             e = np.exp(m - m.max(axis=1, keepdims=True))
@@ -470,7 +512,7 @@ class TestEncodePlans:
         coords = {p.poi_id: (p.lat, p.lon) for p in catalog}
         seqs = [("p0", "p1", "p2", "p0"), ("p3", "p4"), ("p1", "p5", "p2"),
                 ("p2", "p3"), ("p5", "p0", "p1")]
-        graphs = [build_trajectory_graph(make_traj(list(s), categories=cats), categories=cats)
+        graphs = [build_trajectory_graph(make_traj(list(s), categories=cats))
                   for s in seqs]
         plans = [model.plan(add_master_node(g, coords)) for g in graphs]
         targets = ["p2", "p0", "p4", "p1", "p3"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poirec.data import Poi
+from poirec.encoder import build_category_vocab
 from poirec.graphs import (add_master_node, build_global_spatial,
                            build_global_temporal, build_trajectory_graph,
                            haversine, save_spatial_graph, save_temporal_graph)
@@ -42,7 +43,8 @@ class TestTrajectoryGraph:
     def test_edge_categories_are_unordered_pairs(self):
         cats = {"a": "z_cat", "b": "a_cat"}
         g = build_trajectory_graph(make_traj(["a", "b"], categories=cats))
-        assert g.edge_category[("a", "b")] == ("a_cat", "z_cat")
+        assert build_category_vocab([g], cats) == {
+            ("a_cat", "a_cat"): 1, ("a_cat", "z_cat"): 2, ("z_cat", "z_cat"): 3}
 
 
 class TestGlobalTemporal:

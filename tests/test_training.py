@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from poirec import autodiff as ad
+from poirec import checkpoint
 from poirec.augment import infonce, make_views
 from poirec.autodiff import NumericError, Tensor
 from poirec.checkpoint import (CheckpointError, load_checkpoint,
@@ -97,6 +98,42 @@ class TestCheckpointFile:
         (tmp_path / "junk.ckpt").write_bytes(b"nope" + b"\0" * 32)
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "junk.ckpt")
+
+    @staticmethod
+    def corrupt(tmp_path, edit):
+        """A saved two-tensor file with `edit` applied to its bytes; returns
+        its path and the byte offset where the tensor sections start."""
+        arrays = {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                  "b": np.arange(4, dtype=np.float64)}
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, arrays, {"epoch": 1})
+        raw = path.read_bytes()
+        tensors_at = len(raw) - 6 * 4 - 4 * 8
+        path.write_bytes(edit(raw, tensors_at))
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw, at: raw[:6], "cut inside its header"),
+        (lambda raw, at: raw[:at - 5], "bad manifest"),
+        (lambda raw, at: raw[:at + 10], "cut inside tensor w (10 of 24 bytes)"),
+        (lambda raw, at: raw[:-1], "cut inside tensor b (31 of 32 bytes)"),
+        (lambda raw, at: raw + b"\0\0", "bytes after its last tensor"),
+        (lambda raw, at: raw[:12] + raw[12:at].replace(b'"tensors"', b'"tensorz"') + raw[at:],
+         "bad manifest"),
+    ], ids=["header", "manifest", "first-tensor", "last-tensor", "trailing", "no-tensors-key"])
+    def test_corrupt_file_names_the_file(self, tmp_path, edit, message):
+        path = self.corrupt(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=re.escape(message)) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_other_version_names_both(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(checkpoint, "VERSION", 1)
+        save_checkpoint(tmp_path / "v1.ckpt", {"a": np.zeros(2)}, {})
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="format version 1, this build reads "
+                                                  "version 2"):
+            load_checkpoint(tmp_path / "v1.ckpt")
 
     def test_no_partial_file_on_failure(self, tmp_path):
         # writes go to a temp name first; the target only appears on success
@@ -233,8 +270,7 @@ class TestBatchedRanking:
         pairs = small_split.val + small_split.test
         want = []
         for prefix, target in pairs:
-            mg = add_master_node(build_trajectory_graph(prefix, categories=tr.categories),
-                                 tr.coords, cfg.spd_cap)
+            mg = add_master_node(build_trajectory_graph(prefix), tr.coords)
             logits = tr.model.predict(oracles.encode(tr.model, mg)).data[0]
             want.append(rank_target(logits, tr.model.poi_ids, target.poi_id))
         assert tr.rank_pairs(pairs) == want
