@@ -16,7 +16,7 @@ from . import data as ingest
 from .augment import correlated_insertion, correlated_substitute, node_dropout
 from .autodiff import NumericError
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import RunConfig, config_keys, load_config, save_config
+from .config import RunConfig, _parse_value, config_keys, load_config, save_config
 from .data import DataError
 from .graphs import (build_global_spatial, build_global_temporal,
                      build_trajectory_graph, save_spatial_graph,
@@ -33,7 +33,9 @@ EXIT_NUMERIC = 4
 
 
 def _add_config_flags(parser):
-    """One CLI flag per RunConfig key, defaulting to 'not given'."""
+    """`--config FILE` plus one CLI flag per RunConfig key, defaulting to
+    'not given'."""
+    parser.add_argument("--config", help="file of `key = value` lines; flags override it")
     for name, f in sorted(config_keys().items()):
         flag = "--" + name.replace("_", "-")
         if isinstance(f.default, bool):
@@ -46,8 +48,8 @@ def _add_config_flags(parser):
 
 
 def _config_from_args(args):
-    overrides = {name: getattr(args, name, None) for name in config_keys()}
-    return load_config(getattr(args, "config", None), overrides)
+    overrides = {name: getattr(args, name) for name in config_keys()}
+    return load_config(args.config, overrides)
 
 
 def _write_manifest(out_dir, entries):
@@ -59,6 +61,7 @@ def _write_manifest(out_dir, entries):
 
 
 def cmd_preprocess(args):
+    cfg = _config_from_args(args)
     checkins, bad = ingest.parse_checkins(args.input, args.format)
     users = {c.user_id for c in checkins}
     pois = {c.poi_id for c in checkins}
@@ -66,10 +69,10 @@ def cmd_preprocess(args):
           f"{len(pois)} POIs, {bad} malformed line(s)")
     split = ingest.make_split(
         checkins,
-        min_user_visits=args.min_visits,
-        min_poi_users=args.min_poi_users,
-        gap_seconds=args.gap_hours * 3600.0,
-        t_max=args.max_len,
+        min_user_visits=cfg.min_user_visits,
+        min_poi_users=cfg.min_poi_users,
+        gap_seconds=cfg.gap_hours * 3600.0,
+        t_max=cfg.t_max,
     )
     kept_users = {t.user_id for t in split.train}
     print(f"after filtering: {len(kept_users)} users, {len(split.catalog)} POIs, "
@@ -159,8 +162,13 @@ def cmd_train(args):
 
 def _trainer_from_checkpoint(ckpt_path, data_dir):
     arrays, meta = load_checkpoint(ckpt_path)
+    saved, known = meta.get("config", {}), config_keys()
+    for keys, kind in ((set(saved) - set(known), "an unknown"), (set(known) - set(saved), "no")):
+        if keys:
+            raise CheckpointError(f"checkpoint {ckpt_path} has {kind} config key "
+                                  f"{', '.join(map(repr, sorted(keys)))}")
     split = ingest.load_split(data_dir)
-    trainer = Trainer(split, RunConfig(**meta["config"]))
+    trainer = Trainer(split, RunConfig(**saved))
     trainer.restore(arrays, meta, ckpt_path)
     return trainer, split
 
@@ -174,7 +182,7 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-SWEEPABLE = {"d": "d", "lam": "lam", "beta": "beta", "layers": "layers"}
+SWEEPABLE = ("d", "lam", "beta", "layers")
 
 
 def cmd_sweep(args):
@@ -183,11 +191,11 @@ def cmd_sweep(args):
     cfg = _config_from_args(args)
     split = ingest.load_split(args.data)
     spatial, temporal, fused = _load_pretrained(args, cfg)
-    caster = int if args.param in ("d", "layers") else float
+    field = config_keys()[args.param]
     rows = []
     for raw in args.values.split(","):
-        value = caster(raw)
-        run_cfg = cfg.override(**{SWEEPABLE[args.param]: value})
+        value = _parse_value(field, raw)
+        run_cfg = cfg.override(**{args.param: value})
         trainer = Trainer(split, run_cfg, spatial_table=spatial,
                           temporal_table=temporal, fused_table=fused)
         trainer.fit()
@@ -243,30 +251,24 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--format", required=True, choices=["foursquare", "gowalla"])
     p.add_argument("--out", required=True)
-    p.add_argument("--min-visits", type=int, default=10)
-    p.add_argument("--min-poi-users", type=int, default=10)
-    p.add_argument("--gap-hours", type=float, default=24.0)
-    p.add_argument("--max-len", type=int, default=100)
+    _add_config_flags(p)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("build-graphs", help="build the global temporal/spatial graphs")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     _add_config_flags(p)
     p.set_defaults(func=cmd_build_graphs)
 
     p = sub.add_parser("pretrain", help="node2vec embedding pretraining")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     _add_config_flags(p)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="multi-task model training")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--embeddings", help="directory produced by `poirec pretrain`")
     p.add_argument("--resume", action="store_true")
     _add_config_flags(p)
@@ -282,7 +284,6 @@ def build_parser():
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--data", required=True)
-    p.add_argument("--config")
     p.add_argument("--embeddings")
     _add_config_flags(p)
     p.set_defaults(func=cmd_sweep)
@@ -291,7 +292,6 @@ def build_parser():
                        help="show before/after edge lists of each operator")
     p.add_argument("--data", required=True)
     p.add_argument("--traj-index", type=int, default=0)
-    p.add_argument("--config")
     _add_config_flags(p)
     p.set_defaults(func=cmd_augment_debug)
     return parser

@@ -75,14 +75,6 @@ def build_category_vocab(traj_graphs, categories):
     return {pair: i + 1 for i, pair in enumerate(sorted(pairs))}
 
 
-def _stack(arrays, axis=0):
-    """Plan arrays of one group stacked along a new axis (0, or 1 for bias
-    arrays); a group of one plan keeps its arrays as they are, so a graph
-    whose node count no other plan shares runs on 2-D arrays without the
-    group axis."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays, axis=axis)
-
-
 @dataclass
 class EncoderPlan:
     """What one master graph contributes to its encoder pass, with no
@@ -262,12 +254,11 @@ class GsanModel:
 
     def _forward(self, plans, table):
         """The encoder over G plans of n base nodes each, as (G, n+1, d)
-        stacks (one plan: (n+1, d)): node features, `layers` biased
-        self-attention layers, and the readout [master row, last-visited
-        row] @ w_s. Returns (G, d)."""
+        stacks: node features, `layers` biased self-attention layers, and the
+        readout [master row, last-visited row] @ w_s. Returns (G, d)."""
         x = self._features(plans)
-        bias = ad.gather_sum(table, _stack([p.bias_idx for p in plans], axis=1),
-                             _stack([p.bias_w for p in plans], axis=1))
+        bias = ad.gather_sum(table, np.stack([p.bias_idx for p in plans], axis=1),
+                             np.stack([p.bias_w for p in plans], axis=1))
         for layer in range(self.config.layers):
             x = self._attention(x, bias, layer)
         g, (size, d) = len(plans), x.shape[-2:]
@@ -276,23 +267,22 @@ class GsanModel:
         return ad.matmul(ad.reshape(readout, (g, 2 * d)), self.params["w_s"])
 
     def _features(self, plans):
-        """(G, n+1, d), or (n+1, d) for one plan: per base node the sum of
-        its POI, degree, popularity and reverse-position rows; the master row
-        is their mean plus the padding position row."""
+        """(G, n+1, d): per base node the sum of its POI, degree, popularity
+        and reverse-position rows; the master row is their mean plus the
+        padding position row."""
         prm = self.params
-        rows = _stack([p.poi_rows for p in plans])
+        rows = np.stack([p.poi_rows for p in plans])
         x = ad.gather_rows(prm["poi_table"], rows)
         x = x + ad.gather_rows(prm["deg_in"], self.deg_in_bucket[rows])
         x = x + ad.gather_rows(prm["deg_out"], self.deg_out_bucket[rows])
         x = x + ad.gather_rows(prm["pop"], self.pop_bucket[rows])
-        x = x + ad.gather_rows(prm["pos"], _stack([p.pos_rows for p in plans]))
+        x = x + ad.gather_rows(prm["pos"], np.stack([p.pos_rows for p in plans]))
         master = ad.tmean(x, axis=-2, keepdims=True) + ad.gather_rows(prm["pos"], [0])
         return ad.concat([x, master], axis=-2)
 
     def _attention(self, x, bias, layer):
         """One biased self-attention layer over (G, n+1, d) features and a
-        (G, n+1, n+1) bias (or one graph's 2-D ones); heads are
-        concatenated, then projected by wo."""
+        (G, n+1, n+1) bias; heads are concatenated, then projected by wo."""
         cfg = self.config
         scale = 1.0 / math.sqrt(cfg.d)
         heads = []

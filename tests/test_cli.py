@@ -91,9 +91,55 @@ class TestPreprocess:
         write_raw_log(raw, n_users=12, n_pois=12)
         out = tmp_path / "out"
         main(["preprocess", "--input", str(raw), "--format", "foursquare",
-              "--out", str(out), "--min-visits", "20"])
+              "--out", str(out), "--min-user-visits", "20"])
         printed = capsys.readouterr().out
         assert "after filtering: 0 users" in printed
+
+    @staticmethod
+    def preprocess(tmp_path, capsys, *flags):
+        """Preprocess the 12-user log (one 12-check-in session per user) with
+        `flags`; returns the summary line and the longest record length."""
+        raw = tmp_path / "raw.tsv"
+        write_raw_log(raw)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["preprocess", "--input", str(raw), "--format", "foursquare",
+                     "--out", str(out)] + [str(f) for f in flags]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        records = [json.loads(l) for l in (out / "trajectories.jsonl").read_text().splitlines()]
+        return summary, max(len(r["checkins"]) + ("target" in r) for r in records)
+
+    def test_config_file_and_gap_hours_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("gap_hours = 0.5\n")
+        # check-ins an hour apart: each is its own session under a 0.5 h gap
+        summary, longest = self.preprocess(tmp_path, capsys, "--config", cfg)
+        assert "144 train trajectories, 0 val pairs, 0 test pairs" in summary
+        assert longest == 1
+        summary, longest = self.preprocess(tmp_path, capsys, "--config", cfg,
+                                           "--gap-hours", "48")
+        assert "12 train trajectories, 12 val pairs, 12 test pairs" in summary
+        assert longest == 12
+
+    def test_t_max_truncates_sessions(self, tmp_path, capsys):
+        assert self.preprocess(tmp_path, capsys, "--t-max", "8")[1] == 8
+
+    def test_one_config_file_drives_preprocess_and_train(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("t_max = 8\nd = 8\nm_bins = 4\ndegree_buckets = 4\n"
+                       "batch_size = 8\nn_neighbors = 5\ncorrelation_top = 5\n"
+                       "epochs = 1\nlam = 0.0\nfrom_scratch = true\n")
+        # 12-check-in sessions, cut to 8 so every position fits the table
+        assert self.preprocess(tmp_path, capsys, "--config", cfg)[1] == 8
+        assert main(["train", "--data", str(tmp_path / "out"), "--out",
+                     str(tmp_path / "run"), "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("flag", ["--min-visits", "--max-len"])
+    def test_old_preprocess_flags_are_usage_errors(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["preprocess", "--input", str(tmp_path / "raw.tsv"), "--format",
+                  "foursquare", "--out", str(tmp_path / "out"), flag, "20"])
+        assert exc.value.code == 2
 
     def test_missing_input_exit_3(self, tmp_path, capsys):
         code = main(["preprocess", "--input", str(tmp_path / "nope.tsv"),
@@ -229,6 +275,24 @@ class TestTrainEvaluate:
                         + TINY)
         assert code == 3
         assert "format version 1, this build reads version 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        ("add", "has an unknown config key 'bogus'"),
+        ("drop", "has no config key 'lam'"),
+    ], ids=["unknown-key", "missing-key"])
+    def test_checkpoint_config_keys_exit_3(self, data_dir, tmp_path, capsys, monkeypatch,
+                                           change, message):
+        ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
+        arrays, meta = checkpoint.load_checkpoint(ckpt)
+        if change == "add":
+            meta["config"]["bogus"] = 1
+        else:
+            del meta["config"]["lam"]
+        checkpoint.save_checkpoint(ckpt, arrays, meta)
+        monkeypatch.setattr(cli, "Trainer", None)  # refused before any Trainer
+        code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
+        assert code == 3
+        assert f"checkpoint {ckpt} {message}" in capsys.readouterr().err
 
     def test_cut_checkpoint_exit_3(self, data_dir, tmp_path, capsys):
         ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)

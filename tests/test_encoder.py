@@ -7,7 +7,7 @@ from poirec import autodiff as ad
 from poirec.autodiff import NumericError, Tensor
 from poirec.data import Poi
 from poirec.encoder import (DistanceBins, GsanModel, build_category_vocab,
-                            fit_distance_bins)
+                            category_pair, fit_distance_bins)
 from poirec.graphs import (MASTER, add_master_node, build_global_temporal,
                            build_trajectory_graph, haversine)
 from oracles import category_bias, locate_scalar, master_paths, path_pair_indices
@@ -47,7 +47,8 @@ def encode(model, mg):
 
 def features(model, mg):
     """(n+1, d) node features of one graph from the encoder forward."""
-    return model._features([model.plan(mg)])
+    x = model._features([model.plan(mg)])
+    return ad.reshape(x, x.shape[1:])
 
 
 def plan_bias(model, mg):
@@ -184,8 +185,10 @@ class TestBiasMatrixOracle:
         graphs = augmented_graphs(rng, 12, cats)
         mgraphs = [add_master_node(g, coords) for g in graphs]
         gt = build_global_temporal([], config.n_neighbors, catalog=catalog)
-        # fit the vocabulary on half the graphs so some pairs are UNKNOWN
-        vocab = build_category_vocab(graphs[::2], cats)
+        # fit the vocabulary on the graphs without a c3 node, so every pair
+        # with c3 is UNKNOWN
+        vocab = build_category_vocab(
+            [g for g in graphs if all(cats[p] != "c3" for p in g.nodes)], cats)
         model = GsanModel(catalog, gt, vocab, fit_distance_bins(mgraphs[::3], config.m_bins),
                           config, rng, dtype=np.float64)
         for p in model.params.values():
@@ -201,9 +204,13 @@ class TestBiasMatrixOracle:
     def test_matches_loop_oracle(self, tiny_config, rng, coords_for, use_category_bias):
         cfg = tiny_config.override(use_category_bias=use_category_bias)
         model, mgraphs, coords = self.build(cfg, coords_for, rng)
+        unknown = 0
         for mg in mgraphs:
             expected = oracles.bias_matrix(model, mg, coords, self.CATS)
             assert np.allclose(plan_bias(model, mg).data, expected, rtol=0, atol=1e-9)
+            unknown += sum(category_pair(self.CATS[a], self.CATS[b]) not in model.cat_vocab
+                           for a, b in mg.base.edges)
+        assert unknown  # some base edges take the UNKNOWN row
 
     def test_missing_coordinates_take_unknown_slot(self, tiny_config, rng):
         cfg = tiny_config.override(use_category_bias=False)

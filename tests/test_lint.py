@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from poirec.config import config_keys
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "poirec"
 
 
@@ -37,3 +39,24 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def attribute_reads(source):
+    """Attribute names read as `x.name` in `source`, except on a name `args`
+    (an argparse namespace holds flags, not the config a stage runs on)."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and not (isinstance(n.value, ast.Name) and n.value.id == "args")}
+
+
+def test_checker_finds_attribute_reads():
+    source = "cfg.lam\nargs.beta\ncfg.tau = 1\nself.config.seed\nf(args).d\n"
+    assert attribute_reads(source) == {"lam", "config", "seed", "d"}
+
+
+def test_every_config_key_is_read():
+    """No RunConfig key is inert: each is read off a config object in some
+    module other than config.py."""
+    read = set().union(*(attribute_reads(p.read_text(encoding="utf-8"))
+                         for p in PACKAGE.glob("*.py") if p.name != "config.py"))
+    assert sorted(set(config_keys()) - read) == []
