@@ -167,6 +167,16 @@ def _trainer_from_checkpoint(ckpt_path, data_dir):
         if keys:
             raise CheckpointError(f"checkpoint {ckpt_path} has {kind} config key "
                                   f"{', '.join(map(repr, sorted(keys)))}")
+    for key, value in sorted(saved.items()):
+        want = type(known[key].default)
+        if want is bool or isinstance(value, bool):  # a bool is an int to isinstance
+            fits = type(value) is want
+        else:  # JSON has one number type: a float field also takes an integer
+            fits = isinstance(value, (int, float) if want is float else want)
+        if not fits:
+            raise CheckpointError(f"checkpoint {ckpt_path} has config key {key!r} of type "
+                                  f"{type(value).__name__}, but RunConfig.{key} is "
+                                  f"{want.__name__}")
     split = ingest.load_split(data_dir)
     trainer = Trainer(split, RunConfig(**saved))
     trainer.restore(arrays, meta, ckpt_path)

@@ -65,14 +65,42 @@ class DatasetSplit:
 _FOURSQUARE_TIME = "%a %b %d %H:%M:%S %z %Y"
 
 
-def _parse_foursquare_line(parts):
+def _foursquare_timestamp(raw, day_starts):
+    """Exactly `datetime.strptime(raw, _FOURSQUARE_TIME).timestamp()`, with
+    `strptime` run once per distinct date rather than once per line.
+
+    In the 30-character layout `Tue Apr 03 18:00:06 +0000 2012`, an ASCII
+    `HH:MM:SS` at `raw[11:19]` can only be read as %H:%M:%S, so with an
+    in-range clock the string parses iff it parses with the clock at
+    00:00:00, and its timestamp is that midnight's plus the clock's seconds.
+    Its offset has whole minutes, so both are whole seconds and the float sum
+    is exact. `day_starts` maps the rest of the string to that midnight's
+    timestamp; `strptime` still judges its weekday, month, day, offset and
+    year. Any other string goes to `strptime` whole."""
+    clock = raw[11:19]
+    if len(raw) == 30 and clock.isascii() and clock[2] == clock[5] == ":":
+        h, m, s = clock[:2], clock[3:5], clock[6:]
+        if (h + m + s).isdigit():
+            h, m, s = int(h), int(m), int(s)
+            if h < 24 and m < 60 and s < 60:
+                date = raw[:11] + raw[19:]
+                base = day_starts.get(date)
+                if base is None:
+                    midnight = raw[:11] + "00:00:00" + raw[19:]
+                    base = datetime.strptime(midnight, _FOURSQUARE_TIME).timestamp()
+                    day_starts[date] = base
+                return base + (h * 3600 + m * 60 + s)
+    return datetime.strptime(raw, _FOURSQUARE_TIME).timestamp()
+
+
+def _parse_foursquare_line(parts, day_starts):
     # user, venue, category_id, category_name, lat, lon, tz_offset_min, utc_time
     user, venue, cat_id, _cat_name, lat, lon, _tz, raw_time = parts[:8]
-    ts = datetime.strptime(raw_time, _FOURSQUARE_TIME).timestamp()
+    ts = _foursquare_timestamp(raw_time, day_starts)
     return CheckIn(user, venue, cat_id, ts, float(lat), float(lon))
 
 
-def _parse_gowalla_line(parts):
+def _parse_gowalla_line(parts, _day_starts):
     # user, ISO-8601 time, lat, lon, location_id
     user, raw_time, lat, lon, loc = parts[:5]
     dt = datetime.fromisoformat(raw_time.replace("Z", "+00:00"))
@@ -100,6 +128,7 @@ def parse_checkins(path, fmt):
         raise DataError(f"check-in file not found: {path}")
     checkins = []
     bad = 0
+    day_starts = {}  # date part of a timestamp -> its midnight; this call only
     with path.open("r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
             line = line.rstrip("\n")
@@ -110,7 +139,7 @@ def parse_checkins(path, fmt):
                 bad += 1
                 continue
             try:
-                checkins.append(parser(parts))
+                checkins.append(parser(parts, day_starts))
             except (ValueError, DataError):
                 bad += 1
     if bad:

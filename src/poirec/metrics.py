@@ -28,11 +28,6 @@ def rank_targets(scores, poi_ids, targets):
     return (1 + np.count_nonzero(ahead, axis=1)).tolist()
 
 
-def rank_target(scores, poi_ids, target):
-    """`rank_targets` of one score row."""
-    return rank_targets(np.asarray(scores)[None, :], poi_ids, [target])[0]
-
-
 def hit_rate(ranks, k):
     if not ranks:
         raise ValueError("empty rank list")

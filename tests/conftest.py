@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from poirec.augment import (CorrelationIndex, correlated_insertion,
                             correlated_substitute, node_dropout)
@@ -7,6 +8,11 @@ from poirec.config import RunConfig
 from poirec.data import CheckIn, Trajectory
 from poirec.graphs import build_trajectory_graph
 from poirec.pretrain import EmbeddingTable
+
+# property tests draw the same examples on every run (derandomize implies no
+# example database) and few enough of them to keep the suite fast
+settings.register_profile("poirec", derandomize=True, deadline=None, max_examples=100)
+settings.load_profile("poirec")
 
 
 def make_traj(poi_ids, user="u1", categories=None, t0=0.0, step=3600.0,

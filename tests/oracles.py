@@ -4,14 +4,17 @@ the master-graph structure and of the attention bias, the per-graph
 encoder, the sorted-row correlation ranking, the catalog-loop target rank,
 the clamped softmax loss chain, the per-step node2vec walks and per-update
 skip-gram, the scalar spatial-graph scan and the per-edge spatial
-adjacency, plus small autodiff compositions used only by tests."""
+adjacency, the check-in line parsers with one `strptime` per line, plus
+small autodiff compositions used only by tests."""
 
 import math
 from collections import deque
+from datetime import datetime, timezone
 
 import numpy as np
 
 from poirec import autodiff as ad
+from poirec.data import UNKNOWN_CATEGORY, CheckIn, DataError
 from poirec.graphs import EARTH_RADIUS_KM, MASTER, haversine
 from poirec.pretrain import EmbeddingTable
 
@@ -496,3 +499,37 @@ def train_skipgram(walks, all_nodes, dim, window=5, negatives=5, epochs=5,
                     np.add.at(w_out, targets, err[:, None] * vc[None, :])
                     w_in[center] += grad_c
     return EmbeddingTable(ids, w_in)
+
+
+# -- check-in lines, each parsed alone -------------------------------------
+
+FOURSQUARE_TIME = "%a %b %d %H:%M:%S %z %Y"
+
+
+def parse_foursquare_line(parts):
+    """A Foursquare line with one full `strptime` of its timestamp."""
+    user, venue, cat_id, _cat_name, lat, lon, _tz, raw_time = parts[:8]
+    ts = datetime.strptime(raw_time, FOURSQUARE_TIME).timestamp()
+    return CheckIn(user, venue, cat_id, ts, float(lat), float(lon))
+
+
+def parse_gowalla_line(parts):
+    """A Gowalla line: ISO-8601 time, UTC when it names no offset."""
+    user, raw_time, lat, lon, loc = parts[:5]
+    dt = datetime.fromisoformat(raw_time.replace("Z", "+00:00"))
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return CheckIn(user, loc, UNKNOWN_CATEGORY, dt.timestamp(), float(lat), float(lon))
+
+
+def parse_lines(lines, fmt):
+    """(check-ins, indices of the rejected lines) of non-empty log lines,
+    each parsed on its own; a line with too few fields fails to unpack."""
+    parser = {"foursquare": parse_foursquare_line, "gowalla": parse_gowalla_line}[fmt]
+    checkins, rejected = [], []
+    for i, line in enumerate(lines):
+        try:
+            checkins.append(parser(line.split("\t")))
+        except (ValueError, DataError):
+            rejected.append(i)
+    return checkins, rejected

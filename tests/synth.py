@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .data import CheckIn, DatasetSplit, Poi, Trajectory, leave_one_out
+from poirec.data import CheckIn, DatasetSplit, Poi, Trajectory, leave_one_out
 
 CATEGORIES = ("food", "shop", "park", "museum", "transport")
 

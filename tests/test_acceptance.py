@@ -19,12 +19,12 @@ from poirec.data import Poi, save_split
 from poirec.encoder import GsanModel, build_category_vocab, fit_distance_bins
 from poirec.graphs import (add_master_node, build_global_temporal,
                            build_trajectory_graph, haversine)
-from poirec.metrics import hit_rate, ndcg, rank_target
+from poirec.metrics import hit_rate, ndcg, rank_targets
 from poirec.pretrain import EmbeddingTable
-from poirec.synth import markov_dataset
 from poirec.training import Trainer, pretrain_tables, total_loss
 from conftest import make_traj
 from oracles import adjacency_from_pairs, all_pairs_spd, is_connected
+from synth import markov_dataset
 
 
 def verdict(num, ok, detail=""):
@@ -193,7 +193,7 @@ def test_criterion_6_metric_oracle():
     for _ in range(trials):
         scores = rng.random(n_pois)
         target = catalog[int(rng.integers(n_pois))]
-        hits += rank_target(list(scores), catalog, target) <= k
+        hits += rank_targets(scores[None, :], catalog, [target])[0] <= k
     p = k / n_pois
     sigma = math.sqrt(p * (1 - p) / trials)
     dev = abs(hits / trials - p)

@@ -1,14 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poirec
 from poirec import checkpoint, cli, training
 from poirec.cli import build_parser, main
 from poirec.data import save_split
-from poirec.synth import markov_dataset
+from synth import markov_dataset
 
 TINY = ["--d", "8", "--t-max", "20", "--m-bins", "4", "--degree-buckets", "4",
         "--batch-size", "8", "--n-neighbors", "5", "--walks-per-node", "2",
@@ -294,6 +298,36 @@ class TestTrainEvaluate:
         assert code == 3
         assert f"checkpoint {ckpt} {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, types", [
+        ("m_bins", 4.0, "float, but RunConfig.m_bins is int"),
+        ("d", "8", "str, but RunConfig.d is int"),
+        ("d", True, "bool, but RunConfig.d is int"),
+        ("lam", "0.5", "str, but RunConfig.lam is float"),
+        ("lam", False, "bool, but RunConfig.lam is float"),
+        ("use_category_bias", "yes", "str, but RunConfig.use_category_bias is bool"),
+        ("use_category_bias", 1, "int, but RunConfig.use_category_bias is bool"),
+        ("seed", 0.5, "float, but RunConfig.seed is int"),
+    ])
+    def test_checkpoint_config_value_types_exit_3(self, data_dir, tmp_path, capsys,
+                                                  monkeypatch, key, value, types):
+        ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
+        arrays, meta = checkpoint.load_checkpoint(ckpt)
+        meta["config"][key] = value
+        checkpoint.save_checkpoint(ckpt, arrays, meta)
+        monkeypatch.setattr(cli, "Trainer", None)  # refused before any Trainer
+        code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
+        assert code == 3
+        assert f"checkpoint {ckpt} has config key {key!r} of type {types}" in \
+            capsys.readouterr().err
+
+    def test_checkpoint_float_key_takes_json_integer(self, data_dir, tmp_path, capsys):
+        # JSON has one number type, so a float field may hold an integer
+        ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
+        arrays, meta = checkpoint.load_checkpoint(ckpt)
+        meta["config"]["lam"] = 0
+        checkpoint.save_checkpoint(ckpt, arrays, meta)
+        assert main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)]) == 0
+
     def test_cut_checkpoint_exit_3(self, data_dir, tmp_path, capsys):
         ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
         ckpt.write_bytes(ckpt.read_bytes()[:6])
@@ -388,3 +422,31 @@ class TestSweepAndDebug:
                      "--traj-index", "9999"] + TINY)
         assert code == 3
         assert "out of range" in capsys.readouterr().err
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# prints the BLAS thread variables as they are when numpy is first imported
+SPY_ON_NUMPY = """
+import os, sys
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not hasattr(self, "seen"):
+            self.seen = [os.environ.get(v, "-") for v in %r]
+spy = Spy()
+sys.meta_path.insert(0, spy)
+import poirec
+print(" ".join(spy.seen))
+""" % (BLAS_VARS,)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("user, seen", [
+        ({}, "1 1 1"),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, "2 3 1"),
+    ], ids=["default", "user-set"])
+    def test_pinned_before_numpy_loads_unless_set(self, user, seen):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env.update(user, PYTHONPATH=str(Path(poirec.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", SPY_ON_NUMPY], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.split("\n")[0] == seen

@@ -1,12 +1,15 @@
 import json
+from datetime import datetime
 
 import pytest
+from hypothesis import given, strategies as st
 
 from poirec.data import (CheckIn, DataError, Trajectory, build_catalog,
                          filter_inactive, leave_one_out, load_split,
                          make_split, parse_checkins, save_split,
                          split_sessions, truncate_recent)
 from conftest import make_traj
+import oracles
 
 FSQ_LINE = ("470\t49bbd6c0f964a520f4531fe3\t4bf58dd8d48988d127951735"
             "\tArts & Crafts Store\t35.67\t139.70\t540"
@@ -56,6 +59,188 @@ class TestParsing:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DataError, match="unknown format"):
             parse_checkins(tmp_path, "yelp")
+
+
+# -- timestamps against the one-strptime-per-line oracle --------------------
+
+WEEKDAYS = ["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"]
+MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct",
+          "Nov", "Dec"]
+# decimal digits of other scripts (Arabic-Indic 3, fullwidth 3, Devanagari 0),
+# which `strptime`'s \d matches, and superscript 2, which is no decimal digit
+ODD_DIGITS = "\u0663\uff13\u0966\u00b2"
+LINE_TEXT = st.characters(codec="utf-8", exclude_characters="\n\r")
+FIELD_TEXT = st.characters(codec="utf-8", exclude_characters="\n\r\t")
+
+
+def padded(lo, hi, width=2):
+    return st.integers(lo, hi).map(lambda n: str(n).zfill(width))
+
+
+def number(good_hi, hi, width=2, lo=0):
+    """In seven draws of eight `lo..good_hi` zero-padded to `width`; else
+    `0..hi` zero-padded, unpadded, space-padded, or with one digit from
+    another script."""
+    wide = padded(0, hi, width)
+    odd_digit = st.tuples(wide, st.integers(0, width - 1), st.sampled_from(ODD_DIGITS)).map(
+        lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:])
+    odd = st.one_of(wide, st.integers(0, hi).map(str),
+                    st.integers(0, hi).map(lambda n: str(n).rjust(width)), odd_digit)
+    return st.sampled_from([padded(lo, good_hi, width)] * 7 + [odd]).flatmap(lambda s: s)
+
+
+def offset(hours, minutes, colons):
+    return st.tuples(st.sampled_from("+-"), hours, colons, minutes).map("".join)
+
+
+# weekday, month, day, year, offset and the five gaps around the clock of a
+# valid date, and of one that may be near it or wrong
+GOOD_PARTS = (st.sampled_from(WEEKDAYS), st.sampled_from(MONTHS), padded(1, 28),
+              padded(1, 9999, 4), offset(padded(0, 23), padded(0, 59), st.just("")),
+              st.just((" ",) * 5))
+NEAR_PARTS = (st.sampled_from(WEEKDAYS + ["tue", "SUN", "Tues", "Xyz"]),
+              st.sampled_from(MONTHS + ["apr", "DEC", "Sept", "Foo"]),
+              number(31, 39, lo=1), number(9999, 9999, 4),
+              offset(padded(0, 29), padded(0, 99), st.sampled_from(["", ":"])),
+              st.tuples(*[st.sampled_from([" ", "  ", "\u00a0"])] * 5))
+CLOCK = st.tuples(number(23, 69), number(59, 69), number(59, 69)).map(":".join)
+
+
+@st.composite
+def foursquare_times(draw):
+    """Timestamps on a valid date and on six dates that each differ from it
+    in one part, with 1-3 clocks per date, in any order: dates repeat with
+    other clocks, as in a real log, and a near miss of each part is there."""
+    first = draw(st.tuples(*GOOD_PARTS))
+    pool = [first] + [first[:k] + (draw(near.filter(lambda v: v != first[k])),) + first[k + 1:]
+                      for k, near in enumerate(NEAR_PARTS)]
+    stamps = [f"{wd}{s[0]}{mon}{s[1]}{day}{s[2]}{clock}{s[3]}{off}{s[4]}{year}"
+              for wd, mon, day, year, off, s in pool
+              for clock in draw(st.lists(CLOCK, min_size=1, max_size=3))]
+    return draw(st.permutations(stamps))
+
+
+CANONICAL = st.datetimes(min_value=datetime(1970, 1, 2)).map(
+    lambda dt: dt.strftime("%a %b %d %H:%M:%S +0000 %Y"))
+# a canonical time with one character replaced, or any text
+TIME_TEXT = st.one_of(
+    st.tuples(CANONICAL, st.integers(0, 29), FIELD_TEXT).map(
+        lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:]),
+    st.text(FIELD_TEXT, max_size=40))
+GOWALLA_TIMES = st.one_of(
+    st.builds(lambda dt, zone: dt.isoformat() + zone, st.datetimes(),
+              st.sampled_from(["", "Z", "+05:30", "-0800", "+24:00"])),
+    st.text(FIELD_TEXT, max_size=30))
+
+
+def foursquare_line(i, raw_time):
+    return f"{i}\tv{i % 3}\tc1\tBar\t40.7\t-74.0\t-240\t{raw_time}"
+
+
+def gowalla_line(i, raw_time):
+    return f"{i}\t{raw_time}\t53.36\t-2.27\t{i % 3}"
+
+
+@pytest.fixture(scope="module")
+def log_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "log.tsv"
+
+
+def assert_parses_as_oracle(path, lines, fmt):
+    """`parse_checkins` of `lines` accepts the same check-ins, with equal
+    timestamps, and counts the lines the one-line-at-a-time oracle
+    rejects."""
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    got, bad = parse_checkins(path, fmt)
+    want, rejected = oracles.parse_lines(lines, fmt)
+    assert got == want
+    assert bad == len(rejected)
+    return got, rejected
+
+
+class TestTimestampOracle:
+    @given(foursquare_times())
+    def test_near_canonical_foursquare(self, log_path, times):
+        lines = [foursquare_line(i, t) for i, t in enumerate(times)]
+        got, rejected = assert_parses_as_oracle(log_path, lines, "foursquare")
+        # user ids are line numbers: the same lines are kept and rejected
+        assert [int(c.user_id) for c in got] == \
+            [i for i in range(len(lines)) if i not in rejected]
+
+    @given(st.lists(TIME_TEXT, min_size=1, max_size=8))
+    def test_foursquare_time_text(self, log_path, times):
+        lines = [foursquare_line(i, t) for i, t in enumerate(times)]
+        assert_parses_as_oracle(log_path, lines, "foursquare")
+
+    @given(st.lists(GOWALLA_TIMES, min_size=1, max_size=8))
+    def test_gowalla_time_text(self, log_path, times):
+        lines = [gowalla_line(i, t) for i, t in enumerate(times)]
+        assert_parses_as_oracle(log_path, lines, "gowalla")
+
+    @pytest.mark.parametrize("fmt", ["foursquare", "gowalla"])
+    @given(lines=st.lists(st.text(LINE_TEXT, min_size=1, max_size=60), min_size=1,
+                          max_size=6))
+    def test_arbitrary_lines(self, log_path, fmt, lines):
+        assert_parses_as_oracle(log_path, lines, fmt)
+
+    @pytest.mark.parametrize("raw", [
+        "Tue Apr 03 18:00:06 +0000 2012",
+        "Wed Feb 29 23:59:59 +0000 2012",  # leap day
+        "Thu Feb 29 00:00:00 +0000 2013",  # no Feb 29 in 2013
+        "Mon Feb 30 12:00:00 +0000 2012",
+        "Mon Apr 31 12:00:00 +0000 2012",
+        "Tue Apr 03 24:00:00 +0000 2012",
+        "Tue Apr 03 23:60:00 +0000 2012",
+        "Tue Apr 03 23:59:60 +0000 2012",  # leap second
+        "Tue Apr 03 18:00:06 +2359 2012",
+        "Tue Apr 03 18:00:06 -23:59 2012",
+        "Tue Apr 03 18:00:06 +2400 2012",
+        "Tue Apr 03 18:00:06 +0060 2012",
+        "Mon Jan 01 00:00:00 +0000 0000",
+        "Fri Dec 31 23:59:59 -2359 9999",
+        "Xyz Apr 03 18:00:06 +0000 2012",
+        "Tue Foo 03 18:00:06 +0000 2012",
+        "tue APR 03 18:00:06 +0000 2012",
+        "Mon Apr 03 18:00:06 +0000 2012",  # weekday not that date's
+        "Tue Apr  3 18:00:06 +0000 2012",
+        "Tue Apr 3 18:00:06 +0000 2012",
+        "Tue Apr 03 8:00:06 +0000 2012",
+        "Tue Apr 03 18:00:06  +0000 2012",
+        "Tue Apr 03 18:00:06 +0000 2012 ",
+        "Tue Apr 03 1\u0668:00:06 +0000 2012",
+        "Tue Apr 03 \u06608:00:06 +0000 2012",  # \d, but not [0-1]\d
+        "Tue Apr 03 18: 0:06 +0000 2012",
+        "Tue Apr 03 18:+1:06 +0000 2012",
+        "Tue Apr 03 18:00:0\u00b2 +0000 2012",
+        "Tue Apr 03 +18:00:06 +0000 2012",
+        "Tue Apr 03 18-00-06 +0000 2012",
+        "Tue Apr 03 18:00:06 Z 2012",
+    ])
+    def test_edge_timestamps(self, log_path, raw):
+        assert_parses_as_oracle(log_path, [foursquare_line(0, raw)], "foursquare")
+
+    def test_dates_last_one_call(self, tmp_path, monkeypatch):
+        """Each call starts from no parsed dates: parsing a log again runs
+        `strptime` once per distinct date again, and two logs parsed in turn
+        give the oracle's check-ins."""
+        calls = []
+
+        class Counted(datetime):
+            @classmethod
+            def strptime(cls, raw, fmt):
+                calls.append(raw)
+                return datetime.strptime(raw, fmt)
+
+        monkeypatch.setattr("poirec.data.datetime", Counted)
+        first = [foursquare_line(i, f"Tue Apr 03 {h:02d}:{i:02d}:06 +0000 2012")
+                 for i, h in enumerate([18, 9, 23, 0])]
+        first.append(foursquare_line(4, "Wed Apr 04 01:00:00 +0000 2012"))
+        second = [foursquare_line(i, f"Tue Apr 03 12:00:{i:02d} +0130 2012")
+                  for i in range(3)]
+        for lines, dates in ((first, 2), (second, 1), (first, 2)):
+            calls.clear()
+            assert_parses_as_oracle(tmp_path / "log.tsv", lines, "foursquare")
+            assert len(calls) == dates
 
 
 class TestFilterInactive:

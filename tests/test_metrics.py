@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from poirec.metrics import (DEFAULT_KS, hit_rate, ndcg, rank_target,
-                            rank_targets, report_from_ranks)
+from poirec.metrics import (DEFAULT_KS, hit_rate, ndcg, rank_targets,
+                            report_from_ranks)
 import oracles
 
 
@@ -13,22 +13,27 @@ def ids(n):
     return [f"p{i:03d}" for i in range(n)]
 
 
+def rank_one(scores, poi_ids, target):
+    """`rank_targets` of one score row."""
+    return rank_targets(np.asarray(scores)[None, :], poi_ids, [target])[0]
+
+
 class TestRankTarget:
     def test_top_score_is_rank_one(self):
-        assert rank_target([0.1, 0.9, 0.3], ids(3), "p001") == 1
+        assert rank_one([0.1, 0.9, 0.3], ids(3), "p001") == 1
 
     def test_middle_rank(self):
-        assert rank_target([0.5, 0.9, 0.3], ids(3), "p000") == 2
+        assert rank_one([0.5, 0.9, 0.3], ids(3), "p000") == 2
 
     def test_uniform_scores_tie_rule(self):
         # all equal: rank is 1 + number of smaller poi_ids
         n = 100
-        assert rank_target([1.0] * n, ids(n), "p036") == 37
+        assert rank_one([1.0] * n, ids(n), "p036") == 37
 
     def test_tie_with_larger_id_wins(self):
         # equal scores, target id smaller than competitor: target first
-        assert rank_target([0.5, 0.5], ["a", "b"], "a") == 1
-        assert rank_target([0.5, 0.5], ["a", "b"], "b") == 2
+        assert rank_one([0.5, 0.5], ["a", "b"], "a") == 1
+        assert rank_one([0.5, 0.5], ["a", "b"], "b") == 2
 
     def test_matches_argsort_oracle_without_ties(self, rng):
         for _ in range(30):
@@ -37,21 +42,21 @@ class TestRankTarget:
             catalog = ids(n)
             target = catalog[int(rng.integers(n))]
             order = [catalog[j] for j in np.argsort(-scores)]
-            assert rank_target(list(scores), catalog, target) == \
+            assert rank_one(list(scores), catalog, target) == \
                 order.index(target) + 1
 
     def test_permutation_invariance(self, rng):
         scores = [0.3, 0.7, 0.1, 0.7]
         catalog = ids(4)
-        base = rank_target(scores, catalog, "p001")
+        base = rank_one(scores, catalog, "p001")
         for _ in range(10):
             perm = rng.permutation(4)
-            assert rank_target([scores[j] for j in perm],
-                               [catalog[j] for j in perm], "p001") == base
+            assert rank_one([scores[j] for j in perm],
+                            [catalog[j] for j in perm], "p001") == base
 
     def test_missing_target_fatal(self):
         with pytest.raises(ValueError, match="not in catalog"):
-            rank_target([1.0], ["a"], "zzz")
+            rank_one([1.0], ["a"], "zzz")
 
     def test_matches_loop_oracle_with_ties(self, rng):
         for _ in range(60):
@@ -60,9 +65,9 @@ class TestRankTarget:
             catalog = [ids(n)[j] for j in rng.permutation(n)]  # unsorted ids
             target = catalog[int(rng.integers(n))]
             want = oracles.rank_target(list(scores), catalog, target)
-            assert rank_target(list(scores), catalog, target) == want
-            assert rank_target(scores, catalog, target) == want
-            assert rank_target(scores.astype(np.float32), catalog, target) == want
+            assert rank_one(list(scores), catalog, target) == want
+            assert rank_one(scores, catalog, target) == want
+            assert rank_one(scores.astype(np.float32), catalog, target) == want
 
 
 class TestRankTargets:
@@ -144,7 +149,7 @@ class TestReport:
         ranks = []
         for _ in range(400):
             target = catalog[int(rng.integers(n))]
-            ranks.append(rank_target([1.0] * n, catalog, target))
+            ranks.append(rank_one([1.0] * n, catalog, target))
         rep = report_from_ranks(ranks)
         assert rep.hr[10] == pytest.approx(10 / n, abs=0.06)
 

@@ -13,8 +13,8 @@ from poirec.pretrain import (EmbeddingTable, fuse_embeddings, load_table,
                              node2vec_embed, random_walks, save_table,
                              spatial_adjacency, temporal_adjacency,
                              train_skipgram)
-from poirec.synth import markov_dataset
 from poirec.training import pretrain_tables
+from synth import markov_dataset
 
 
 def two_cliques(size=4):

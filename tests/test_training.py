@@ -14,11 +14,11 @@ from poirec.config import RngHub, RunConfig, load_config, save_config
 from poirec.data import DataError
 from poirec.encoder import GsanModel
 from poirec.graphs import add_master_node, build_trajectory_graph
-from poirec.metrics import rank_target
+from poirec.metrics import rank_targets
 from poirec.pretrain import EmbeddingTable
-from poirec.synth import markov_dataset
 from poirec.training import Trainer, pretrain_tables, total_loss
 import oracles
+from synth import markov_dataset
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +272,7 @@ class TestBatchedRanking:
         for prefix, target in pairs:
             mg = add_master_node(build_trajectory_graph(prefix), tr.coords)
             logits = tr.model.predict(oracles.encode(tr.model, mg)).data[0]
-            want.append(rank_target(logits, tr.model.poi_ids, target.poi_id))
+            want.append(rank_targets(logits[None, :], tr.model.poi_ids, [target.poi_id])[0])
         assert tr.rank_pairs(pairs) == want
         assert len(set(len(p.checkins) for p, _ in pairs)) > 1
 
