@@ -128,21 +128,35 @@ def _load_pretrained(args, cfg):
             load_table(emb_dir / "fused.emb"))
 
 
+# config keys a resumed run may change; any other must equal the checkpoint's
+RESUMABLE = ("epochs", "patience")
+
+
 def cmd_train(args):
     cfg = _config_from_args(args)
+    out = Path(args.out)
+    ckpt = out / "checkpoint.bin"
+    resumed = load_checkpoint(ckpt) if args.resume and ckpt.is_file() else None
+    if resumed is not None:
+        saved, current = resumed[1].get("config", {}), cfg.to_dict()
+        for key in sorted((set(saved) | set(current)) - set(RESUMABLE)):
+            if saved.get(key) != current.get(key):  # no key holds None
+                raise CheckpointError(
+                    f"checkpoint {ckpt} was trained with {key}={saved.get(key)!r}, but this "
+                    f"run has {key}={current.get(key)!r}; a resumed run may change only "
+                    f"{' and '.join(RESUMABLE)}")
     split = ingest.load_split(args.data)
     spatial, temporal, fused = _load_pretrained(args, cfg)
     trainer = Trainer(split, cfg, spatial_table=spatial, temporal_table=temporal,
                       fused_table=fused)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.resume and (out / "checkpoint.bin").is_file():
-        trainer.load(out / "checkpoint.bin")
+    if resumed is not None:
+        trainer.restore(*resumed, ckpt)
         print(f"resumed from epoch {trainer.epoch}")
     save_config(cfg, out / "config.txt")
 
     def on_epoch(report):
-        trainer.save(out / "checkpoint.bin")
+        trainer.save(ckpt)
         print(f"epoch {report.epoch}: rec={report.rec_loss:.4f} "
               f"ssl={report.ssl_loss:.4f} val HR@10={report.val_hr10:.4f}")
         if split.val and trainer.bad_epochs >= cfg.patience:
@@ -152,7 +166,7 @@ def cmd_train(args):
         try:
             trainer.fit(stream, on_epoch)
         except KeyboardInterrupt:
-            trainer.save(out / "checkpoint.bin")
+            trainer.save(ckpt)
             print("interrupted; checkpoint flushed")
             raise
     _write_manifest(out, {"checkpoint": "checkpoint.bin", "report": "report.jsonl",
@@ -228,8 +242,8 @@ def cmd_augment_debug(args):
     traj = split.train[args.traj_index]
     categories = {p.poi_id: p.category_id for p in split.catalog}
     g = build_trajectory_graph(traj)
-    trainer = Trainer(split, cfg)
-    index = trainer.corr_index
+    # the trainer builds no index at lam = 0, so this command builds its own
+    index = Trainer(split, cfg).correlation_index()
     rng = np.random.default_rng(cfg.seed)
 
     def show(tag, graph):

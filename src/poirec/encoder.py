@@ -1,8 +1,9 @@
 """Graph-biased self-attention encoder: feature encodings, distance / hop /
 category attention biases, master-node readout, and the prediction head.
 
-A master graph becomes an `EncoderPlan` once; `GsanModel.encode_plans` runs
-any number of plans through one stacked forward per node count."""
+`stack_graphs` stacks trajectory graphs by node count, `GsanModel.plan_stacks`
+turns the stacks into `EncoderPlan`s, and `GsanModel.encode_plans` runs any
+number of plans through one stacked forward per node count."""
 
 import math
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, Tensor
+from .graphs import haversine_stack
 
 UNKNOWN_PAIR_INDEX = 0
 # b_spd row of every pair with the master node; rows 0-2 are the hop counts
@@ -26,10 +28,6 @@ class DistanceBins:
     min_dist: float
     max_dist: float
     m: int
-
-    @property
-    def boundaries(self):
-        return np.linspace(self.min_dist, self.max_dist, self.m + 1)
 
     def locate(self, dist):
         """Interpolation between boundaries for an array of distances:
@@ -47,39 +45,97 @@ class DistanceBins:
         return lo, np.minimum(lo + 1, self.m + 1), 1.0 - w_hi, w_hi
 
 
-def fit_distance_bins(mgraphs, m):
+def fit_distance_bins(stacks, m):
     """Bin boundaries from the observed node-pair distances of the training
-    split."""
-    lo, hi = math.inf, -math.inf
-    for g in mgraphs:
-        if g.geo is not None:
-            d = g.geo[~np.isnan(g.geo)]
-            if d.size:
-                lo, hi = min(lo, float(d.min())), max(hi, float(d.max()))
-    if lo > hi:
-        lo, hi = 0.0, 1.0
-    return DistanceBins(lo, hi, m)
+    split's graph stacks (see `stack_graphs`)."""
+    seen = np.concatenate([np.empty(0)] + [st.geo[~np.isnan(st.geo)] for st in stacks
+                                           if st.geo is not None])
+    if not seen.size:
+        return DistanceBins(0.0, 1.0, m)
+    return DistanceBins(float(seen.min()), float(seen.max()), m)
 
 
-def category_pair(cat_a, cat_b):
-    """Unordered category pair label for an edge."""
-    return (cat_a, cat_b) if cat_a <= cat_b else (cat_b, cat_a)
-
-
-def build_category_vocab(traj_graphs, categories):
-    """Observed unordered category pairs of the graphs' edges (self-loops
-    included) -> table row, index 0 reserved for the UNKNOWN pair (master
-    edges and unseen combinations). `categories` maps poi_id -> category."""
-    pairs = {category_pair(categories[a], categories[b])
-             for g in traj_graphs for a, b in g.edges}
+def build_category_vocab(stacks, row_category):
+    """Observed unordered category pairs of the stacked graphs' edges and
+    of each node with itself (its self-loop) -> table row, index 0 reserved
+    for the UNKNOWN pair (master edges and unseen combinations).
+    `row_category[r]` is the category of catalog row r."""
+    n_rows = len(row_category)
+    keys = [np.zeros(0, dtype=np.int64)]
+    for st in stacks:
+        n = st.rows.shape[1]
+        g, i, j = np.nonzero(st.adj[:, :n, :n] | np.eye(n, dtype=bool))
+        keys.append(st.rows[g, i] * n_rows + st.rows[g, j])
+    a, b = np.divmod(np.unique(np.concatenate(keys)), n_rows)
+    pairs = {tuple(sorted((row_category[x], row_category[y])))
+             for x, y in zip(a.tolist(), b.tolist())}
     return {pair: i + 1 for i, pair in enumerate(sorted(pairs))}
 
 
 @dataclass
+class GraphStack:
+    """G trajectory graphs of n base nodes each, stacked, with the readout
+    master node at index n. The master links to every base node, so hop
+    counts (edge direction ignored) have a closed form: 0 on the diagonal,
+    1 for adjacent pairs and for any pair with the master, 2 otherwise."""
+
+    members: list  # (G,) input position of each graph
+    rows: np.ndarray  # (G, n) catalog row of each base node, first-visit order
+    pos: np.ndarray  # (G, n) reverse position, 0 for synthetic nodes
+    last: list  # (G,) index of the last-visited base node
+    adj: np.ndarray  # (G, n+1, n+1) bool, direction ignored, no self-loops
+    # (G, n+1, n+1) km, NaN for the master and for missing coordinates; None
+    # when `stack_graphs` got no coordinates
+    geo: object
+
+    @property
+    def hops(self):  # (G, n+1, n+1)
+        hops = np.where(self.adj, 1, 2)
+        hops.reshape(len(hops), -1)[:, ::hops.shape[-1] + 1] = 0
+        return hops
+
+
+def stack_graphs(graphs, poi_index, coords=None):
+    """`graphs` (TrajectoryGraphs) as one `GraphStack` per node count, in
+    order of first appearance, from one Python pass over each graph's nodes
+    and edges. `poi_index` maps poi_id -> catalog row; `coords` is a (rows,
+    2) array of (lat, lon) degrees by catalog row, NaN where unknown."""
+    groups = {}
+    for k, g in enumerate(graphs):
+        groups.setdefault(len(g.nodes), []).append(k)
+    stacks = []
+    for n, members in groups.items():
+        size = n + 1
+        rows, pos, last, flat = [], [], [], []
+        for slot, k in enumerate(members):
+            g = graphs[k]
+            order = {p: i for i, p in enumerate(g.nodes)}
+            rows += [poi_index[p] for p in g.nodes]
+            steps = [g.last_step.get(p) for p in g.nodes]
+            pos += [0 if step is None else g.seq_len - step + 1 for step in steps]
+            last.append(order[g.last_node])
+            base = slot * size * size
+            flat += [base + order[a] * size + order[b] for a, b in g.edges if a != b]
+        adj = np.zeros((len(members), size, size), dtype=bool)
+        adj.reshape(-1)[flat] = True
+        adj[:, n, :n] = True  # the master row; symmetrized below
+        adj |= adj.transpose(0, 2, 1)
+        rows = np.array(rows, dtype=np.int64).reshape(-1, n)
+        geo = None
+        if coords is not None:
+            xy = np.full((len(members), size, 2), np.nan)  # the master's is NaN
+            xy[:, :n] = coords[rows]
+            geo = haversine_stack(xy)
+        stacks.append(GraphStack(members, rows, np.array(pos, dtype=np.int64).reshape(-1, n),
+                                 last, adj, geo))
+    return stacks
+
+
+@dataclass
 class EncoderPlan:
-    """What one master graph contributes to its encoder pass, with no
-    parameter in it: table rows and bias indices and weights. A plan stays
-    valid while the parameters change."""
+    """What one graph and its master node contribute to the encoder pass,
+    with no parameter in it: table rows and bias indices and weights. A plan
+    stays valid while the parameters change."""
 
     poi_rows: np.ndarray  # (n,) poi_table row of each base node
     pos_rows: np.ndarray  # (n,) `pos` row: reverse position, 0 for synthetic nodes
@@ -169,60 +225,68 @@ class GsanModel:
 
     # -- encoder plans and the stacked forward ------------------------------
 
-    def plan(self, mgraph):
-        """The parameter-free inputs of `mgraph`'s encoder pass (see
-        `EncoderPlan`). Raises NumericError when a node's reverse position
-        exceeds t_max."""
+    def plan_stacks(self, stacks):
+        """The parameter-free inputs of the encoder pass (see `EncoderPlan`)
+        of every graph in `stacks`, in input order. Raises NumericError when
+        a node's reverse position exceeds t_max, naming the first such
+        graph's largest."""
         cfg = self.config
-        g = mgraph.base
-        poi_rows = np.array([self.poi_index[p] for p in g.nodes], dtype=np.int64)
-        # reverse positions; synthetic nodes (no step) take the padding row 0
-        steps = [g.last_step.get(p) for p in g.nodes]
-        pos = [0 if step is None else g.seq_len - step + 1 for step in steps]
-        if max(pos) > cfg.t_max:
-            raise NumericError(f"position index {max(pos)} exceeds t_max={cfg.t_max}")
+        over = [(st.members[k], int(st.pos[k].max())) for st in stacks
+                for k in np.flatnonzero(st.pos.max(axis=1) > cfg.t_max)[:1]]
+        if over:
+            raise NumericError(f"position index {min(over)[1]} exceeds t_max={cfg.t_max}")
 
-        # attention bias over `mgraph.nodes` (master last): hop count,
+        # attention bias over each graph's nodes (master last): hop count,
         # interpolated distance bins and the mean category-pair score along
         # the canonical shortest path, each pair's bias a weighted sum of
         # entries of `bias_table()`
-        size = len(mgraph.nodes)
-        n = size - 1
         n_spd = self.params["b_spd"].shape[0]
         terms = 5 if cfg.use_category_bias else 3
-        idx = np.empty((terms, size, size), dtype=np.int32)
-        w = np.empty((terms, size, size), dtype=self.dtype)
-        # hop count, master pairs in their own slot
-        idx[0] = mgraph.hops
-        idx[0, n, :] = idx[0, :, n] = MASTER_HOP_ROW
-        w[0] = 1.0
-        # distance, interpolated between two boundaries of b_dist
-        dist = np.full((size, size), np.nan) if mgraph.geo is None else mgraph.geo
-        idx[1], idx[2], w[1], w[2] = self.bins.locate(dist)
-        idx[1:3] += n_spd
-        if cfg.use_category_bias:
-            # mean over the path edges: i -> mid -> j on a 2-hop path, else
-            # the edge i -> j (or i's self-loop) taken twice
-            cat = (self._category_index(mgraph, poi_rows)
-                   + (n_spd + self.params["b_dist"].shape[0]))
-            nodes = np.arange(size)
-            idx[3] = cat[nodes[:, None], mgraph.mid]
-            idx[4] = np.where(mgraph.hops == 2, cat[mgraph.mid, nodes], idx[3])
-            w[3:] = 0.5
-        return EncoderPlan(poi_rows, np.array(pos, dtype=np.int64), idx, w,
-                           g.nodes.index(g.last_node))
+        plans = [None] * sum(len(st.members) for st in stacks)
+        for st in stacks:
+            n = st.rows.shape[1]
+            hops = st.hops
+            idx = np.empty((len(hops), terms) + hops.shape[1:], dtype=np.int32)
+            w = np.empty(idx.shape, dtype=self.dtype)
+            # hop count, master pairs in their own slot
+            idx[:, 0] = hops
+            idx[:, 0, n, :] = idx[:, 0, :, n] = MASTER_HOP_ROW
+            w[:, 0] = 1.0
+            # distance, interpolated between two boundaries of b_dist
+            dist = np.full(hops.shape, np.nan) if st.geo is None else st.geo
+            idx[:, 1], idx[:, 2], w[:, 1], w[:, 2] = self.bins.locate(dist)
+            idx[:, 1:3] += n_spd
+            if cfg.use_category_bias:
+                # mean over the path edges: i -> mid -> j on a 2-hop path, else
+                # the edge i -> j (or i's self-loop) taken twice. The midpoint
+                # is the lowest-index common neighbour; the master is last, so
+                # it is picked only when no base node qualifies, and its edges
+                # take the UNKNOWN row.
+                offset = n_spd + self.params["b_dist"].shape[0]
+                cat = self._category_index(st) + offset
+                idx[:, 3] = idx[:, 4] = np.where(hops == 2, offset + UNKNOWN_PAIR_INDEX, cat)
+                base = st.adj[:, :n, :n]
+                shared = np.matmul(base, base, dtype=np.float32)  # common base neighbours
+                g, i, j = np.nonzero((hops[:, :n, :n] == 2) & (shared > 0))
+                mid = (base[g, i] & base[g, j]).argmax(axis=1)
+                idx[g, 3, i, j] = cat[g, i, mid]
+                idx[g, 4, i, j] = cat[g, mid, j]
+                w[:, 3:] = 0.5
+            for k, m in enumerate(st.members):
+                plans[m] = EncoderPlan(st.rows[k], st.pos[k], idx[k], w[k], st.last[k])
+        return plans
 
-    def _category_index(self, mgraph, poi_rows):
-        """(n+1, n+1) `cat_pairs` row of each base pair joined by an edge in
-        either direction or a self-loop, looked up from the catalog
+    def _category_index(self, stack):
+        """(G, n+1, n+1) `cat_pairs` row of each base pair joined by an edge
+        in either direction or a self-loop, looked up from the catalog
         categories of its POI rows; 0, the UNKNOWN row, elsewhere and on
         every master edge."""
-        n = len(poi_rows)
-        codes = self.category_code[poi_rows]
-        linked = mgraph.adj[:n, :n] | np.eye(n, dtype=bool)
-        out = np.zeros(mgraph.adj.shape, dtype=np.int64)
-        out[:n, :n] = np.where(linked, self.pair_row[codes[:, None], codes],
-                               UNKNOWN_PAIR_INDEX)
+        n = stack.rows.shape[1]
+        codes = self.category_code[stack.rows]
+        linked = stack.adj[:, :n, :n] | np.eye(n, dtype=bool)
+        out = np.zeros(stack.adj.shape, dtype=np.int64)
+        out[:, :n, :n] = np.where(linked, self.pair_row[codes[:, :, None], codes[:, None, :]],
+                                  UNKNOWN_PAIR_INDEX)
         return out
 
     def bias_table(self):

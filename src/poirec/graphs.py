@@ -1,6 +1,5 @@
-"""Local trajectory graphs, global temporal/spatial graphs, Haversine
-distances and the master-node augmentation with its closed-form hop
-counts."""
+"""Local trajectory graphs, global temporal/spatial graphs and Haversine
+distances."""
 
 import math
 from dataclasses import dataclass
@@ -29,6 +28,16 @@ def haversine_matrix(coords, other=None):
     orad = rad if other is None else np.radians(other)
     s = np.sin((orad - rad[:, None]) / 2) ** 2  # [i, j] = sin^2 of (dphi, dlam) / 2
     a = s[..., 0] + np.cos(rad[:, 0])[:, None] * np.cos(orad[:, 0]) * s[..., 1]
+    return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(a, 1.0)))
+
+
+def haversine_stack(coords):
+    """(G, n, n) `haversine_matrix` of each of G (n, 2) coordinate sets in a
+    (G, n, 2) array, by the same operations, so with the same bits."""
+    rad = np.radians(coords)
+    s = np.sin((rad[:, None] - rad[:, :, None]) / 2) ** 2
+    cos = np.cos(rad[..., 0])
+    a = s[..., 0] + cos[:, :, None] * cos[:, None] * s[..., 1]
     return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(a, 1.0)))
 
 
@@ -143,61 +152,6 @@ def build_global_spatial(catalog, alpha_km):
         edges.update(zip(zip(ids[rows + lo].tolist(), ids[cols + lo].tolist()),
                          dist[rows, cols].tolist()))
     return GlobalSpatialGraph(ids.tolist(), edges)
-
-
-MASTER = "__master__"
-
-
-@dataclass
-class MasterGraph:
-    """A trajectory graph plus the readout master node, last in `nodes`.
-
-    The master links to every base node, so hop counts (edge direction
-    ignored) have a closed form: 0 on the diagonal, 1 for adjacent pairs and
-    for any pair with the master, 2 otherwise. Matrices index `nodes`."""
-
-    base: TrajectoryGraph
-    nodes: list  # base nodes + MASTER (last)
-    adj: np.ndarray  # (n+1, n+1) bool, direction ignored, no self-loops
-    hops: np.ndarray  # (n+1, n+1) int hop counts
-    # (n+1, n+1) node after i on the canonical path i -> j: for a 2-hop pair
-    # its midpoint (the lowest-index common base neighbour, else the master),
-    # j itself for the other pairs
-    mid: np.ndarray
-    # (n+1, n+1) km, NaN for the master and for missing coordinates; None
-    # when add_master_node got no coordinates
-    geo: object
-
-
-def add_master_node(g, coords=None):
-    """Attach the readout master node: undirected edges to every base node,
-    the closed-form hop and midpoint matrices, and base-pair Haversine
-    distances.
-
-    `coords` maps poi_id -> (lat, lon); without it `geo` is None. Pairs
-    without a distance take the attention's master/unknown bias slot.
-    """
-    if not g.nodes:
-        raise ValueError("empty base graph")
-    n = len(g.nodes)
-    size = n + 1
-    order = {p: k for k, p in enumerate(g.nodes)}
-    # base edges without self-loops, plus the master row; symmetrized below
-    adj = np.zeros((size, size), dtype=bool)
-    adj.flat[[order[a] * size + order[b] for a, b in g.edges if a != b]
-             + list(range(n * size, n * size + n))] = True
-    adj |= adj.T
-    hops = np.where(adj, 1, 2)
-    hops.flat[::size + 1] = 0
-    # the lowest-index common neighbour is the BFS midpoint; the master is
-    # last, so it is picked only when no base node qualifies
-    common = adj[:, :, None] & adj  # [i, k, j]
-    mid = np.where(hops == 2, common.argmax(axis=1), np.arange(size))
-    geo = None
-    if coords:
-        nan = (math.nan, math.nan)  # also the master's
-        geo = haversine_matrix(np.array([coords.get(p, nan) for p in g.nodes] + [nan]))
-    return MasterGraph(g, list(g.nodes) + [MASTER], adj, hops, mid, geo)
 
 
 # -- serialization ---------------------------------------------------------

@@ -14,9 +14,10 @@ from .autodiff import Adam, NumericError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RngHub
 from .data import DataError
-from .encoder import GsanModel, build_category_vocab, fit_distance_bins
-from .graphs import (add_master_node, build_global_spatial,
-                     build_global_temporal, build_trajectory_graph)
+from .encoder import (GsanModel, build_category_vocab, fit_distance_bins,
+                      stack_graphs)
+from .graphs import (build_global_spatial, build_global_temporal,
+                     build_trajectory_graph)
 from .metrics import rank_targets, report_from_ranks
 from .pretrain import (EmbeddingTable, fuse_embeddings, node2vec_embed,
                        spatial_adjacency, temporal_adjacency)
@@ -40,7 +41,8 @@ class EpochReport:
 
 @dataclass
 class TrainSample:
-    mgraph: object
+    graph: object  # TrajectoryGraph of the prefix, the source of its views
+    plan: object  # EncoderPlan of `graph`
     target: str  # poi_id
 
 
@@ -85,28 +87,27 @@ class Trainer:
         self.config = config
         self.hub = RngHub(config.seed)
         self.categories = {p.poi_id: p.category_id for p in split.catalog}
-        self.coords = {p.poi_id: (p.lat, p.lon) for p in split.catalog}
+        catalog = sorted(split.catalog, key=lambda p: p.poi_id)
+        # (lat, lon) by catalog row, the row order of the model's tables
+        self.coords = np.array([(p.lat, p.lon) for p in catalog], dtype=np.float64)
 
         self.gt_graph = build_global_temporal(split.train, config.n_neighbors,
                                               catalog=split.catalog)
-        self.samples = self._build_samples()
-        self.cat_vocab = build_category_vocab([s.mgraph.base for s in self.samples],
-                                              self.categories)
-        self.bins = fit_distance_bins([s.mgraph for s in self.samples], config.m_bins)
+        graphs, targets = self._prefix_graphs()
+        stacks = stack_graphs(graphs, {pid: i for i, pid in enumerate(catalog_ids)},
+                              self.coords)
+        self.cat_vocab = build_category_vocab(stacks, [p.category_id for p in catalog])
+        self.bins = fit_distance_bins(stacks, config.m_bins)
 
         poi_init = None if config.from_scratch else fused_table
         self.model = GsanModel(split.catalog, self.gt_graph, self.cat_vocab,
                                self.bins, config, self.hub.stream("init"),
                                poi_init=poi_init, dtype=dtype)
-        if spatial_table is None or temporal_table is None:
-            # augmentation still needs a correlation index; fall back to the
-            # model's (possibly random) initial POI vectors for both modes
-            base = EmbeddingTable(self.model.poi_ids,
-                                  self.model.params["poi_table"].data.copy())
-            spatial_table = spatial_table or base
-            temporal_table = temporal_table or base
-        self.corr_index = CorrelationIndex(spatial_table, temporal_table,
-                                           top=config.correlation_top)
+        self.samples = [TrainSample(*sample) for sample in
+                        zip(graphs, self.model.plan_stacks(stacks), targets)]
+        # no view is drawn without the contrastive term, so no index is needed
+        self.corr_index = (self.correlation_index(spatial_table, temporal_table)
+                           if config.lam != 0 else None)
         self.optimizer = Adam(self.model.trainable(), lr=config.lr)
         self.aug_rng = self.hub.stream("augmentation")
         self.batch_rng = self.hub.stream("batching")
@@ -117,8 +118,9 @@ class Trainer:
 
     # -- data --------------------------------------------------------------
 
-    def _build_samples(self):
-        samples = []
+    def _prefix_graphs(self):
+        """The trajectory graph of each training prefix, and its target."""
+        graphs, targets = [], []
         cfg = self.config
         for traj in self.split.train:
             if len(traj) < 2:
@@ -126,10 +128,26 @@ class Trainer:
             cut_points = range(2, len(traj) + 1) if cfg.all_prefix else [len(traj)]
             for cut in cut_points:
                 prefix = type(traj)(traj.user_id, traj.checkins[:cut - 1])
-                samples.append(TrainSample(
-                    add_master_node(build_trajectory_graph(prefix), self.coords),
-                    traj.checkins[cut - 1].poi_id))
-        return samples
+                graphs.append(build_trajectory_graph(prefix))
+                targets.append(traj.checkins[cut - 1].poi_id)
+        return graphs, targets
+
+    def correlation_index(self, spatial_table=None, temporal_table=None):
+        """The `CorrelationIndex` augmentation draws from. A missing table
+        falls back to the model's current (at set-up, its possibly random
+        initial) POI vectors, for both modes."""
+        if spatial_table is None or temporal_table is None:
+            base = EmbeddingTable(self.model.poi_ids,
+                                  self.model.params["poi_table"].data.copy())
+            spatial_table = spatial_table or base
+            temporal_table = temporal_table or base
+        return CorrelationIndex(spatial_table, temporal_table,
+                                top=self.config.correlation_top)
+
+    def _plans(self, graphs):
+        """The encoder plans of a list of trajectory graphs."""
+        return self.model.plan_stacks(stack_graphs(graphs, self.model.poi_index,
+                                                   self.coords))
 
     # -- training ----------------------------------------------------------
 
@@ -138,13 +156,12 @@ class Trainer:
         `encode_plans` call. Its rows are the B samples, then, with the
         contrastive term, view a and view b of each sample."""
         cfg = self.config
-        plans = [self.model.plan(sample.mgraph) for sample in batch]
+        plans = [sample.plan for sample in batch]
         contrast = cfg.lam != 0 and len(batch) >= 2
         if contrast:
-            pairs = [make_views(sample.mgraph.base, cfg, self.corr_index, self.aug_rng,
+            pairs = [make_views(sample.graph, cfg, self.corr_index, self.aug_rng,
                                 self.categories) for sample in batch]
-            plans += [self.model.plan(add_master_node(view, self.coords))
-                      for view in ([p.view_a for p in pairs] + [p.view_b for p in pairs])]
+            plans += self._plans([p.view_a for p in pairs] + [p.view_b for p in pairs])
         s_u = self.model.encode_plans(plans)
         n = len(batch)
         rows = [ad.gather_rows(s_u, np.arange(lo, lo + n)) for lo in range(0, len(plans), n)]
@@ -213,11 +230,11 @@ class Trainer:
 
     def rank_pairs(self, pairs):
         """Full-catalog rank of each (prefix, target) pair's target: all
-        prefixes through one `encode_plans`, one (B, P) logit matrix."""
+        prefixes planned in one call and encoded in one `encode_plans`, one
+        (B, P) logit matrix."""
         if not pairs:
             return []
-        plans = [self.model.plan(add_master_node(build_trajectory_graph(prefix), self.coords))
-                 for prefix, _ in pairs]
+        plans = self._plans([build_trajectory_graph(prefix) for prefix, _ in pairs])
         with ad.no_grad():
             logits = self.model.predict(self.model.encode_plans(plans)).data
         return rank_targets(logits, self.model.poi_ids, [t.poi_id for _, t in pairs])

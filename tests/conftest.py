@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,6 +8,7 @@ from poirec.augment import (CorrelationIndex, correlated_insertion,
                             correlated_substitute, node_dropout)
 from poirec.config import RunConfig
 from poirec.data import CheckIn, Trajectory
+from poirec.encoder import build_category_vocab, stack_graphs
 from poirec.graphs import build_trajectory_graph
 from poirec.pretrain import EmbeddingTable
 
@@ -43,6 +46,46 @@ def augmented_graphs(rng, count, cats=None):
             out.append(correlated_insertion(g, 2, index, mode, rng, cats))
         out.append(correlated_substitute(g, 2, index, rng, cats))
     return out
+
+
+def row_coords(poi_ids, coords):
+    """(rows, 2) (lat, lon) by catalog row from a poi_id -> (lat, lon) dict,
+    NaN where it has none; None for no dict."""
+    if coords is None:
+        return None
+    nan = (math.nan, math.nan)
+    return np.array([coords.get(p, nan) for p in poi_ids], dtype=np.float64).reshape(-1, 2)
+
+
+def stacks(graphs, poi_ids, coords=None):
+    """`stack_graphs` over a catalog of the sorted `poi_ids`, with coordinates
+    given as a poi_id -> (lat, lon) dict."""
+    return stack_graphs(graphs, {p: i for i, p in enumerate(poi_ids)},
+                        row_coords(poi_ids, coords))
+
+
+def stacked(graphs, poi_ids, coords=None):
+    """(hops, adj, geo) of each graph's master graph in input order, from one
+    `stack_graphs` call; geo is None without coordinates."""
+    out = [None] * len(graphs)
+    for st in stacks(graphs, poi_ids, coords):
+        hops = st.hops
+        for k, m in enumerate(st.members):
+            out[m] = (hops[k], st.adj[k], None if st.geo is None else st.geo[k])
+    return out
+
+
+def builder_plans(model, graphs, coords=None):
+    """The plans of `graphs` from one builder call, with coordinates given as
+    a poi_id -> (lat, lon) dict."""
+    return model.plan_stacks(stacks(graphs, model.poi_ids, coords))
+
+
+def category_vocab(graphs, cats):
+    """`build_category_vocab` of `graphs` over a catalog of the POIs of
+    `cats` (poi_id -> category)."""
+    ids = sorted(cats)
+    return build_category_vocab(stacks(graphs, ids), [cats[p] for p in ids])
 
 
 @pytest.fixture

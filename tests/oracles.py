@@ -1,7 +1,8 @@
 """Reference implementations the tests check the program against: BFS hop
-counts and connectivity of plain graphs, the per-pair BFS and loop forms of
-the master-graph structure and of the attention bias, the per-graph
-encoder, the sorted-row correlation ranking, the catalog-loop target rank,
+counts and connectivity of plain graphs, the master graph and encoder plan
+built one graph at a time, the per-edge category vocabulary, the per-pair
+BFS and loop forms of the master-graph structure and of the attention bias,
+the per-graph encoder, the sorted-row correlation ranking, the catalog-loop target rank,
 the clamped softmax loss chain, the per-step node2vec walks and per-update
 skip-gram, the scalar spatial-graph scan and the per-edge spatial
 adjacency, the check-in line parsers with one `strptime` per line, plus
@@ -9,16 +10,19 @@ small autodiff compositions used only by tests."""
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from poirec import autodiff as ad
 from poirec.data import UNKNOWN_CATEGORY, CheckIn, DataError
-from poirec.graphs import EARTH_RADIUS_KM, MASTER, haversine
+from poirec.encoder import MASTER_HOP_ROW, EncoderPlan
+from poirec.graphs import EARTH_RADIUS_KM, haversine, haversine_matrix
 from poirec.pretrain import EmbeddingTable
 
 UNKNOWN_PAIR_INDEX = 0
+MASTER = "__master__"
 
 
 # -- autodiff compositions -------------------------------------------------
@@ -97,6 +101,114 @@ def is_connected(g):
                 seen.add(nb)
                 queue.append(nb)
     return len(seen) == len(g.nodes)
+
+
+# -- master graph and encoder plan, one graph at a time --------------------
+
+
+@dataclass
+class MasterGraph:
+    """A trajectory graph plus the readout master node, last in `nodes`.
+
+    The master links to every base node, so hop counts (edge direction
+    ignored) have a closed form: 0 on the diagonal, 1 for adjacent pairs and
+    for any pair with the master, 2 otherwise. Matrices index `nodes`."""
+
+    base: object  # TrajectoryGraph
+    nodes: list  # base nodes + MASTER (last)
+    adj: np.ndarray  # (n+1, n+1) bool, direction ignored, no self-loops
+    hops: np.ndarray  # (n+1, n+1) int hop counts
+    # (n+1, n+1) node after i on the canonical path i -> j: for a 2-hop pair
+    # its midpoint (the lowest-index common base neighbour, else the master),
+    # j itself for the other pairs
+    mid: np.ndarray
+    # (n+1, n+1) km, NaN for the master and for missing coordinates; None
+    # when add_master_node got no coordinates
+    geo: object
+    coords: object  # the poi_id -> (lat, lon) dict it was built with, or None
+
+
+def add_master_node(g, coords=None):
+    """Attach the readout master node: undirected edges to every base node,
+    the closed-form hop and midpoint matrices, and base-pair Haversine
+    distances. `coords` maps poi_id -> (lat, lon); without it `geo` is
+    None."""
+    if not g.nodes:
+        raise ValueError("empty base graph")
+    n = len(g.nodes)
+    size = n + 1
+    order = {p: k for k, p in enumerate(g.nodes)}
+    adj = np.zeros((size, size), dtype=bool)
+    adj.flat[[order[a] * size + order[b] for a, b in g.edges if a != b]
+             + list(range(n * size, n * size + n))] = True
+    adj |= adj.T
+    hops = np.where(adj, 1, 2)
+    hops.flat[::size + 1] = 0
+    common = adj[:, :, None] & adj  # [i, k, j]
+    mid = np.where(hops == 2, common.argmax(axis=1), np.arange(size))
+    geo = None
+    if coords:
+        nan = (math.nan, math.nan)  # also the master's
+        geo = haversine_matrix(np.array([coords.get(p, nan) for p in g.nodes] + [nan]))
+    return MasterGraph(g, list(g.nodes) + [MASTER], adj, hops, mid, geo, coords)
+
+
+def category_index(model, mgraph, poi_rows):
+    """(n+1, n+1) `cat_pairs` row of each base pair of `mgraph` joined by an
+    edge in either direction or a self-loop, from the catalog categories of
+    its POI rows; 0, the UNKNOWN row, elsewhere and on every master edge."""
+    n = len(poi_rows)
+    codes = model.category_code[poi_rows]
+    linked = mgraph.adj[:n, :n] | np.eye(n, dtype=bool)
+    out = np.zeros(mgraph.adj.shape, dtype=np.int64)
+    out[:n, :n] = np.where(linked, model.pair_row[codes[:, None], codes],
+                           UNKNOWN_PAIR_INDEX)
+    return out
+
+
+def plan(model, mgraph):
+    """The `EncoderPlan` of one master graph, built on its own matrices."""
+    cfg = model.config
+    g = mgraph.base
+    poi_rows = np.array([model.poi_index[p] for p in g.nodes], dtype=np.int64)
+    steps = [g.last_step.get(p) for p in g.nodes]
+    pos = [0 if step is None else g.seq_len - step + 1 for step in steps]
+    if max(pos) > cfg.t_max:
+        raise ad.NumericError(f"position index {max(pos)} exceeds t_max={cfg.t_max}")
+    size = len(mgraph.nodes)
+    n = size - 1
+    n_spd = model.params["b_spd"].shape[0]
+    terms = 5 if cfg.use_category_bias else 3
+    idx = np.empty((terms, size, size), dtype=np.int32)
+    w = np.empty((terms, size, size), dtype=model.dtype)
+    idx[0] = mgraph.hops
+    idx[0, n, :] = idx[0, :, n] = MASTER_HOP_ROW
+    w[0] = 1.0
+    dist = np.full((size, size), np.nan) if mgraph.geo is None else mgraph.geo
+    idx[1], idx[2], w[1], w[2] = model.bins.locate(dist)
+    idx[1:3] += n_spd
+    if cfg.use_category_bias:
+        cat = (category_index(model, mgraph, poi_rows)
+               + (n_spd + model.params["b_dist"].shape[0]))
+        nodes = np.arange(size)
+        idx[3] = cat[nodes[:, None], mgraph.mid]
+        idx[4] = np.where(mgraph.hops == 2, cat[mgraph.mid, nodes], idx[3])
+        w[3:] = 0.5
+    return EncoderPlan(poi_rows, np.array(pos, dtype=np.int64), idx, w,
+                       g.nodes.index(g.last_node))
+
+
+def category_pair(cat_a, cat_b):
+    """Unordered category pair label for an edge."""
+    return (cat_a, cat_b) if cat_a <= cat_b else (cat_b, cat_a)
+
+
+def category_vocab(graphs, categories):
+    """Category-pair vocabulary read off the graphs' edges (self-loops
+    included); `categories` maps poi_id -> category."""
+    pairs = {category_pair(categories[a], categories[b])
+             for g in graphs for a, b in g.edges}
+    return {pair: i + 1 for i, pair in enumerate(sorted(pairs))}
 
 
 # -- master graph by BFS ---------------------------------------------------
@@ -281,7 +393,7 @@ def gather_bias(model, mgraph):
     idx[1:3] += tables[0].shape[0]
     if cfg.use_category_bias:
         rows = [model.poi_index[p] for p in mgraph.base.nodes]
-        cat = model._category_index(mgraph, rows) + (tables[0].shape[0] + tables[1].shape[0])
+        cat = category_index(model, mgraph, rows) + (tables[0].shape[0] + tables[1].shape[0])
         tables.append(ad.matmul(model.params["cat_pairs"], model.params["w_r"]))
         nodes = np.arange(size)
         idx[3] = cat[nodes[:, None], mgraph.mid]

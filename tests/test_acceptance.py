@@ -16,14 +16,14 @@ from poirec.autodiff import Tensor
 from poirec.cli import main
 from poirec.config import RunConfig
 from poirec.data import Poi, save_split
-from poirec.encoder import GsanModel, build_category_vocab, fit_distance_bins
-from poirec.graphs import (add_master_node, build_global_temporal,
+from poirec.encoder import GsanModel, fit_distance_bins
+from poirec.graphs import (TrajectoryGraph, build_global_temporal,
                            build_trajectory_graph, haversine)
 from poirec.metrics import hit_rate, ndcg, rank_targets
 from poirec.pretrain import EmbeddingTable
 from poirec.training import Trainer, pretrain_tables, total_loss
-from conftest import make_traj
-from oracles import adjacency_from_pairs, all_pairs_spd, is_connected
+from conftest import builder_plans, category_vocab, make_traj, stacked, stacks
+from gradcheck import grad_check
 from synth import markov_dataset
 
 
@@ -56,10 +56,9 @@ def test_criterion_1_gradient_integrity():
                        coords=coords),
              make_traj(["p5", "p3", "p1", "p0"], categories=cmap, coords=coords)]
     graphs = [build_trajectory_graph(t) for t in trajs]
-    mgraphs = [add_master_node(g, coords) for g in graphs]
     gt = build_global_temporal(trajs, 5, catalog=catalog)
-    vocab = build_category_vocab(graphs, cmap)
-    bins = fit_distance_bins(mgraphs, cfg.m_bins)
+    vocab = category_vocab(graphs, cmap)
+    bins = fit_distance_bins(stacks(graphs, sorted(cmap), coords), cfg.m_bins)
     model = GsanModel(catalog, gt, vocab, bins, cfg,
                       np.random.default_rng(3), dtype=np.float64)
 
@@ -74,11 +73,11 @@ def test_criterion_1_gradient_integrity():
         b = correlated_substitute(correlated_insertion(g, 1, index, "spatial",
                                                        rng, cmap),
                                   1, index, rng, cmap)
-        views.append((add_master_node(a, coords),
-                      add_master_node(b, coords)))
+        views.append((a, b))
     targets = ["p4", "p2"]
     # as in training: the samples, then view a and view b of each, in one call
-    plans = [model.plan(mg) for mg in mgraphs + [a for a, _ in views] + [b for _, b in views]]
+    plans = builder_plans(model, graphs + [a for a, _ in views] + [b for _, b in views],
+                          coords)
 
     def f():
         s_u = model.encode_plans(plans)
@@ -86,7 +85,7 @@ def test_criterion_1_gradient_integrity():
         ssl = infonce(ad.gather_rows(s_u, [2, 3]), ad.gather_rows(s_u, [4, 5]), tau=cfg.tau)
         return total_loss(rec, ssl, model, cfg.lam, cfg.gamma)
 
-    errors = ad.grad_check(f, model.params, eps=1e-5)
+    errors = grad_check(f, model.params, eps=1e-5)
     worst = max(errors.values())
     elapsed = time.time() - start
     ok = worst <= 1e-4 and elapsed < 60
@@ -111,16 +110,22 @@ def test_criterion_2_attention_normalization():
 
 
 def test_criterion_3_spd_matches_floyd_warshall():
+    """The builder's hop counts equal Floyd-Warshall shortest paths over the
+    base edges, direction ignored, plus the master node's edges."""
     rng = np.random.default_rng(23)
-    mismatches = 0
+    graphs, pair_sets = [], []
     for _ in range(200):
         n = int(rng.integers(2, 21))
         nodes = [f"v{i}" for i in range(n)]
         pairs = {(nodes[i], nodes[j]) for i in range(n)
                  for j in range(i + 1, n) if rng.random() < 0.25}
-        cap = 25
-        spd = all_pairs_spd(nodes, adjacency_from_pairs(nodes, pairs), cap)
-
+        graphs.append(TrajectoryGraph(nodes, pairs | {(v, v) for v in nodes},
+                                      {v: i + 1 for i, v in enumerate(nodes)}, nodes[-1], n))
+        pair_sets.append(pairs | {(v, "master") for v in nodes})
+    mismatches = 0
+    for g, pairs, (hops, _, _) in zip(graphs, pair_sets,
+                                      stacked(graphs, [f"v{i}" for i in range(20)])):
+        nodes = g.nodes + ["master"]
         INF = 10**9
         dist = {(a, b): 0 if a == b else INF for a in nodes for b in nodes}
         for (a, b) in pairs:
@@ -129,8 +134,8 @@ def test_criterion_3_spd_matches_floyd_warshall():
             alt = dist[(i, k)] + dist[(k, j)]
             if alt < dist[(i, j)]:
                 dist[(i, j)] = alt
-        mismatches += sum(1 for key, hops in spd.items()
-                          if hops != min(dist[key], cap))
+        mismatches += sum(hops[a, b] != dist[(i, j)] for a, i in enumerate(nodes)
+                          for b, j in enumerate(nodes))
     ok = mismatches == 0
     assert verdict(3, ok, f"{mismatches} mismatches over 200 graphs")
 
@@ -151,7 +156,7 @@ def test_criterion_5_master_node_property():
     table = EmbeddingTable(sorted(cats),
                            rng.normal(size=(len(cats), 4)).astype(np.float32))
     index = CorrelationIndex(table, table, top=10)
-    violations = 0
+    graphs = []
     for _ in range(100):
         g, _ = random_traj_graph(rng)
         op = int(rng.integers(3))
@@ -163,11 +168,13 @@ def test_criterion_5_master_node_property():
                                      rng, cats)
         else:
             g = correlated_substitute(g, 2, index, rng, cats)
-        mg = add_master_node(g)
-        master = np.zeros(mg.hops.shape, dtype=bool)
+        graphs.append(g)
+    violations = 0
+    for hops, _, _ in stacked(graphs, sorted(cats)):
+        master = np.zeros(hops.shape, dtype=bool)
         master[-1, :] = master[:, -1] = True
         np.fill_diagonal(master, False)
-        violations += int(((mg.hops > 2) | (master & (mg.hops != 1))).sum())
+        violations += int(((hops > 2) | (master & (hops != 1))).sum())
     ok = violations == 0
     assert verdict(5, ok, f"{violations} violations over 100 graphs")
 
@@ -255,7 +262,7 @@ def test_criterion_9_augmentation_safety():
     table = EmbeddingTable(sorted(catalog_ids),
                            rng.normal(size=(len(catalog_ids), 4)).astype(np.float32))
     index = CorrelationIndex(table, table, top=10)
-    bad = 0
+    bad, safe = 0, []
     for trial in range(10_000):
         g, _ = random_traj_graph(rng, n_pool=pool)
         op = trial % 3
@@ -267,9 +274,13 @@ def test_criterion_9_augmentation_safety():
                                        rng, cats)
         else:
             out = correlated_substitute(g, 2, index, rng, cats)
-        if not (is_connected(out) and out.last_node in out.nodes
-                and set(out.nodes) <= catalog_ids):
+        if out.last_node in out.nodes and set(out.nodes) <= catalog_ids:
+            safe.append(out)
+        else:
             bad += 1
+    # connectivity, edge direction ignored, from the builder's adjacency
+    for st in stacks(safe, sorted(catalog_ids)):
+        bad += int((~connected(st.adj[:, :-1, :-1])).sum())
 
     g, _ = random_traj_graph(rng, n_pool=pool)
     ident_drop = node_dropout(g, 0.0, rng)
@@ -278,6 +289,15 @@ def test_criterion_9_augmentation_safety():
                   and ident_ins.nodes == g.nodes and ident_ins.edges == g.edges)
     ok = bad == 0 and identities
     assert verdict(9, ok, f"{bad} unsafe outputs / 10000, identities={identities}")
+
+
+def connected(adj):
+    """Whether the graph of each (n, n) adjacency of a (G, n, n) stack is one
+    component: reachability by repeated squaring."""
+    reach = (adj | np.eye(adj.shape[-1], dtype=bool)).astype(np.float32)
+    for _ in range((adj.shape[-1] - 1).bit_length()):  # paths of n - 1 edges
+        reach = (reach @ reach > 0).astype(np.float32)
+    return (reach[:, 0] > 0).all(axis=-1)
 
 
 def test_criterion_10_ssl_benefit_soft():

@@ -5,10 +5,9 @@ from poirec.augment import (CorrelationIndex, auto_insert_count,
                             correlated_insertion, correlated_substitute,
                             infonce, make_views, node_dropout)
 from poirec.autodiff import ShapeError, Tensor
-from poirec.encoder import build_category_vocab
 from poirec.graphs import build_trajectory_graph
 from poirec.pretrain import EmbeddingTable
-from conftest import make_traj
+from conftest import category_vocab, make_traj
 import oracles
 
 CATS = {p: f"cat_{p}" for p in
@@ -134,7 +133,7 @@ class TestNodeDropout:
             out = node_dropout(g, 0.5, rng)
             if set(out.nodes) == {"a", "c"}:
                 assert ("a", "c") in out.edges
-                assert set(build_category_vocab([out], CATS)) == {
+                assert set(category_vocab([out], CATS)) == {
                     (CATS["a"], CATS["a"]), tuple(sorted((CATS["a"], CATS["c"]))),
                     (CATS["c"], CATS["c"])}
                 return
@@ -234,7 +233,7 @@ class TestSubstitution:
             out = correlated_substitute(g, 1, idx, np.random.default_rng(seed), CATS)
             if "x" in out.nodes and "b" not in out.nodes:
                 assert ("a", "x") in out.edges and ("x", "c") in out.edges
-                assert set(build_category_vocab([out], CATS)) == {
+                assert set(category_vocab([out], CATS)) == {
                     (CATS[p], CATS[p]) for p in "axc"} | {
                     tuple(sorted((CATS["a"], CATS["x"]))),
                     tuple(sorted((CATS["x"], CATS["c"])))}
@@ -261,7 +260,7 @@ class TestSubstitution:
         assert len(out.nodes) == 4
         # every edge joins two catalog POIs of the view, so its label exists
         assert {p for e in out.edges for p in e} == set(out.nodes) <= set(CATS)
-        assert set(build_category_vocab([out], CATS)) == {
+        assert set(category_vocab([out], CATS)) == {
             tuple(sorted((CATS[a], CATS[b]))) for a, b in out.edges}
 
 

@@ -251,6 +251,37 @@ class TestTrainEvaluate:
         assert code == 3
         assert "checkpoint tensor param.poi_table has shape (12, 8)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        ([], "was trained with lam=0.7, but this run has lam=0.1"),
+        (["--lam", "0.7", "--seed", "3"], "was trained with seed=0, but this run has seed=3"),
+    ], ids=["lam-dropped", "seed-changed"])
+    def test_resume_with_changed_config_exit_3(self, data_dir, tmp_path, capsys, flags,
+                                               message):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--out", str(run), "--from-scratch",
+                     "--epochs", "1", "--lam", "0.7"] + TINY) == 0
+        saved = (run / "checkpoint.bin").read_bytes()
+        capsys.readouterr()
+        code = main(["train", "--data", str(data_dir), "--out", str(run), "--from-scratch",
+                     "--epochs", "2", "--resume"] + flags + TINY)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"checkpoint {run / 'checkpoint.bin'} {message}" in err
+        assert "may change only epochs and patience" in err
+        assert (run / "checkpoint.bin").read_bytes() == saved
+
+    def test_resume_with_more_epochs(self, data_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--out", str(run), "--from-scratch",
+                     "--epochs", "1", "--lam", "0.7"] + TINY) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(data_dir), "--out", str(run), "--from-scratch",
+                     "--epochs", "3", "--patience", "9", "--lam", "0.7", "--resume"]
+                    + TINY) == 0
+        assert "resumed from epoch 1" in capsys.readouterr().out
+        reports = [json.loads(line) for line in (run / "report.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in reports] == [1, 2, 3]
+
     @staticmethod
     def trained_run(data_dir, run, capsys):
         assert main(["train", "--data", str(data_dir), "--out", str(run),
@@ -416,6 +447,17 @@ class TestSweepAndDebug:
         out = capsys.readouterr().out
         assert "--- source" in out
         assert "node_dropout" in out and "correlated_substitute" in out
+
+    def test_augment_debug_without_contrastive_term(self, data_dir, capsys):
+        # at lam = 0 training builds no correlation index; the command builds
+        # its own, from the same initial POI vectors
+        outs = []
+        for lam in ("0.0", "0.1"):
+            assert main(["augment-debug", "--data", str(data_dir), "--traj-index", "0",
+                         "--lam", lam] + TINY) == 0
+            outs.append(capsys.readouterr().out)
+        assert "correlated_insertion(k=1, spatial)" in outs[0]
+        assert outs[0] == outs[1]
 
     def test_augment_debug_bad_index_exit_3(self, data_dir, capsys):
         code = main(["augment-debug", "--data", str(data_dir),

@@ -6,13 +6,14 @@ import pytest
 from poirec import autodiff as ad
 from poirec.autodiff import NumericError, Tensor
 from poirec.data import Poi
-from poirec.encoder import (DistanceBins, GsanModel, build_category_vocab,
-                            category_pair, fit_distance_bins)
-from poirec.graphs import (MASTER, add_master_node, build_global_temporal,
+from poirec.encoder import DistanceBins, GsanModel, fit_distance_bins
+from poirec.graphs import (TrajectoryGraph, build_global_temporal,
                            build_trajectory_graph, haversine)
-from oracles import category_bias, locate_scalar, master_paths, path_pair_indices
+from gradcheck import grad_check
+from oracles import (MASTER, add_master_node, category_bias, category_pair,
+                     locate_scalar, master_paths, path_pair_indices)
 import oracles
-from conftest import augmented_graphs, make_traj
+from conftest import augmented_graphs, builder_plans, category_vocab, make_traj, stacks
 
 
 def grid_catalog(n=6):
@@ -33,28 +34,43 @@ def small_model(config, seq=("p0", "p1", "p2", "p0", "p3"), dtype=np.float64,
     g = build_trajectory_graph(traj)
     mg = add_master_node(g, coords)
     gt = build_global_temporal([traj], config.n_neighbors, catalog=catalog)
-    vocab = build_category_vocab([g], cats)
-    bins = fit_distance_bins([mg], config.m_bins)
+    vocab = category_vocab([g], cats)
+    bins = fit_distance_bins(stacks([g], sorted(cats), coords), config.m_bins)
     model = GsanModel(catalog, gt, vocab, bins, config,
                       np.random.default_rng(seed), dtype=dtype)
     return model, mg, catalog
 
 
+def plan_of(model, mg):
+    """The builder's plan of the reference master graph `mg`'s base graph,
+    with the coordinates `mg` was built with."""
+    return builder_plans(model, [mg.base], mg.coords)[0]
+
+
 def encode(model, mg):
     """s_u (1, d) of one graph through the encoder forward."""
-    return model.encode_plans([model.plan(mg)])
+    return model.encode_plans([plan_of(model, mg)])
 
 
 def features(model, mg):
     """(n+1, d) node features of one graph from the encoder forward."""
-    x = model._features([model.plan(mg)])
+    x = model._features([plan_of(model, mg)])
     return ad.reshape(x, x.shape[1:])
+
+
+def bias_of(model, plan):
+    """(n+1, n+1) attention bias of one plan."""
+    return ad.gather_sum(model.bias_table(), plan.bias_idx, plan.bias_w)
 
 
 def plan_bias(model, mg):
     """(n+1, n+1) attention bias of one graph from its plan."""
-    plan = model.plan(mg)
-    return ad.gather_sum(model.bias_table(), plan.bias_idx, plan.bias_w)
+    return bias_of(model, plan_of(model, mg))
+
+
+def boundaries(bins):
+    """The m + 1 equally spaced bin boundaries of `bins`."""
+    return np.linspace(bins.min_dist, bins.max_dist, bins.m + 1)
 
 
 def distance_bias(dist, bins, values):
@@ -84,7 +100,7 @@ class TestDistanceBias:
     def test_matches_bruteforce_interpolation(self, rng):
         bins = DistanceBins(0.0, 10.0, 20)
         values = rng.normal(size=21)
-        bounds = bins.boundaries
+        bounds = boundaries(bins)
         for dist in rng.uniform(0, 10, size=50):
             k = min(int(dist / 0.5), 19)
             lo, hi = bounds[k], bounds[k + 1]
@@ -96,7 +112,7 @@ class TestDistanceBias:
     def test_locate_matches_scalar_oracle(self, bins, rng):
         """Same weight on every boundary as the scalar oracle; NaN goes to
         the master/unknown slot m + 1."""
-        dists = np.concatenate([rng.uniform(-1, 12, size=200), bins.boundaries,
+        dists = np.concatenate([rng.uniform(-1, 12, size=200), boundaries(bins),
                                 [bins.min_dist, bins.max_dist, np.nan]])
         lo, hi, w_lo, w_hi = bins.locate(dists.reshape(1, -1))
         for got, dist in zip(zip(lo.ravel(), hi.ravel(), w_lo.ravel(), w_hi.ravel()), dists):
@@ -111,15 +127,15 @@ class TestDistanceBias:
             assert np.allclose(dense[0], dense[1], rtol=0, atol=1e-12), dist
 
     def test_fit_bins_covers_observed_range(self, tiny_config):
-        _, mg, _ = small_model(tiny_config)
-        bins = fit_distance_bins([mg], 4)
+        model, mg, _ = small_model(tiny_config)
+        bins = fit_distance_bins(stacks([mg.base], model.poi_ids, mg.coords), 4)
         dists = mg.geo[~np.isnan(mg.geo)]
         assert bins.min_dist == dists.min() and bins.max_dist == dists.max()
 
     def test_fit_bins_skip_missing_coordinates(self):
         g = build_trajectory_graph(make_traj(["a", "b", "c"]))
         coords = {"a": (0.0, 0.0), "b": (0.0, 1.0)}
-        bins = fit_distance_bins([add_master_node(g, coords), add_master_node(g)], 4)
+        bins = fit_distance_bins(stacks([g], g.nodes, coords) + stacks([g], g.nodes), 4)
         assert bins.min_dist == 0.0
         assert bins.max_dist == pytest.approx(haversine(*coords["a"], *coords["b"]))
 
@@ -149,7 +165,7 @@ class TestCategoryBias:
         g = build_trajectory_graph(make_traj(["a", "b", "c"], categories=cats))
         g.edges.discard(("a", "c"))
         mg = add_master_node(g)
-        vocab = build_category_vocab([g], cats)
+        vocab = category_vocab([g], cats)
         d = 1
         table = np.zeros((len(vocab) + 1, d))
         table[vocab[("ca", "cb")]] = [0.2]
@@ -187,10 +203,10 @@ class TestBiasMatrixOracle:
         gt = build_global_temporal([], config.n_neighbors, catalog=catalog)
         # fit the vocabulary on the graphs without a c3 node, so every pair
         # with c3 is UNKNOWN
-        vocab = build_category_vocab(
+        vocab = category_vocab(
             [g for g in graphs if all(cats[p] != "c3" for p in g.nodes)], cats)
-        model = GsanModel(catalog, gt, vocab, fit_distance_bins(mgraphs[::3], config.m_bins),
-                          config, rng, dtype=np.float64)
+        bins = fit_distance_bins(stacks(graphs[::3], sorted(cats), coords), config.m_bins)
+        model = GsanModel(catalog, gt, vocab, bins, config, rng, dtype=np.float64)
         for p in model.params.values():
             p.data = rng.normal(size=p.data.shape)
         return model, mgraphs, coords
@@ -204,10 +220,11 @@ class TestBiasMatrixOracle:
     def test_matches_loop_oracle(self, tiny_config, rng, coords_for, use_category_bias):
         cfg = tiny_config.override(use_category_bias=use_category_bias)
         model, mgraphs, coords = self.build(cfg, coords_for, rng)
+        plans = builder_plans(model, [mg.base for mg in mgraphs], coords)
         unknown = 0
-        for mg in mgraphs:
+        for mg, plan in zip(mgraphs, plans):
             expected = oracles.bias_matrix(model, mg, coords, self.CATS)
-            assert np.allclose(plan_bias(model, mg).data, expected, rtol=0, atol=1e-9)
+            assert np.allclose(bias_of(model, plan).data, expected, rtol=0, atol=1e-9)
             unknown += sum(category_pair(self.CATS[a], self.CATS[b]) not in model.cat_vocab
                            for a, b in mg.base.edges)
         assert unknown  # some base edges take the UNKNOWN row
@@ -233,22 +250,23 @@ class TestCategoryIndex:
     def test_matches_oracle_on_augmented_graphs(self, tiny_config, rng):
         model, mgraphs, _ = TestBiasMatrixOracle.build(tiny_config, lambda c: c, rng)
         one_way = 0
-        for mg in mgraphs:
-            got = model._category_index(mg, model.plan(mg).poi_rows)
-            want = [[oracles.pair_index(model.cat_vocab, TestBiasMatrixOracle.CATS,
-                                        mg.base, u, w) for w in mg.nodes] for u in mg.nodes]
-            assert got.tolist() == want
-            one_way += sum((b, a) not in mg.base.edges for a, b in mg.base.edges)
+        for st in stacks([mg.base for mg in mgraphs], model.poi_ids):
+            for got, m in zip(model._category_index(st), st.members):
+                mg = mgraphs[m]
+                want = [[oracles.pair_index(model.cat_vocab, TestBiasMatrixOracle.CATS,
+                                            mg.base, u, w) for w in mg.nodes] for u in mg.nodes]
+                assert got.tolist() == want
+                one_way += sum((b, a) not in mg.base.edges for a, b in mg.base.edges)
         assert one_way  # some labels are read against their edge's direction
 
     def test_unseen_pair_maps_to_unknown_row(self, tiny_config):
         # the vocabulary holds food-shop and shop-park edges, not food-park
         model, _, _ = small_model(tiny_config, seq=("p0", "p1", "p2"))
         assert ("food", "park") not in model.cat_vocab
-        mg = add_master_node(build_trajectory_graph(make_traj(["p0", "p2"],
-                                                              categories=GRID_CATS)))
-        plan = model.plan(mg)
-        cat = model._category_index(mg, plan.poi_rows)
+        [st] = stacks([build_trajectory_graph(make_traj(["p0", "p2"], categories=GRID_CATS))],
+                      model.poi_ids)
+        [plan] = model.plan_stacks([st])
+        [cat] = model._category_index(st)
         assert cat[0, 1] == cat[1, 0] == 0
         assert cat[0, 0] == model.cat_vocab[("food", "food")]
         offset = len(model.params["b_spd"].data) + len(model.params["b_dist"].data)
@@ -256,7 +274,7 @@ class TestCategoryIndex:
 
     def test_hop_rows(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
-        hop_idx = model.plan(mg).bias_idx[0]
+        hop_idx = plan_of(model, mg).bias_idx[0]
         assert model.params["b_spd"].shape == (4, 1)
         assert (hop_idx[:-1, :-1] == mg.hops[:-1, :-1]).all()
         assert (hop_idx[-1] == 3).all() and (hop_idx[:, -1] == 3).all()
@@ -285,17 +303,17 @@ class TestNodeFeatures:
         cfg = tiny_config.override(t_max=2)
         model, mg, _ = small_model(cfg)
         with pytest.raises(NumericError, match="t_max"):
-            model.plan(mg)
+            plan_of(model, mg)
         with pytest.raises(NumericError, match="t_max"):
             encode(model, mg)
 
     def test_position_equal_to_t_max_is_allowed(self, tiny_config):
         # p1 was last seen 4 steps from the end of p0 p1 p2 p0 p3
         model, mg, _ = small_model(tiny_config.override(t_max=4))
-        assert model.plan(mg).pos_rows.max() == 4
+        assert plan_of(model, mg).pos_rows.max() == 4
         model, mg, _ = small_model(tiny_config.override(t_max=3))
         with pytest.raises(NumericError, match="position index 4 exceeds t_max=3"):
-            model.plan(mg)
+            plan_of(model, mg)
 
     def test_all_equal_features_give_master_mean(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
@@ -477,7 +495,7 @@ class TestGradients:
             s_u = encode(model, mg)
             return model.rec_loss(model.predict(s_u), ["p2"])
 
-        report = ad.grad_check(f, model.params)
+        report = grad_check(f, model.params)
         assert max(report.values()) < 1e-4, report
 
 
@@ -495,7 +513,8 @@ class TestEncodePlans:
             p.data *= 0.3  # keep the attention rows away from one-hot
         sizes = [len(mg.nodes) for mg in mgraphs]
         assert len(set(sizes)) > 3 and sizes != sorted(sizes)
-        s_u = model.encode_plans([model.plan(mg) for mg in mgraphs]).data
+        s_u = model.encode_plans(builder_plans(model, [mg.base for mg in mgraphs],
+                                               mgraphs[0].coords)).data
         expected = np.vstack([oracles.encode(model, mg).data for mg in mgraphs])
         assert s_u.shape == (len(mgraphs), cfg.d)
         assert np.allclose(s_u, expected, rtol=0, atol=1e-9)
@@ -505,7 +524,7 @@ class TestEncodePlans:
         for p in model.params.values():
             p.data *= 0.3
         order = rng.permutation(len(mgraphs))
-        s_u = model.encode_plans([model.plan(mgraphs[i]) for i in order]).data
+        s_u = model.encode_plans(builder_plans(model, [mgraphs[i].base for i in order])).data
         for row, i in zip(s_u, order):
             assert np.allclose(row, oracles.encode(model, mgraphs[i]).data[0],
                                rtol=0, atol=1e-9)
@@ -521,18 +540,18 @@ class TestEncodePlans:
                 ("p2", "p3"), ("p5", "p0", "p1")]
         graphs = [build_trajectory_graph(make_traj(list(s), categories=cats))
                   for s in seqs]
-        plans = [model.plan(add_master_node(g, coords)) for g in graphs]
+        plans = builder_plans(model, graphs, coords)
         targets = ["p2", "p0", "p4", "p1", "p3"]
 
         def f():
             return model.rec_loss(model.predict(model.encode_plans(plans)), targets)
 
-        report = ad.grad_check(f, model.params)
+        report = grad_check(f, model.params)
         assert max(report.values()) < 1e-4, report
 
     def test_plan_holds_no_parameters(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
-        plan = model.plan(mg)
+        plan = plan_of(model, mg)
         before = model.encode_plans([plan]).data.copy()
         model.params["poi_table"].data += 1.0
         assert not np.allclose(model.encode_plans([plan]).data, before)
@@ -553,11 +572,97 @@ class TestEncodePlans:
         other = small_model(tiny_config, seq=("p1", "p2"))[1]
         with np.errstate(invalid="ignore"), pytest.raises(NumericError,
                                                           match="attention scores"):
-            model.encode_plans([model.plan(mg), model.plan(other)])
+            model.encode_plans([plan_of(model, mg), plan_of(model, other)])
 
     def test_non_finite_logits_fatal(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
         model.params["w_s"].data[:] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericError,
                                                           match="catalog logits"):
-            model.predict(model.encode_plans([model.plan(mg)] * 2))
+            model.predict(model.encode_plans([plan_of(model, mg)] * 2))
+
+
+def random_graph(rng, pool):
+    """A trajectory graph of random nodes and random directed edges, some
+    self-loops missing, some nodes synthetic (no step)."""
+    nodes = list(rng.choice(pool, size=rng.integers(1, 12), replace=False))
+    edges = {(a, b) for a in nodes for b in nodes if rng.random() < 0.2}
+    seq_len = len(nodes) + int(rng.integers(0, 6))
+    steps = rng.choice(np.arange(1, seq_len + 1), size=len(nodes), replace=False)
+    last_step = {p: None if rng.random() < 0.2 else int(t) for p, t in zip(nodes, steps)}
+    return TrajectoryGraph(nodes, edges, last_step, nodes[int(rng.integers(len(nodes)))],
+                           seq_len)
+
+
+class TestPlanBuilder:
+    """One builder call over many graphs gives, graph by graph, the bytes of
+    the reference plan built on that graph's own master graph."""
+
+    CATS = TestBiasMatrixOracle.CATS
+
+    def model(self, cfg, graphs, coords, rng, dtype):
+        catalog = [Poi(p, c, 40.0 + 0.01 * rng.random(), -74.0 + 0.01 * rng.random())
+                   for p, c in self.CATS.items()]
+        gt = build_global_temporal([], cfg.n_neighbors, catalog=catalog)
+        # the vocabulary of half the graphs, so that some pairs are UNKNOWN
+        bins = fit_distance_bins(stacks(graphs, sorted(self.CATS), coords), cfg.m_bins)
+        return GsanModel(catalog, gt, category_vocab(graphs[::2], self.CATS), bins, cfg,
+                         rng, dtype=dtype)
+
+    @pytest.mark.parametrize("source", ["augmented", "random"])
+    @pytest.mark.parametrize("coords_for", [
+        lambda c: c,
+        lambda c: None,
+        lambda c: {p: ll for k, (p, ll) in enumerate(sorted(c.items())) if k % 3},
+    ], ids=["coords", "no-coords", "some-coords-missing"])
+    @pytest.mark.parametrize("use_category_bias", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plans_equal_reference_bytes(self, tiny_config, rng, source, coords_for,
+                                         use_category_bias, dtype):
+        cfg = tiny_config.override(use_category_bias=use_category_bias, t_max=40)
+        coords = coords_for({p: (40.0 + 0.02 * rng.random(), -74.0 + 0.02 * rng.random())
+                             for p in self.CATS})
+        if source == "augmented":
+            graphs = augmented_graphs(rng, 30, self.CATS)
+        else:
+            graphs = [random_graph(rng, sorted(self.CATS)) for _ in range(120)]
+        assert len({len(g.nodes) for g in graphs}) > 5
+        assert any(None in g.last_step.values() for g in graphs)  # synthetic nodes
+        model = self.model(cfg, graphs, coords, rng, dtype)
+        plans = builder_plans(model, graphs, coords)
+        assert len(plans) == len(graphs)
+        for g, got in zip(graphs, plans):
+            want = oracles.plan(model, add_master_node(g, coords))
+            for name in ("poi_rows", "pos_rows", "bias_idx", "bias_w"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
+            assert got.last == want.last
+
+    def test_vocabulary_and_bins_equal_reference(self, rng):
+        graphs = augmented_graphs(rng, 30, self.CATS)
+        coords = {p: (40.0 + 0.02 * rng.random(), -74.0 + 0.02 * rng.random())
+                  for p in sorted(self.CATS)[::2]}
+        assert category_vocab(graphs, self.CATS) == oracles.category_vocab(graphs, self.CATS)
+        geo = [add_master_node(g, coords).geo for g in graphs]
+        seen = np.concatenate([d[~np.isnan(d)] for d in geo])
+        bins = fit_distance_bins(stacks(graphs, sorted(self.CATS), coords), 4)
+        assert (bins.min_dist, bins.max_dist) == (seen.min(), seen.max())
+
+    def test_t_max_error_is_the_reference_error(self, tiny_config, rng):
+        cfg = tiny_config.override(t_max=5)
+        # largest reverse positions 2, 8, 7 and 10; node counts 2, 2, 4 and 2
+        graphs = [build_trajectory_graph(make_traj(seq, categories=self.CATS)) for seq in (
+            ["p1", "p2"], ["p3"] + ["p4"] * 7, ["p5", "p6", "p7"] + ["p8"] * 4,
+            ["p0"] + ["p9"] * 9)]
+        model = self.model(cfg, graphs, None, rng, np.float64)
+        assert len(builder_plans(model, graphs[:1])) == 1
+        for order in (graphs, graphs[2:] + graphs[:2], graphs[3:] + graphs[:3]):
+            # the per-graph loop stops at the first graph past t_max
+            with pytest.raises(NumericError) as want:
+                for g in order:
+                    oracles.plan(model, add_master_node(g))
+            with pytest.raises(NumericError) as got:
+                builder_plans(model, order)
+            assert str(got.value) == str(want.value)
+        assert str(got.value) == "position index 10 exceeds t_max=5"

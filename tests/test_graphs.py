@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from poirec.data import Poi
-from poirec.encoder import build_category_vocab
-from poirec.graphs import (add_master_node, build_global_spatial,
-                           build_global_temporal, build_trajectory_graph,
-                           haversine, save_spatial_graph, save_temporal_graph)
+from poirec.graphs import (build_global_spatial, build_global_temporal,
+                           build_trajectory_graph, haversine, haversine_matrix,
+                           haversine_stack, save_spatial_graph,
+                           save_temporal_graph)
 import oracles
-from oracles import adjacency_from_pairs, all_pairs_spd
-from conftest import augmented_graphs, make_traj
+from oracles import MASTER, add_master_node, adjacency_from_pairs, all_pairs_spd
+from conftest import augmented_graphs, category_vocab, make_traj, stacked
 
 
 class TestTrajectoryGraph:
@@ -43,7 +43,7 @@ class TestTrajectoryGraph:
     def test_edge_categories_are_unordered_pairs(self):
         cats = {"a": "z_cat", "b": "a_cat"}
         g = build_trajectory_graph(make_traj(["a", "b"], categories=cats))
-        assert build_category_vocab([g], cats) == {
+        assert category_vocab([g], cats) == {
             ("a_cat", "a_cat"): 1, ("a_cat", "z_cat"): 2, ("z_cat", "z_cat"): 3}
 
 
@@ -201,75 +201,96 @@ class TestShortestPaths:
                     assert spd[(a, c)] <= spd[(a, b)] + spd[(b, c)]
 
 
+def master_graphs(graphs, coords=None):
+    """[(graph, hops, adj, geo)] of each graph, from one `stack_graphs` call
+    over a catalog of the graphs' POIs; geo is None without coordinates."""
+    ids = sorted({p for g in graphs for p in g.nodes} | set(coords or ()))
+    return [(g, *m) for g, m in zip(graphs, stacked(graphs, ids, coords))]
+
+
 class TestMasterNode:
+    """The master node of `stack_graphs`: its adjacency, hop counts and
+    distances."""
+
     def test_single_node_graph(self):
-        mg = add_master_node(build_trajectory_graph(make_traj(["a"])))
-        assert len(mg.nodes) == 2
-        assert mg.hops[1, 0] == 1
+        [(_, hops, _, _)] = master_graphs([build_trajectory_graph(make_traj(["a"]))])
+        assert hops.shape == (2, 2)
+        assert hops[1, 0] == 1
 
     def test_disconnected_base_bridged(self):
         g = build_trajectory_graph(make_traj(["a", "b"]))
         g.edges = {("a", "a"), ("b", "b")}  # sever the base connection
-        mg = add_master_node(g)
-        assert mg.hops[0, 1] == 2
-        assert mg.mid[0, 1] == 2  # the path runs through the master
+        [(_, hops, adj, _)] = master_graphs([g])
+        assert hops[0, 1] == 2
+        assert adj[0, 2] and adj[1, 2]  # the path runs through the master
 
     def test_eight_visit_six_unique_sequence(self):
         seq = ["p1", "p2", "p3", "p4", "p5", "p3", "p6", "p4"]
-        mg = add_master_node(build_trajectory_graph(make_traj(seq)))
-        assert len(mg.nodes) == 7  # 6 unique POIs + master
-        master = len(mg.nodes) - 1
-        off_diag = ~np.eye(len(mg.nodes), dtype=bool)
+        [(_, hops, _, _)] = master_graphs([build_trajectory_graph(make_traj(seq))])
+        assert len(hops) == 7  # 6 unique POIs + master
+        master = len(hops) - 1
+        off_diag = ~np.eye(len(hops), dtype=bool)
         on_master = np.zeros_like(off_diag)
         on_master[master, :] = on_master[:, master] = True
-        master_edges = (on_master & off_diag & (mg.hops == 1)).sum()
+        master_edges = (on_master & off_diag & (hops == 1)).sum()
         assert master_edges == 12  # 6 undirected edges, both directions
 
     def test_spd_bounded_by_two(self, rng):
-        for _ in range(20):
-            seq = [f"p{i}" for i in rng.integers(0, 8, size=rng.integers(1, 15))]
-            mg = add_master_node(build_trajectory_graph(make_traj(seq)))
-            assert (mg.hops <= 2).all()
-            master_row = np.delete(mg.hops[-1], -1)
-            master_col = np.delete(mg.hops[:, -1], -1)
+        graphs = [build_trajectory_graph(make_traj(
+            [f"p{i}" for i in rng.integers(0, 8, size=rng.integers(1, 15))]))
+            for _ in range(20)]
+        for _, hops, _, _ in master_graphs(graphs):
+            assert (hops <= 2).all()
+            master_row = np.delete(hops[-1], -1)
+            master_col = np.delete(hops[:, -1], -1)
             assert (master_row == 1).all() and (master_col == 1).all()
 
     def test_geo_distances_present_for_base_pairs(self):
         coords = {"a": (0.0, 0.0), "b": (0.0, 1.0)}
         g = build_trajectory_graph(make_traj(["a", "b"], coords=coords))
-        mg = add_master_node(g, coords)
-        assert mg.geo[0, 1] == pytest.approx(111.19, abs=0.1)
-        assert np.isnan(mg.geo[2]).all() and np.isnan(mg.geo[:, 2]).all()  # master
+        [(_, _, _, geo)] = master_graphs([g], coords)
+        assert geo[0, 1] == pytest.approx(111.19, abs=0.1)
+        assert np.isnan(geo[2]).all() and np.isnan(geo[:, 2]).all()  # master
 
     def test_geo_matches_scalar_haversine(self, rng):
         coords = {f"p{i}": (rng.uniform(-80, 80), rng.uniform(-180, 180))
                   for i in range(9)}
         del coords["p3"]
         seq = [f"p{i}" for i in range(9)]
-        mg = add_master_node(build_trajectory_graph(make_traj(seq)), coords)
-        assert mg.geo.shape == (10, 10)
-        for a, i in enumerate(mg.nodes):
-            for b, j in enumerate(mg.nodes):
+        [(g, _, _, geo)] = master_graphs([build_trajectory_graph(make_traj(seq))], coords)
+        assert geo.shape == (10, 10)
+        for a, i in enumerate(g.nodes + [MASTER]):
+            for b, j in enumerate(g.nodes + [MASTER]):
                 if i in coords and j in coords:
-                    assert mg.geo[a, b] == pytest.approx(
+                    assert geo[a, b] == pytest.approx(
                         haversine(*coords[i], *coords[j]), rel=1e-12, abs=1e-9)
                 else:
-                    assert np.isnan(mg.geo[a, b])
+                    assert np.isnan(geo[a, b])
 
     def test_no_coords_no_geo(self):
-        assert add_master_node(build_trajectory_graph(make_traj(["a", "b"]))).geo is None
+        [(_, _, _, geo)] = master_graphs([build_trajectory_graph(make_traj(["a", "b"]))])
+        assert geo is None
+
+    def test_haversine_stack_has_the_bits_of_haversine_matrix(self, rng):
+        xy = np.column_stack([rng.uniform(-89, 89, 40), rng.uniform(-180, 180, 40)])
+        xy[rng.random(40) < 0.2] = np.nan
+        for n in (1, 2, 5, 13):
+            sets = xy[:(len(xy) // n) * n].reshape(-1, n, 2)
+            got = haversine_stack(sets)
+            for k, one in enumerate(sets):
+                assert got[k].tobytes() == haversine_matrix(one).tobytes()
 
 
 class TestMasterNodeOracle:
     def test_hops_equal_bfs_on_augmented_graph(self, rng):
-        for g in augmented_graphs(rng, 40):
-            mg = add_master_node(g)
+        for g, hops, _, _ in master_graphs(augmented_graphs(rng, 40)):
             nodes, adjacency = oracles.master_adjacency(g)
             spd = all_pairs_spd(nodes, adjacency, cap=len(nodes) + 1)
             expected = np.array([[spd[(i, j)] for j in nodes] for i in nodes])
-            assert np.array_equal(mg.hops, expected)
+            assert np.array_equal(hops, expected)
 
     def test_midpoints_equal_bfs_canonical_paths(self, rng):
+        # the reference master graph the plan tests compare the program to
         for g in augmented_graphs(rng, 40):
             mg = add_master_node(g)
             paths = oracles.canonical_paths(*oracles.master_adjacency(g))
@@ -278,11 +299,10 @@ class TestMasterNodeOracle:
                 assert mg.mid[order[i], order[j]] == order[path[min(1, len(path) - 1)]]
 
     def test_adjacency_ignores_direction_and_self_loops(self, rng):
-        for g in augmented_graphs(rng, 10):
-            mg = add_master_node(g)
+        for g, _, adj, _ in master_graphs(augmented_graphs(rng, 10)):
             nodes, adjacency = oracles.master_adjacency(g)
             expected = np.array([[j in adjacency[i] for j in nodes] for i in nodes])
-            assert np.array_equal(mg.adj, expected)
+            assert np.array_equal(adj, expected)
 
 
 class TestSerialization:

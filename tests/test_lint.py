@@ -60,3 +60,52 @@ def test_every_config_key_is_read():
     read = set().union(*(attribute_reads(p.read_text(encoding="utf-8"))
                          for p in PACKAGE.glob("*.py") if p.name != "config.py"))
     assert sorted(set(config_keys()) - read) == []
+
+
+# the entry point is run, not referenced
+UNREFERENCED_OK = {("cli.py", "main")}
+
+
+def definitions_and_references(sources):
+    """({(file, name)} of the top-level functions and classes of `sources`
+    ({file name: source}), {names they reference}). A reference is a name
+    read anywhere in them, or an attribute read off a package module bound
+    by `from . import module [as alias]`."""
+    defined, referenced = set(), set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        defined.update((file, node.name) for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                referenced.add(node.attr)
+    return defined, referenced
+
+
+def unreferenced(sources):
+    defined, referenced = definitions_and_references(sources)
+    return sorted(d for d in defined - UNREFERENCED_OK if d[1] not in referenced)
+
+
+def test_checker_finds_unreferenced_definitions():
+    sources = {
+        "a.py": "import numpy as np\ndef used():\n    pass\ndef exp(x):\n    return np.exp(x)\n"
+                "class Gone:\n    def method(self):\n        pass\ndef helper():\n    pass\n"
+                "def main():\n    pass\n",
+        "cli.py": "from . import a as ad\nfrom .a import used\ndef main():\n"
+                  "    return used(), ad.helper\n",
+    }
+    assert unreferenced(sources) == [("a.py", "Gone"), ("a.py", "exp"), ("a.py", "main")]
+
+
+def test_no_test_only_code_in_package():
+    """Every top-level function and class of the package is referenced from
+    some module of it, so a definition only the tests use lives in tests/."""
+    assert unreferenced({p.name: p.read_text(encoding="utf-8")
+                         for p in PACKAGE.glob("*.py")}) == []

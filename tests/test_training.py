@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from poirec import autodiff as ad
-from poirec import checkpoint
+from poirec import checkpoint, training
 from poirec.augment import infonce, make_views
 from poirec.autodiff import NumericError, Tensor
 from poirec.checkpoint import (CheckpointError, load_checkpoint,
@@ -13,11 +13,12 @@ from poirec.checkpoint import (CheckpointError, load_checkpoint,
 from poirec.config import RngHub, RunConfig, load_config, save_config
 from poirec.data import DataError
 from poirec.encoder import GsanModel
-from poirec.graphs import add_master_node, build_trajectory_graph
+from poirec.graphs import build_trajectory_graph
 from poirec.metrics import rank_targets
 from poirec.pretrain import EmbeddingTable
 from poirec.training import Trainer, pretrain_tables, total_loss
 import oracles
+from oracles import add_master_node
 from synth import markov_dataset
 
 
@@ -31,6 +32,11 @@ def small_trainer(split, **overrides):
                     epochs=2, n_neighbors=5, correlation_top=10, patience=10,
                     from_scratch=True).override(**overrides)
     return Trainer(split, cfg)
+
+
+def catalog_coords(split):
+    """poi_id -> (lat, lon) of the split's catalog."""
+    return {p.poi_id: (p.lat, p.lon) for p in split.catalog}
 
 
 def param_bytes(trainer):
@@ -185,6 +191,27 @@ class TestTrainingLoop:
             runs.append(param_bytes(tr))
         assert runs[0] == runs[1]
 
+    def test_lambda_zero_builds_no_correlation_index(self, small_split, monkeypatch):
+        monkeypatch.setattr(training, "CorrelationIndex", None)  # any use fails
+        tr = small_trainer(small_split, epochs=1, lam=0.0)
+        assert tr.corr_index is None
+        tr.fit()
+
+    def test_correlation_index_of_the_initial_poi_vectors(self, small_split, monkeypatch):
+        """At lam != 0 the index is built once, at set-up, from the model's
+        initial POI vectors (no pretrained tables here) for both modes."""
+        built = []
+        index_class = training.CorrelationIndex
+        monkeypatch.setattr(training, "CorrelationIndex",
+                            lambda *args, **kw: built.append(args) or index_class(*args, **kw))
+        tr = small_trainer(small_split, lam=0.1)
+        [(spatial, temporal)] = built
+        assert spatial is temporal and spatial.ids == tr.model.poi_ids
+        assert spatial.vectors.tobytes() == tr.model.params["poi_table"].data.tobytes()
+        ref = index_class(spatial, spatial, top=10)
+        assert all(tr.corr_index.neighbors(p, "temporal") == ref.neighbors(p, "spatial")
+                   for p in tr.model.poi_ids)
+
     def test_lambda_zero_skips_augmentation_rng(self, small_split):
         # with lam=0 no augmentation stream is consumed; two runs with
         # different beta must still be bit-for-bit identical
@@ -268,9 +295,10 @@ class TestBatchedRanking:
         tr = Trainer(small_split, cfg, dtype=np.float64)
         tr.fit()
         pairs = small_split.val + small_split.test
+        coords = catalog_coords(small_split)
         want = []
         for prefix, target in pairs:
-            mg = add_master_node(build_trajectory_graph(prefix), tr.coords)
+            mg = add_master_node(build_trajectory_graph(prefix), coords)
             logits = tr.model.predict(oracles.encode(tr.model, mg)).data[0]
             want.append(rank_targets(logits[None, :], tr.model.poi_ids, [target.poi_id])[0])
         assert tr.rank_pairs(pairs) == want
@@ -343,13 +371,15 @@ def oracle_batch_loss(trainer, batch, rng):
     """(rec, ssl) of `batch` with each sample and each view encoded alone by
     `oracles.encode`, the views drawn from `rng` in training's order."""
     cfg, model = trainer.config, trainer.model
-    s_u = ad.concat([oracles.encode(model, s.mgraph) for s in batch], axis=0)
+    coords = catalog_coords(trainer.split)
+    s_u = ad.concat([oracles.encode(model, add_master_node(s.graph, coords)) for s in batch],
+                    axis=0)
     rec = model.rec_loss(model.predict(s_u), [s.target for s in batch])
     za, zb = [], []
     for sample in batch:
-        pair = make_views(sample.mgraph.base, cfg, trainer.corr_index, rng, trainer.categories)
-        za.append(oracles.encode(model, add_master_node(pair.view_a, trainer.coords)))
-        zb.append(oracles.encode(model, add_master_node(pair.view_b, trainer.coords)))
+        pair = make_views(sample.graph, cfg, trainer.corr_index, rng, trainer.categories)
+        za.append(oracles.encode(model, add_master_node(pair.view_a, coords)))
+        zb.append(oracles.encode(model, add_master_node(pair.view_b, coords)))
     return rec, infonce(ad.concat(za, axis=0), ad.concat(zb, axis=0), tau=cfg.tau)
 
 
