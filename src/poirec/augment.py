@@ -29,10 +29,11 @@ class CorrelationIndex:
     spatial and temporal embeddings.
 
     Each POI keeps its `top` most similar other POIs, in descending cosine
-    score with the smaller poi_id first on equal scores. The table is built
-    as a blocked top-k: one full similarity product, then per block of
-    RANK_BLOCK rows a partition finds the top-th score, every score above it
-    is kept and ties at it fill the remaining slots lowest poi_id first.
+    score with the lower table row first on equal scores; table rows are
+    catalog rows, so that is the smaller poi_id. The table is built as a
+    blocked top-k: one full similarity product, then per block of RANK_BLOCK
+    rows a partition finds the top-th score, every score above it is kept
+    and ties at it fill the remaining slots lowest row first.
     Each mode is stored as (poi_id -> row, ids, (P, keep) neighbor rows,
     (P, keep) scores); a temporal table that is the spatial one is ranked
     once and shared."""
@@ -55,12 +56,10 @@ class CorrelationIndex:
         vn = v / norms[:, None]
         sims = vn @ vn.T
         np.fill_diagonal(sims, -np.inf)
-        # columns in poi_id order, so "first in column order" means lowest id
-        by_id = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
         nbr = np.empty((n, keep), dtype=np.intp)
         score = np.empty((n, keep))
         for lo in range(0, n if keep else 0, RANK_BLOCK):
-            block = sims[lo:lo + RANK_BLOCK][:, by_id]
+            block = sims[lo:lo + RANK_BLOCK]
             kth = np.partition(block, n - keep, axis=1)[:, n - keep, None]
             above = block > kth
             tie = block == kth
@@ -69,7 +68,7 @@ class CorrelationIndex:
             cols = np.nonzero(picked)[1].reshape(-1, keep)
             vals = np.take_along_axis(block, cols, axis=1)
             desc = np.argsort(-vals, axis=1, kind="stable")
-            nbr[lo:lo + len(block)] = by_id[np.take_along_axis(cols, desc, axis=1)]
+            nbr[lo:lo + len(block)] = np.take_along_axis(cols, desc, axis=1)
             score[lo:lo + len(block)] = np.take_along_axis(vals, desc, axis=1)
         return {pid: i for i, pid in enumerate(ids)}, ids, nbr, score
 

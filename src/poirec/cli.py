@@ -95,7 +95,7 @@ def cmd_build_graphs(args):
     save_spatial_graph(gs, out / "global_spatial.edges")
     _write_manifest(out, {"temporal": "global_temporal.edges",
                           "spatial": "global_spatial.edges"})
-    print(f"temporal graph: {len(gt.nodes)} nodes, {len(gt.cooccurrence)} pairs")
+    print(f"temporal graph: {len(gt.nodes)} nodes, {len(gt.counts)} pairs")
     print(f"spatial graph: {len(gs.nodes)} nodes, {len(gs.edges)} edges")
     return EXIT_OK
 
@@ -181,18 +181,12 @@ def _trainer_from_checkpoint(ckpt_path, data_dir):
         if keys:
             raise CheckpointError(f"checkpoint {ckpt_path} has {kind} config key "
                                   f"{', '.join(map(repr, sorted(keys)))}")
-    for key, value in sorted(saved.items()):
-        want = type(known[key].default)
-        if want is bool or isinstance(value, bool):  # a bool is an int to isinstance
-            fits = type(value) is want
-        else:  # JSON has one number type: a float field also takes an integer
-            fits = isinstance(value, (int, float) if want is float else want)
-        if not fits:
-            raise CheckpointError(f"checkpoint {ckpt_path} has config key {key!r} of type "
-                                  f"{type(value).__name__}, but RunConfig.{key} is "
-                                  f"{want.__name__}")
+    try:
+        config = RunConfig(**saved)
+    except ValueError as exc:  # a value of the wrong type or out of range
+        raise CheckpointError(f"checkpoint {ckpt_path} has {exc}") from None
     split = ingest.load_split(data_dir)
-    trainer = Trainer(split, RunConfig(**saved))
+    trainer = Trainer(split, config)
     trainer.restore(arrays, meta, ckpt_path)
     return trainer, split
 

@@ -1,4 +1,5 @@
-"""Run configuration: defaults, flat key=value config files, named RNG streams."""
+"""Run configuration: defaults, allowed ranges, flat key=value config files,
+named RNG streams."""
 
 import zlib
 from dataclasses import dataclass, fields, replace
@@ -49,11 +50,45 @@ class RunConfig:
     n2v_p: float = 1.0
     n2v_q: float = 1.0
 
+    def __post_init__(self):
+        """Raises ValueError naming the first key whose value does not have
+        its field's type (a float field also takes an int) or lies outside
+        its `RANGES` interval, which excludes NaN and infinity."""
+        for f in fields(self):
+            value, want = getattr(self, f.name), type(f.default)
+            if want is bool or isinstance(value, bool):  # a bool is an int to isinstance
+                fits = type(value) is want
+            else:
+                fits = isinstance(value, (int, float) if want is float else want)
+            if not fits:
+                raise ValueError(f"config key {f.name!r} of type {type(value).__name__}, "
+                                 f"but RunConfig.{f.name} is {want.__name__}")
+        for key, interval in RANGES.items():
+            value, (low, high) = getattr(self, key), map(float, interval[1:-1].split(","))
+            above = value > low if interval[0] == "(" else value >= low
+            below = value < high if interval[-1] == ")" else value <= high
+            if not (above and below):
+                raise ValueError(f"config key {key!r} of value {value!r}, outside its "
+                                 f"range {interval}")
+
     def override(self, **kwargs):
         return replace(self, **kwargs)
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# the allowed values of each numeric key, as an interval
+RANGES = {
+    **dict.fromkeys(["d", "t_max", "heads", "layers", "m_bins", "batch_size", "patience",
+                     "n_neighbors", "min_user_visits", "min_poi_users", "walks_per_node",
+                     "n2v_window"], "[1, inf)"),
+    **dict.fromkeys(["degree_buckets", "lr", "lam", "gamma", "epochs", "seed", "k_insert",
+                     "correlation_top", "gap_hours", "n2v_negatives", "n2v_epochs",
+                     "n2v_lr"], "[0, inf)"),
+    **dict.fromkeys(["tau", "alpha_km", "n2v_p", "n2v_q"], "(0, inf)"),
+    "beta": "[0, 1)", "walk_len": "[2, inf)",
+}
 
 
 def config_keys():

@@ -57,7 +57,7 @@ class DatasetSplit:
     train: list = field(default_factory=list)  # Trajectory
     val: list = field(default_factory=list)  # (prefix Trajectory, target CheckIn)
     test: list = field(default_factory=list)
-    catalog: list = field(default_factory=list)  # Poi
+    catalog: list = field(default_factory=list)  # Poi, strictly ascending by poi_id
 
 
 # -- parsing ---------------------------------------------------------------
@@ -93,36 +93,42 @@ def _foursquare_timestamp(raw, day_starts):
     return datetime.strptime(raw, _FOURSQUARE_TIME).timestamp()
 
 
+def _degrees(raw):
+    # `float` also reads digits grouped by underscores, which no log writes
+    if "_" in raw:
+        raise ValueError(raw)
+    return float(raw)
+
+
 def _parse_foursquare_line(parts, day_starts):
     # user, venue, category_id, category_name, lat, lon, tz_offset_min, utc_time
-    user, venue, cat_id, _cat_name, lat, lon, _tz, raw_time = parts[:8]
+    user, venue, cat_id, _cat_name, lat, lon, _tz, raw_time = parts
     ts = _foursquare_timestamp(raw_time, day_starts)
-    return CheckIn(user, venue, cat_id, ts, float(lat), float(lon))
+    return CheckIn(user, venue, cat_id, ts, _degrees(lat), _degrees(lon))
 
 
 def _parse_gowalla_line(parts, _day_starts):
     # user, ISO-8601 time, lat, lon, location_id
-    user, raw_time, lat, lon, loc = parts[:5]
+    user, raw_time, lat, lon, loc = parts
     dt = datetime.fromisoformat(raw_time.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     # Gowalla has no category labels; a single synthetic one keeps the
     # category encoding well-defined downstream.
-    return CheckIn(user, loc, UNKNOWN_CATEGORY, dt.timestamp(), float(lat), float(lon))
+    return CheckIn(user, loc, UNKNOWN_CATEGORY, dt.timestamp(), _degrees(lat), _degrees(lon))
 
 
-_PARSERS = {
-    "foursquare": (_parse_foursquare_line, 8),
-    "gowalla": (_parse_gowalla_line, 5),
-}
+# each unpacks exactly its format's fields, so a line with more or fewer fails
+_PARSERS = {"foursquare": _parse_foursquare_line, "gowalla": _parse_gowalla_line}
 
 
 def parse_checkins(path, fmt):
-    """Parse a raw tab-separated check-in log. Malformed lines are skipped
-    and tallied; an unreadable file is fatal."""
+    """Parse a raw tab-separated check-in log. Malformed lines, including
+    lines with more or fewer fields than the format has, are skipped and
+    tallied; an unreadable file is fatal."""
     if fmt not in _PARSERS:
         raise DataError(f"unknown format {fmt!r}, expected one of {sorted(_PARSERS)}")
-    parser, min_fields = _PARSERS[fmt]
+    parser = _PARSERS[fmt]
     path = Path(path)
     if not path.is_file():
         raise DataError(f"check-in file not found: {path}")
@@ -134,12 +140,8 @@ def parse_checkins(path, fmt):
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) < min_fields:
-                bad += 1
-                continue
             try:
-                checkins.append(parser(parts, day_starts))
+                checkins.append(parser(line.split("\t"), day_starts))
             except (ValueError, DataError):
                 bad += 1
     if bad:
@@ -281,22 +283,24 @@ def save_split(split, out_dir):
 
 
 def load_split(in_dir):
-    """Read a `save_split` directory. Raises DataError when catalog ids
-    repeat, or when a check-in or target names a POI not in the catalog."""
+    """Read a `save_split` directory. Raises DataError unless the catalog's
+    poi_ids strictly ascend (the row order of every later stage), or when a
+    check-in or target names a POI not in the catalog."""
     src = Path(in_dir)
     cat_path = src / "catalog.jsonl"
     traj_path = src / "trajectories.jsonl"
     if not cat_path.is_file() or not traj_path.is_file():
         raise DataError(f"processed dataset not found under {src}")
     split = DatasetSplit()
-    known = set()
     with cat_path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             poi_id, cat, lat, lon = json.loads(line)
-            if poi_id in known:
-                raise DataError(f"{cat_path}:{lineno}: POI {poi_id!r} is listed twice")
-            known.add(poi_id)
+            if split.catalog and poi_id <= (prev := split.catalog[-1].poi_id):
+                why = "is listed twice" if poi_id == prev else f"follows {prev!r}"
+                raise DataError(f"{cat_path}:{lineno}: POI {poi_id!r} {why}; catalog "
+                                f"poi_ids must be strictly ascending")
             split.catalog.append(Poi(poi_id, cat, float(lat), float(lon)))
+    known = {p.poi_id for p in split.catalog}
     with traj_path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             rec = json.loads(line)

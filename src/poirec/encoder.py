@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, Tensor
-from .graphs import haversine_stack
+from .graphs import haversine_matrix
 
 UNKNOWN_PAIR_INDEX = 0
 # b_spd row of every pair with the master node; rows 0-2 are the hop counts
@@ -125,7 +125,7 @@ def stack_graphs(graphs, poi_index, coords=None):
         if coords is not None:
             xy = np.full((len(members), size, 2), np.nan)  # the master's is NaN
             xy[:, :n] = coords[rows]
-            geo = haversine_stack(xy)
+            geo = haversine_matrix(xy)
         stacks.append(GraphStack(members, rows, np.array(pos, dtype=np.int64).reshape(-1, n),
                                  last, adj, geo))
     return stacks
@@ -145,7 +145,9 @@ class EncoderPlan:
 
 
 class GsanModel:
-    """Holds all learnable tensors and runs the encoder forward pass."""
+    """Holds all learnable tensors and runs the encoder forward pass. Rows
+    of the POI tables are catalog rows; `poi_init`, when given, has them
+    already (`Trainer` checks its ids)."""
 
     def __init__(self, catalog, gt_graph, cat_vocab, dist_bins, config, rng,
                  poi_init=None, dtype=np.float32):
@@ -153,7 +155,7 @@ class GsanModel:
         self.cat_vocab = cat_vocab
         self.bins = dist_bins
         self.dtype = dtype
-        self.poi_ids = sorted(p.poi_id for p in catalog)
+        self.poi_ids = [p.poi_id for p in catalog]
         self.poi_index = {pid: i for i, pid in enumerate(self.poi_ids)}
 
         d = config.d
@@ -166,8 +168,7 @@ class GsanModel:
 
         params = {}
         if poi_init is not None:
-            rows = np.stack([poi_init.row(pid) for pid in self.poi_ids])
-            params["poi_table"] = Tensor(rows.astype(dtype), requires_grad=True)
+            params["poi_table"] = Tensor(poi_init.vectors.astype(dtype), requires_grad=True)
         else:
             params["poi_table"] = init((n_pois, d), 0.1)
         params["deg_in"] = init((buckets, d), 0.02)
@@ -188,27 +189,18 @@ class GsanModel:
         params["w_s"] = init((2 * d, d), 1.0 / math.sqrt(2 * d))
         self.params = params
 
-        # degree / popularity bucket per POI row, read off the global graph
+        # degree / popularity bucket per POI row, read off the global graph;
+        # the popularity is floor(log2(1 + visits)), the exponent frexp gives
         cap = config.degree_buckets
-
-        def bucket(x):
-            return min(x, cap)
-
-        self.deg_in_bucket = np.array(
-            [bucket(gt_graph.in_degree.get(p, 0)) for p in self.poi_ids], dtype=np.int64)
-        self.deg_out_bucket = np.array(
-            [bucket(gt_graph.out_degree.get(p, 0)) for p in self.poi_ids], dtype=np.int64)
-        self.pop_bucket = np.array(
-            [bucket(int(math.log2(1 + gt_graph.visits.get(p, 0)))) for p in self.poi_ids],
-            dtype=np.int64)
+        self.deg_in_bucket = np.minimum(gt_graph.in_degree, cap)
+        self.deg_out_bucket = np.minimum(gt_graph.out_degree, cap)
+        self.pop_bucket = np.minimum(np.frexp(1.0 + gt_graph.visits)[1] - 1, cap).astype(np.int64)
 
         # category code per POI row, and the cat_pairs row of each pair of
         # codes (UNKNOWN for pairs outside the vocabulary)
-        category = {p.poi_id: p.category_id for p in catalog}
-        names = sorted(set(category.values()))
+        names = sorted({p.category_id for p in catalog})
         code = {c: i for i, c in enumerate(names)}
-        self.category_code = np.array([code[category[p]] for p in self.poi_ids],
-                                      dtype=np.int64)
+        self.category_code = np.array([code[p.category_id] for p in catalog], dtype=np.int64)
         self.pair_row = np.full((len(names), len(names)), UNKNOWN_PAIR_INDEX, dtype=np.int64)
         for (a, b), row in cat_vocab.items():
             self.pair_row[code[a], code[b]] = self.pair_row[code[b], code[a]] = row

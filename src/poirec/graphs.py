@@ -1,5 +1,5 @@
-"""Local trajectory graphs, global temporal/spatial graphs and Haversine
-distances."""
+"""Local trajectory graphs, global temporal/spatial graphs over catalog rows
+and Haversine distances."""
 
 import math
 from dataclasses import dataclass
@@ -21,23 +21,17 @@ def haversine(lat1, lon1, lat2, lon2):
 
 
 def haversine_matrix(coords, other=None):
-    """Pairwise `haversine` of (n, 2) and (m, 2) arrays of (lat, lon) degrees:
-    entry [i, j] is the distance from coords[i] to other[j] (other defaults
-    to coords); NaN coordinates give NaN."""
+    """Pairwise `haversine` over the last two axes: (..., n, 2) and (..., m, 2)
+    arrays of (lat, lon) degrees give (..., n, m), entry [..., i, j] the
+    distance from coords[..., i] to other[..., j] (other defaults to coords).
+    Leading axes broadcast, and every slice has the bits of its own call;
+    NaN coordinates give NaN."""
     rad = np.radians(coords)
     orad = rad if other is None else np.radians(other)
-    s = np.sin((orad - rad[:, None]) / 2) ** 2  # [i, j] = sin^2 of (dphi, dlam) / 2
-    a = s[..., 0] + np.cos(rad[:, 0])[:, None] * np.cos(orad[:, 0]) * s[..., 1]
-    return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(a, 1.0)))
-
-
-def haversine_stack(coords):
-    """(G, n, n) `haversine_matrix` of each of G (n, 2) coordinate sets in a
-    (G, n, 2) array, by the same operations, so with the same bits."""
-    rad = np.radians(coords)
-    s = np.sin((rad[:, None] - rad[:, :, None]) / 2) ** 2
-    cos = np.cos(rad[..., 0])
-    a = s[..., 0] + cos[:, :, None] * cos[:, None] * s[..., 1]
+    # [..., i, j] = sin^2 of (dphi, dlam) / 2
+    s = np.sin((orad[..., None, :, :] - rad[..., :, None, :]) / 2) ** 2
+    cos, ocos = np.cos(rad[..., 0]), np.cos(orad[..., 0])
+    a = s[..., 0] + cos[..., :, None] * ocos[..., None, :] * s[..., 1]
     return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(a, 1.0)))
 
 
@@ -70,88 +64,89 @@ def build_trajectory_graph(traj):
     return TrajectoryGraph(nodes, edges, last_step, seq[-1], len(seq))
 
 
+def sorted_distinct(codes):
+    """Distinct values of a non-negative int array, ascending, and how often
+    each occurs, by a sort and a diff mask (`np.unique` hashes: slower here)."""
+    codes = np.sort(codes)
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    return codes[starts], np.diff(starts, append=len(codes))
+
+
 @dataclass
 class GlobalTemporalGraph:
-    nodes: list  # all poi_ids
-    cooccurrence: dict  # unordered (i, j) pair -> consecutive-visit count
-    neighbors: dict  # poi_id -> top-N neighbor poi_ids, descending count
-    in_degree: dict  # poi_id -> number of unique predecessors (directed)
-    out_degree: dict  # poi_id -> number of unique successors (directed)
-    visits: dict  # poi_id -> total visit count
+    """Consecutive visits of the training trajectories, by catalog row."""
+
+    nodes: list  # poi_id of each catalog row
+    pairs: np.ndarray  # (C, 2) rows a < b visited one after the other, ascending
+    counts: np.ndarray  # (C,) consecutive visits of each pair, either direction
+    # (K, 2) (src, dst) rows: the top-N dst of each src by descending count,
+    # ties by ascending row; src ascending
+    neighbors: np.ndarray
+    in_degree: np.ndarray  # (P,) distinct predecessors of each row
+    out_degree: np.ndarray  # (P,) distinct successors of each row
+    visits: np.ndarray  # (P,) visits of each row
 
 
-def build_global_temporal(trajs, n_neighbors, catalog=None):
+def build_global_temporal(trajs, n_neighbors, catalog):
     """Aggregate consecutive-pair co-occurrence over all trajectories
-    (direction-ignored), keeping at most N neighbors per node by descending
-    count, ties broken by ascending poi_id."""
-    if n_neighbors < 1:
-        raise ValueError("n_neighbors must be >= 1")
-    nodes = set(p.poi_id for p in catalog) if catalog else set()
-    co = {}
-    preds = {}
-    succs = {}
-    visits = {}
-    for traj in trajs:
-        seq = traj.poi_ids()
-        for p in seq:
-            nodes.add(p)
-            visits[p] = visits.get(p, 0) + 1
-        for a, b in zip(seq, seq[1:]):
-            if a == b:
-                continue
-            key = (a, b) if a <= b else (b, a)
-            co[key] = co.get(key, 0) + 1
-            succs.setdefault(a, set()).add(b)
-            preds.setdefault(b, set()).add(a)
-    by_node = {}
-    for (a, b), n in co.items():
-        by_node.setdefault(a, []).append((b, n))
-        by_node.setdefault(b, []).append((a, n))
-    neighbors = {}
-    for v in nodes:
-        ranked = sorted(by_node.get(v, []), key=lambda t: (-t[1], t[0]))
-        neighbors[v] = [nb for nb, _ in ranked[:n_neighbors]]
+    (direction-ignored), keeping at most N >= 1 neighbors per node by
+    descending count, ties broken by ascending row (ascending poi_id). Every
+    visited POI must be in `catalog`."""
+    nodes = [p.poi_id for p in catalog]
+    n = len(nodes)
+    row = {pid: i for i, pid in enumerate(nodes)}
+    seq = np.array([row[c.poi_id] for traj in trajs for c in traj.checkins], dtype=np.int64)
+    owner = np.repeat(np.arange(len(trajs)), np.array([len(t) for t in trajs], dtype=np.int64))
+    step = (owner[1:] == owner[:-1]) & (seq[1:] != seq[:-1])
+    src, dst = seq[:-1][step], seq[1:][step]
+    links, _ = sorted_distinct(src * n + dst)
+    codes, counts = sorted_distinct(np.minimum(src, dst) * n + np.maximum(src, dst))
+    pairs = np.stack(np.divmod(codes, n), axis=1)
+    # both directions of every pair, ranked per src
+    a, b = pairs.T
+    src, dst, both = np.r_[a, b], np.r_[b, a], np.r_[counts, counts]
+    order = np.lexsort((dst, -both, src))
+    src, dst = src[order], dst[order]
+    keep = np.arange(len(src)) - np.searchsorted(src, src) < n_neighbors
     return GlobalTemporalGraph(
-        sorted(nodes), co, neighbors,
-        {v: len(preds.get(v, ())) for v in nodes},
-        {v: len(succs.get(v, ())) for v in nodes},
-        {v: visits.get(v, 0) for v in nodes},
+        nodes, pairs, counts, np.stack([src[keep], dst[keep]], axis=1),
+        np.bincount(links % n, minlength=n), np.bincount(links // n, minlength=n),
+        np.bincount(seq, minlength=n),
     )
 
 
 @dataclass
 class GlobalSpatialGraph:
-    nodes: list  # all poi_ids
-    edges: dict  # unordered (i, j) pair -> distance km, dist < alpha
+    nodes: list  # poi_id of each catalog row
+    edges: np.ndarray  # (E, 2) rows a < b closer than alpha_km, ascending
+    km: np.ndarray  # (E,) distance of each edge
 
 
 def build_global_spatial(catalog, alpha_km):
-    """Undirected proximity graph: edge iff haversine distance < alpha_km.
+    """Undirected proximity graph: edge iff haversine distance < alpha_km (> 0).
 
-    Distances come from `haversine_matrix` over SPATIAL_BLOCK rows of the
-    id-sorted catalog at a time, never the full P x P matrix. Its rounding
-    differs from the scalar `haversine` in the last bits, so a pair within
-    1e-9 km of alpha_km is decided by the scalar form; the edge set is the
-    one a scalar scan gives.
+    Distances come from `haversine_matrix` over SPATIAL_BLOCK catalog rows
+    at a time, never the full P x P matrix. Its rounding differs from the
+    scalar `haversine` in the last bits, so a pair within 1e-9 km of
+    alpha_km is decided by the scalar form; the edge set is the one a scalar
+    scan gives.
     """
-    if alpha_km <= 0:
-        raise ValueError("alpha_km must be > 0")
-    pois = sorted(catalog, key=lambda p: p.poi_id)
-    ids = np.array([p.poi_id for p in pois], dtype=object)
-    coords = np.array([(p.lat, p.lon) for p in pois], dtype=np.float64).reshape(-1, 2)
-    edges = {}
-    for lo in range(0, len(pois), SPATIAL_BLOCK):
-        hi = min(lo + SPATIAL_BLOCK, len(pois))
+    coords = np.array([(p.lat, p.lon) for p in catalog], dtype=np.float64).reshape(-1, 2)
+    n = len(coords)
+    edges, km = [np.empty((0, 2), dtype=np.int64)], [np.empty(0)]
+    for lo in range(0, n, SPATIAL_BLOCK):
+        hi = min(lo + SPATIAL_BLOCK, n)
         dist = haversine_matrix(coords[lo:hi], coords[lo:])
-        upper = np.arange(lo, len(pois)) > np.arange(lo, hi)[:, None]  # a < b only
+        upper = np.arange(lo, n) > np.arange(lo, hi)[:, None]  # a < b only
         near = upper & (np.abs(dist - alpha_km) < 1e-9)
         for i, j in zip(*np.nonzero(near)):
-            a, b = pois[lo + i], pois[lo + j]
+            a, b = catalog[lo + i], catalog[lo + j]
             dist[i, j] = haversine(a.lat, a.lon, b.lat, b.lon)
         rows, cols = np.nonzero(upper & (dist < alpha_km))
-        edges.update(zip(zip(ids[rows + lo].tolist(), ids[cols + lo].tolist()),
-                         dist[rows, cols].tolist()))
-    return GlobalSpatialGraph(ids.tolist(), edges)
+        edges.append(np.stack([rows + lo, cols + lo], axis=1))
+        km.append(dist[rows, cols])
+    return GlobalSpatialGraph([p.poi_id for p in catalog], np.concatenate(edges),
+                              np.concatenate(km))
 
 
 # -- serialization ---------------------------------------------------------
@@ -159,13 +154,13 @@ def build_global_spatial(catalog, alpha_km):
 
 def save_temporal_graph(g, path):
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"temporal {len(g.nodes)} {len(g.cooccurrence)}\n")
-        for (a, b) in sorted(g.cooccurrence):
-            fh.write(f"{a}\t{b}\t{g.cooccurrence[(a, b)]}\n")
+        fh.write(f"temporal {len(g.nodes)} {len(g.counts)}\n")
+        for (a, b), count in zip(g.pairs.tolist(), g.counts.tolist()):
+            fh.write(f"{g.nodes[a]}\t{g.nodes[b]}\t{count}\n")
 
 
 def save_spatial_graph(g, path):
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"spatial {len(g.nodes)} {len(g.edges)}\n")
-        for (a, b) in sorted(g.edges):
-            fh.write(f"{a}\t{b}\t{g.edges[(a, b)]:.6f}\n")
+        for (a, b), km in zip(g.edges.tolist(), g.km.tolist()):
+            fh.write(f"{g.nodes[a]}\t{g.nodes[b]}\t{km:.6f}\n")

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .graphs import sorted_distinct
+
 log = logging.getLogger(__name__)
 
 TABLE_MAGIC = b"PEMB"
@@ -26,17 +28,12 @@ class EmbeddingTable:
     def dim(self):
         return self.vectors.shape[1]
 
-    def row(self, poi_id):
-        return self.vectors[self.index[poi_id]]
-
-    def __post_init__(self):
-        self.index = {pid: i for i, pid in enumerate(self.ids)}
-
 
 def random_walks(adjacency, walks_per_node, walk_len, p, q, rng):
     """Second-order biased walks per the node2vec transition rule.
 
-    adjacency: {node: sorted list of neighbors}. Isolated nodes yield
+    adjacency: the sorted neighbour rows of each row (see `adjacency`);
+    walks start from every row in ascending order. Isolated rows yield
     length-1 walks. Return-parameter p and in-out parameter q reweight
     transitions by the previous step: 1/p back to it, 1 to its neighbors,
     1/q elsewhere.
@@ -55,7 +52,7 @@ def random_walks(adjacency, walks_per_node, walk_len, p, q, rng):
     cdfs = {}
     walks = []
     for _ in range(walks_per_node):
-        for start in sorted(adjacency):
+        for start in range(len(adjacency)):
             walk = [start]
             while len(walk) < walk_len:
                 cur = walk[-1]
@@ -95,9 +92,10 @@ def _window_pairs(length, window):
     return span * (2 * length - span - 1)
 
 
-def train_skipgram(walks, all_nodes, dim, window=5, negatives=5, epochs=5,
+def train_skipgram(walks, ids, dim, window=5, negatives=5, epochs=5,
                    lr=0.025, rng=None):
-    """Skip-gram with negative sampling over walk corpora.
+    """Skip-gram with negative sampling over walks of rows; `ids` names the
+    poi_id of each row of the returned table, and dim and window are >= 1.
 
     Negative distribution is the unigram count over walk tokens raised to
     0.75. Nodes absent from every walk keep their random initialization.
@@ -108,16 +106,13 @@ def train_skipgram(walks, all_nodes, dim, window=5, negatives=5, epochs=5,
     CDF, as `Generator.choice(n, size=negatives, p=noise)` per update would
     draw them, so tables and the final rng state equal the per-update form.
     """
-    if dim < 1 or window < 1:
-        raise ValueError("dim and window must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
-    ids = sorted(all_nodes)
-    index = {v: i for i, v in enumerate(ids)}
+    ids = list(ids)
     n = len(ids)
     w_in = ((rng.random((n, dim)) - 0.5) / dim).astype(np.float32)
     w_out = np.zeros((n, dim), dtype=np.float32)
 
-    tokens = np.array([index[v] for walk in walks for v in walk], dtype=np.int64)
+    tokens = np.fromiter(chain.from_iterable(walks), dtype=np.int64)
     counts = np.bincount(tokens, minlength=n).astype(np.float64)
     if counts.sum() == 0:
         log.warning("empty walk corpus; returning zero-initialized table")
@@ -175,7 +170,7 @@ def train_skipgram(walks, all_nodes, dim, window=5, negatives=5, epochs=5,
     return EmbeddingTable(ids, w_in)
 
 
-def node2vec_embed(adjacency, all_nodes, dim, walks_per_node=10, walk_len=40,
+def node2vec_embed(adjacency, ids, dim, walks_per_node=10, walk_len=40,
                    p=1.0, q=1.0, window=5, negatives=5, epochs=5, lr=0.025,
                    rng=None, name="graph"):
     """Walks + skip-gram in one call; logs the corpus size, the number of
@@ -184,7 +179,7 @@ def node2vec_embed(adjacency, all_nodes, dim, walks_per_node=10, walk_len=40,
     start = time.perf_counter()
     walks = random_walks(adjacency, walks_per_node, walk_len, p, q, rng)
     walked = time.perf_counter()
-    table = train_skipgram(walks, all_nodes, dim, window=window,
+    table = train_skipgram(walks, ids, dim, window=window,
                            negatives=negatives, epochs=epochs, lr=lr, rng=rng)
     log.info("node2vec %s: %d walk tokens, %d skip-gram updates, "
              "walks %.3f s, skip-gram %.3f s", name, sum(map(len, walks)),
@@ -202,31 +197,17 @@ def fuse_embeddings(spatial, temporal):
     return EmbeddingTable(list(spatial.ids), spatial.vectors + temporal.vectors)
 
 
-def temporal_adjacency(gt_graph):
-    """Undirected adjacency induced by the top-N filtered neighbor lists."""
-    adj = {v: set() for v in gt_graph.nodes}
-    for v, nbrs in gt_graph.neighbors.items():
-        for u in nbrs:
-            adj[v].add(u)
-            adj[u].add(v)
-    return {v: sorted(nbrs) for v, nbrs in adj.items()}
-
-
-def spatial_adjacency(gs_graph):
-    """{node: sorted neighbours} of the undirected spatial graph. Edge ends
-    become catalog indices in one pass; both directions of every edge are
-    then sorted and deduplicated as integer codes row * n + column."""
-    ids = sorted(gs_graph.nodes)
-    n = len(ids)
-    index = dict(zip(ids, range(n)))
-    ends = np.fromiter(map(index.__getitem__, chain.from_iterable(gs_graph.edges)),
-                       dtype=np.int64, count=2 * len(gs_graph.edges)).reshape(-1, 2)
-    codes = np.sort(np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]]))
-    codes = codes[np.diff(codes, prepend=-1) != 0]
-    nbrs = np.array(ids, dtype=object)[codes % n].tolist()
+def adjacency(src, dst, n):
+    """The sorted neighbour rows of each of n rows in the undirected graph
+    with an edge src[k] - dst[k] for each k: both directions of every edge
+    as integer codes row * n + column, sorted and deduplicated."""
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        raise ValueError(f"edge ends must be rows 0..{n - 1}")
+    codes, _ = sorted_distinct(np.concatenate([src * n + dst, dst * n + src]))
+    nbrs = (codes % n).tolist()
     bounds = np.searchsorted(codes // n, np.arange(n + 1)).tolist()
-    by_row = {v: nbrs[bounds[i]:bounds[i + 1]] for i, v in enumerate(ids)}
-    return {v: by_row[v] for v in gs_graph.nodes}
+    return [nbrs[bounds[i]:bounds[i + 1]] for i in range(n)]
 
 
 # -- persistence -----------------------------------------------------------

@@ -19,8 +19,7 @@ from .encoder import (GsanModel, build_category_vocab, fit_distance_bins,
 from .graphs import (build_global_spatial, build_global_temporal,
                      build_trajectory_graph)
 from .metrics import rank_targets, report_from_ranks
-from .pretrain import (EmbeddingTable, fuse_embeddings, node2vec_embed,
-                       spatial_adjacency, temporal_adjacency)
+from .pretrain import EmbeddingTable, adjacency, fuse_embeddings, node2vec_embed
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +66,7 @@ class Trainer:
 
     def __init__(self, split, config, spatial_table=None, temporal_table=None,
                  fused_table=None, dtype=np.float32):
-        catalog_ids = sorted(p.poi_id for p in split.catalog)
+        catalog_ids = [p.poi_id for p in split.catalog]
         for name, table in (("spatial", spatial_table), ("temporal", temporal_table),
                             ("fused", fused_table)):
             if table is None:
@@ -78,7 +77,7 @@ class Trainer:
                 raise DataError(
                     f"{name} embedding table does not match the catalog: {missing} "
                     f"catalog POIs missing, {extra} unknown POIs, rows must be the "
-                    f"{len(catalog_ids)} catalog ids in sorted order; pretrain on this data")
+                    f"{len(catalog_ids)} catalog ids in catalog order; pretrain on this data")
             if table.dim != config.d:
                 raise DataError(
                     f"{name} embedding table has width {table.dim}, but the model "
@@ -87,16 +86,15 @@ class Trainer:
         self.config = config
         self.hub = RngHub(config.seed)
         self.categories = {p.poi_id: p.category_id for p in split.catalog}
-        catalog = sorted(split.catalog, key=lambda p: p.poi_id)
         # (lat, lon) by catalog row, the row order of the model's tables
-        self.coords = np.array([(p.lat, p.lon) for p in catalog], dtype=np.float64)
+        self.coords = np.array([(p.lat, p.lon) for p in split.catalog], dtype=np.float64)
 
         self.gt_graph = build_global_temporal(split.train, config.n_neighbors,
                                               catalog=split.catalog)
         graphs, targets = self._prefix_graphs()
         stacks = stack_graphs(graphs, {pid: i for i, pid in enumerate(catalog_ids)},
                               self.coords)
-        self.cat_vocab = build_category_vocab(stacks, [p.category_id for p in catalog])
+        self.cat_vocab = build_category_vocab(stacks, [p.category_id for p in split.catalog])
         self.bins = fit_distance_bins(stacks, config.m_bins)
 
         poi_init = None if config.from_scratch else fused_table
@@ -297,9 +295,9 @@ def pretrain_tables(split, config):
                   walk_len=config.walk_len, p=config.n2v_p, q=config.n2v_q,
                   window=config.n2v_window, negatives=config.n2v_negatives,
                   epochs=config.n2v_epochs, lr=config.n2v_lr)
-    nodes = [p.poi_id for p in split.catalog]
-    temporal = node2vec_embed(temporal_adjacency(gt), nodes, name="temporal",
+    ids, n = gt.nodes, len(gt.nodes)
+    temporal = node2vec_embed(adjacency(*gt.neighbors.T, n), ids, name="temporal",
                               rng=hub.stream("pretrain.temporal"), **common)
-    spatial = node2vec_embed(spatial_adjacency(gs), nodes, name="spatial",
+    spatial = node2vec_embed(adjacency(*gs.edges.T, n), ids, name="spatial",
                              rng=hub.stream("pretrain.spatial"), **common)
     return spatial, temporal, fuse_embeddings(spatial, temporal)

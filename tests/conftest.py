@@ -7,7 +7,7 @@ from hypothesis import settings
 from poirec.augment import (CorrelationIndex, correlated_insertion,
                             correlated_substitute, node_dropout)
 from poirec.config import RunConfig
-from poirec.data import CheckIn, Trajectory
+from poirec.data import CheckIn, Trajectory, build_catalog
 from poirec.encoder import build_category_vocab, stack_graphs
 from poirec.graphs import build_trajectory_graph
 from poirec.pretrain import EmbeddingTable
@@ -27,6 +27,11 @@ def make_traj(poi_ids, user="u1", categories=None, t0=0.0, step=3600.0,
         lat, lon = coords[p] if coords else (10.0 + 0.01 * (hash(p) % 7), 20.0)
         checkins.append(CheckIn(user, p, cat, t0 + i * step, lat, lon))
     return Trajectory(user, checkins)
+
+
+def catalog_of(trajs):
+    """The catalog, in poi_id order, of the POIs the trajectories visit."""
+    return build_catalog([c for traj in trajs for c in traj.checkins])
 
 
 def augmented_graphs(rng, count, cats=None):

@@ -4,9 +4,10 @@ built one graph at a time, the per-edge category vocabulary, the per-pair
 BFS and loop forms of the master-graph structure and of the attention bias,
 the per-graph encoder, the sorted-row correlation ranking, the catalog-loop target rank,
 the clamped softmax loss chain, the per-step node2vec walks and per-update
-skip-gram, the scalar spatial-graph scan and the per-edge spatial
-adjacency, the check-in line parsers with one `strptime` per line, plus
-small autodiff compositions used only by tests."""
+skip-gram, the global temporal graph and both node2vec adjacencies keyed by
+poi_id, the scalar spatial-graph scan, the check-in line parsers with one
+`strptime` per line and exactly the format's fields, plus small autodiff
+compositions used only by tests."""
 
 import math
 from collections import deque
@@ -479,6 +480,73 @@ def rank_target(scores, poi_ids, target):
     return rank
 
 
+# -- global graphs keyed by poi_id -----------------------------------------
+
+
+@dataclass
+class TemporalGraph:
+    nodes: list  # all poi_ids, sorted
+    cooccurrence: dict  # unordered (i, j) pair -> consecutive-visit count
+    neighbors: dict  # poi_id -> top-N neighbor poi_ids, descending count
+    in_degree: dict  # poi_id -> number of unique predecessors (directed)
+    out_degree: dict  # poi_id -> number of unique successors (directed)
+    visits: dict  # poi_id -> total visit count
+
+
+def global_temporal(trajs, n_neighbors, catalog=None):
+    """Consecutive-pair co-occurrence over all trajectories (direction
+    ignored) in dicts keyed by poi_id pairs, keeping at most N neighbors per
+    node by descending count, ties broken by ascending poi_id."""
+    nodes = set(p.poi_id for p in catalog) if catalog else set()
+    co = {}
+    preds = {}
+    succs = {}
+    visits = {}
+    for traj in trajs:
+        seq = traj.poi_ids()
+        for p in seq:
+            nodes.add(p)
+            visits[p] = visits.get(p, 0) + 1
+        for a, b in zip(seq, seq[1:]):
+            if a == b:
+                continue
+            key = (a, b) if a <= b else (b, a)
+            co[key] = co.get(key, 0) + 1
+            succs.setdefault(a, set()).add(b)
+            preds.setdefault(b, set()).add(a)
+    by_node = {}
+    for (a, b), n in co.items():
+        by_node.setdefault(a, []).append((b, n))
+        by_node.setdefault(b, []).append((a, n))
+    neighbors = {}
+    for v in nodes:
+        ranked = sorted(by_node.get(v, []), key=lambda t: (-t[1], t[0]))
+        neighbors[v] = [nb for nb, _ in ranked[:n_neighbors]]
+    return TemporalGraph(
+        sorted(nodes), co, neighbors,
+        {v: len(preds.get(v, ())) for v in nodes},
+        {v: len(succs.get(v, ())) for v in nodes},
+        {v: visits.get(v, 0) for v in nodes},
+    )
+
+
+def undirected_adjacency(nodes, pairs):
+    """{node: sorted neighbours} of `nodes` joined by `pairs` in both
+    directions, one set.add per pair end."""
+    adj = {v: set() for v in nodes}
+    for (a, b) in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    return {v: sorted(nbrs) for v, nbrs in adj.items()}
+
+
+def temporal_adjacency(gt):
+    """The node2vec adjacency of a `TemporalGraph`: its top-N neighbour
+    lists, made undirected."""
+    return undirected_adjacency(gt.nodes, [(v, u) for v, nbrs in gt.neighbors.items()
+                                           for u in nbrs])
+
+
 # -- global spatial graph, one scalar haversine per pair -------------------
 
 
@@ -498,16 +566,6 @@ def global_spatial_edges(catalog, alpha_km):
                 key = (a.poi_id, b.poi_id) if a.poi_id <= b.poi_id else (b.poi_id, a.poi_id)
                 edges[key] = d
     return edges
-
-
-def spatial_adjacency(gs_graph):
-    """{node: sorted neighbours} of the spatial graph, one set.add per edge
-    end."""
-    adj = {v: set() for v in gs_graph.nodes}
-    for (a, b) in gs_graph.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return {v: sorted(nbrs) for v, nbrs in adj.items()}
 
 
 # -- node2vec, one rng.choice per walk step / skip-gram update -------------
@@ -618,25 +676,34 @@ def train_skipgram(walks, all_nodes, dim, window=5, negatives=5, epochs=5,
 FOURSQUARE_TIME = "%a %b %d %H:%M:%S %z %Y"
 
 
+def coordinate(raw):
+    """A coordinate field: what `float` reads, digits without underscores."""
+    if "_" in raw:
+        raise ValueError(raw)
+    return float(raw)
+
+
 def parse_foursquare_line(parts):
     """A Foursquare line with one full `strptime` of its timestamp."""
-    user, venue, cat_id, _cat_name, lat, lon, _tz, raw_time = parts[:8]
+    user, venue, cat_id, _cat_name, lat, lon, _tz, raw_time = parts
     ts = datetime.strptime(raw_time, FOURSQUARE_TIME).timestamp()
-    return CheckIn(user, venue, cat_id, ts, float(lat), float(lon))
+    return CheckIn(user, venue, cat_id, ts, coordinate(lat), coordinate(lon))
 
 
 def parse_gowalla_line(parts):
     """A Gowalla line: ISO-8601 time, UTC when it names no offset."""
-    user, raw_time, lat, lon, loc = parts[:5]
+    user, raw_time, lat, lon, loc = parts
     dt = datetime.fromisoformat(raw_time.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return CheckIn(user, loc, UNKNOWN_CATEGORY, dt.timestamp(), float(lat), float(lon))
+    return CheckIn(user, loc, UNKNOWN_CATEGORY, dt.timestamp(), coordinate(lat),
+                   coordinate(lon))
 
 
 def parse_lines(lines, fmt):
     """(check-ins, indices of the rejected lines) of non-empty log lines,
-    each parsed on its own; a line with too few fields fails to unpack."""
+    each parsed on its own; a line with more or fewer fields than the
+    format has fails to unpack."""
     parser = {"foursquare": parse_foursquare_line, "gowalla": parse_gowalla_line}[fmt]
     checkins, rejected = [], []
     for i, line in enumerate(lines):

@@ -69,13 +69,13 @@ class TestCorrelationIndex:
 
 
 def tied_table(rng, n, d=5):
-    """Rounded vectors (many equal scores) with duplicate and zero rows,
-    under poi_ids listed out of sorted order."""
+    """Rounded vectors (many equal scores) with duplicate and zero rows, in
+    catalog (poi_id) order."""
     vec = rng.integers(-2, 3, size=(n, d)).astype(np.float32)
     if n >= 4:
         vec[1] = vec[0]
         vec[3] = 0.0
-    ids = [f"p{k:03d}" for k in rng.permutation(n)]
+    ids = [f"p{k:03d}" for k in range(n)]
     return EmbeddingTable(ids, vec)
 
 

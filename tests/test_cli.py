@@ -351,6 +351,18 @@ class TestTrainEvaluate:
         assert f"checkpoint {ckpt} has config key {key!r} of type {types}" in \
             capsys.readouterr().err
 
+    def test_checkpoint_config_value_out_of_range_exit_3(self, data_dir, tmp_path, capsys,
+                                                         monkeypatch):
+        ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
+        arrays, meta = checkpoint.load_checkpoint(ckpt)
+        meta["config"]["tau"] = 0
+        checkpoint.save_checkpoint(ckpt, arrays, meta)
+        monkeypatch.setattr(cli, "Trainer", None)  # refused before any Trainer
+        code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
+        assert code == 3
+        assert f"checkpoint {ckpt} has config key 'tau' of value 0, outside its range (0, inf)" \
+            in capsys.readouterr().err
+
     def test_checkpoint_float_key_takes_json_integer(self, data_dir, tmp_path, capsys):
         # JSON has one number type, so a float field may hold an integer
         ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
@@ -416,6 +428,37 @@ class TestTrainEvaluate:
         saved = (run / "config.txt").read_text()
         assert "use_category_bias = False" in saved
         assert "all_prefix = False" in saved
+
+    @pytest.mark.parametrize("key, value, shown, allowed", [
+        ("d", "0", "0", "[1, inf)"),
+        ("m_bins", "0", "0", "[1, inf)"),
+        ("tau", "0", "0.0", "(0, inf)"),
+        ("degree_buckets", "-1", "-1", "[0, inf)"),
+        ("batch_size", "0", "0", "[1, inf)"),
+        ("heads", "0", "0", "[1, inf)"),
+        ("epochs", "-3", "-3", "[0, inf)"),
+        ("correlation_top", "-1", "-1", "[0, inf)"),
+        ("lr", "nan", "nan", "[0, inf)"),
+        ("beta", "1", "1.0", "[0, 1)"),
+        ("walk_len", "1", "1", "[2, inf)"),
+        ("seed", "-1", "-1", "[0, inf)"),
+    ])
+    def test_config_value_out_of_range_exit_3(self, data_dir, tmp_path, capsys, monkeypatch,
+                                              key, value, shown, allowed):
+        monkeypatch.setattr(cli, "Trainer", None)  # refused before any Trainer
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                     "--from-scratch"] + TINY + ["--" + key.replace("_", "-"), value])
+        assert code == 3
+        assert (f"error: config key {key!r} of value {shown}, outside its range {allowed}"
+                in capsys.readouterr().err)
+
+    def test_config_file_value_out_of_range_exit_3(self, data_dir, tmp_path, capsys):
+        (tmp_path / "c.cfg").write_text("n2v_q = -0.5\n")
+        code = main(["pretrain", "--data", str(data_dir), "--out", str(tmp_path / "emb"),
+                     "--config", str(tmp_path / "c.cfg")] + TINY)
+        assert code == 3
+        assert "config key 'n2v_q' of value -0.5, outside its range (0, inf)" \
+            in capsys.readouterr().err
 
     def test_bad_bool_in_config_file_exit_3(self, data_dir, tmp_path, capsys):
         (tmp_path / "c.cfg").write_text("from_scratch = ture\n")

@@ -4,9 +4,9 @@ from datetime import datetime
 import pytest
 from hypothesis import given, strategies as st
 
-from poirec.data import (CheckIn, DataError, Trajectory, build_catalog,
-                         filter_inactive, leave_one_out, load_split,
-                         make_split, parse_checkins, save_split,
+from poirec.data import (CheckIn, DatasetSplit, DataError, Poi, Trajectory,
+                         build_catalog, filter_inactive, leave_one_out,
+                         load_split, make_split, parse_checkins, save_split,
                          split_sessions, truncate_recent)
 from conftest import make_traj
 import oracles
@@ -51,6 +51,15 @@ class TestParsing:
         f.write_text("\n".join([FSQ_LINE, FSQ_LINE, FSQ_LINE, "470\tbroken"]) + "\n")
         checkins, bad = parse_checkins(f, "foursquare")
         assert len(checkins) == 3 and bad == 1
+
+    def test_underscores_and_extra_fields_are_bad_lines(self, tmp_path):
+        # `float` reads 4_0.7 as 40.7; a ten-field line has two extra fields
+        f = tmp_path / "log.tsv"
+        f.write_text(FSQ_LINE.replace("35.67", "3_5.67") + "\n"
+                     + FSQ_LINE + "\textra\tfields\n")
+        assert parse_checkins(f, "foursquare") == ([], 2)
+        f.write_text(GOW_LINE.replace("53.3", "5_3.3") + "\n" + GOW_LINE + "\t1\n")
+        assert parse_checkins(f, "gowalla") == ([], 2)
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -398,6 +407,17 @@ class TestRoundTrip:
         cs = [ci("u", p, i) for i, p in enumerate("cabca")]
         cat = build_catalog(cs)
         assert [p.poi_id for p in cat] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("order, message", [
+        (["a", "c", "b"], "catalog.jsonl:3: POI 'b' follows 'c'"),
+        (["a", "b", "b"], "catalog.jsonl:3: POI 'b' is listed twice"),
+        (["b", "a"], "catalog.jsonl:2: POI 'a' follows 'b'"),
+    ], ids=["out-of-order", "repeated", "descending"])
+    def test_load_rejects_catalog_not_strictly_ascending(self, tmp_path, order, message):
+        save_split(DatasetSplit(catalog=[Poi(p, "c", 0.0, 0.0) for p in order]), tmp_path)
+        with pytest.raises(DataError, match=f"{message}; catalog poi_ids must be strictly "
+                                            f"ascending"):
+            load_split(tmp_path)
 
     @pytest.mark.parametrize("kind, field", [("train", "checkins"), ("val", "checkins"),
                                              ("test", "checkins"), ("val", "target"),

@@ -2,15 +2,34 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from poirec.data import Poi
 from poirec.graphs import (build_global_spatial, build_global_temporal,
                            build_trajectory_graph, haversine, haversine_matrix,
-                           haversine_stack, save_spatial_graph,
-                           save_temporal_graph)
+                           save_spatial_graph, save_temporal_graph)
 import oracles
 from oracles import MASTER, add_master_node, adjacency_from_pairs, all_pairs_spd
-from conftest import augmented_graphs, category_vocab, make_traj, stacked
+from conftest import augmented_graphs, catalog_of, category_vocab, make_traj, stacked
+
+
+def temporal_by_id(trajs, n_neighbors, catalog=None):
+    """`build_global_temporal` over `catalog` (default: the trajectories'
+    POIs), keyed by poi_id like `oracles.global_temporal`."""
+    g = build_global_temporal(trajs, n_neighbors, catalog or catalog_of(trajs))
+    ids = g.nodes
+    neighbors = {v: [] for v in ids}
+    for a, b in g.neighbors.tolist():
+        neighbors[ids[a]].append(ids[b])
+    return oracles.TemporalGraph(
+        list(ids), {(ids[a], ids[b]): n for (a, b), n in zip(g.pairs.tolist(), g.counts.tolist())},
+        neighbors, *({v: n for v, n in zip(ids, a.tolist())}
+                     for a in (g.in_degree, g.out_degree, g.visits)))
+
+
+def spatial_by_id(g):
+    """{(a, b): km} of a `GlobalSpatialGraph`, keyed by poi_id pairs."""
+    return {(g.nodes[a], g.nodes[b]): km for (a, b), km in zip(g.edges.tolist(), g.km.tolist())}
 
 
 class TestTrajectoryGraph:
@@ -52,33 +71,49 @@ class TestGlobalTemporal:
         trajs = []
         for nb, reps in (("b", 5), ("c", 3), ("d", 1)):
             trajs += [make_traj(["a", nb])] * reps
-        g = build_global_temporal(trajs, n_neighbors=2)
+        g = temporal_by_id(trajs, n_neighbors=2)
         assert g.neighbors["a"] == ["b", "c"]
 
     def test_single_pair(self):
-        g = build_global_temporal([make_traj(["a", "b"])], n_neighbors=3)
+        g = temporal_by_id([make_traj(["a", "b"])], n_neighbors=3)
         assert g.cooccurrence == {("a", "b"): 1}
 
     def test_n_larger_than_degree_keeps_all(self):
-        g = build_global_temporal([make_traj(["a", "b", "c", "a"])], n_neighbors=99)
+        g = temporal_by_id([make_traj(["a", "b", "c", "a"])], n_neighbors=99)
         assert set(g.neighbors["a"]) == {"b", "c"}
 
     def test_tie_break_ascending_poi_id(self):
         trajs = [make_traj(["a", "z"]), make_traj(["a", "b"])]
-        g = build_global_temporal(trajs, n_neighbors=1)
+        g = temporal_by_id(trajs, n_neighbors=1)
         assert g.neighbors["a"] == ["b"]
 
     def test_order_insensitive_aggregation(self, rng):
         trajs = [make_traj([f"p{i}" for i in rng.integers(0, 5, size=6)])
                  for _ in range(10)]
-        a = build_global_temporal(trajs, 3)
-        b = build_global_temporal(trajs[::-1], 3)
+        a = temporal_by_id(trajs, 3)
+        b = temporal_by_id(trajs[::-1], 3)
         assert a.cooccurrence == b.cooccurrence and a.neighbors == b.neighbors
 
     def test_directed_degrees_and_visits(self):
-        g = build_global_temporal([make_traj(["a", "b", "c", "b"])], 5)
+        g = temporal_by_id([make_traj(["a", "b", "c", "b"])], 5)
         assert g.out_degree["a"] == 1 and g.in_degree["b"] == 2
         assert g.visits["b"] == 2
+
+    @given(st.data())
+    def test_rows_equal_the_poi_id_reference(self, data):
+        # a small id alphabet and short walks: ties in the top-N are common,
+        # and some catalog POIs are never visited
+        ids = data.draw(st.lists(st.text("abz09", min_size=1, max_size=3), min_size=1,
+                                 max_size=12, unique=True))
+        trajs = [make_traj(seq) for seq in data.draw(st.lists(
+            st.lists(st.sampled_from(ids), max_size=10), max_size=8))]
+        catalog = [Poi(p, "c", 0.0, 0.0) for p in sorted(ids)]
+        n = data.draw(st.integers(1, 5))
+        assert temporal_by_id(trajs, n, catalog) == oracles.global_temporal(trajs, n, catalog)
+
+    def test_poi_outside_the_catalog_fatal(self):
+        with pytest.raises(KeyError):
+            build_global_temporal([make_traj(["a", "b"])], 3, [Poi("a", "c", 0.0, 0.0)])
 
 
 class TestHaversine:
@@ -102,31 +137,31 @@ class TestGlobalSpatial:
     def test_identical_coordinates_connected(self):
         catalog = [Poi("a", "c", 10.0, 20.0), Poi("b", "c", 10.0, 20.0)]
         g = build_global_spatial(catalog, alpha_km=2.0)
-        assert ("a", "b") in g.edges
+        assert ("a", "b") in spatial_by_id(g)
 
     def test_antipodal_not_connected(self):
         catalog = [Poi("a", "c", 0.0, 0.0), Poi("b", "c", 0.0, 90.0)]
         g = build_global_spatial(catalog, alpha_km=2.0)
-        assert not g.edges
+        assert g.edges.shape == (0, 2) and g.km.shape == (0,)
 
     def test_collinear_chain(self):
         # three POIs ~1.5 km apart along a meridian: adjacent pairs only
         step = 1.5 / 111.19493
         catalog = [Poi(f"p{i}", "c", i * step, 0.0) for i in range(3)]
         g = build_global_spatial(catalog, alpha_km=2.0)
-        assert set(g.edges) == {("p0", "p1"), ("p1", "p2")}
+        assert set(spatial_by_id(g)) == {("p0", "p1"), ("p1", "p2")}
 
     def test_symmetric_irreflexive(self, rng):
         catalog = [Poi(f"p{i}", "c", float(rng.uniform(0, 0.05)),
                        float(rng.uniform(0, 0.05))) for i in range(15)]
         g = build_global_spatial(catalog, alpha_km=3.0)
-        for (a, b) in g.edges:
-            assert a < b and a != b  # stored once per unordered pair
+        assert len(g.edges) and (g.edges[:, 0] < g.edges[:, 1]).all()  # once per pair
 
     @staticmethod
     def random_catalog(rng, n):
-        # unsorted ids, clustered coordinates with some exact duplicates
-        ids = [f"q{k}" for k in rng.permutation(n)]
+        # clustered coordinates with some exact duplicates, in catalog
+        # (poi_id) order
+        ids = sorted(f"q{k}" for k in range(n))
         lat = rng.uniform(40.0, 40.06, size=n)
         lon = rng.uniform(-74.0, -73.94, size=n)
         dup = n // 10
@@ -139,11 +174,12 @@ class TestGlobalSpatial:
         catalog = self.random_catalog(rng, n)
         g = build_global_spatial(catalog, alpha_km=2.5)
         ref = oracles.global_spatial_edges(catalog, 2.5)
-        assert g.nodes == sorted(p.poi_id for p in catalog)
-        assert set(g.edges) == set(ref)
-        assert list(g.edges) == sorted(g.edges)
+        got = spatial_by_id(g)
+        assert g.nodes == [p.poi_id for p in catalog]
+        assert set(got) == set(ref)
+        assert list(got) == sorted(got)
         for e, d in ref.items():
-            assert g.edges[e] == pytest.approx(d, rel=0, abs=1e-9)
+            assert got[e] == pytest.approx(d, rel=0, abs=1e-9)
 
     def test_alpha_equal_to_a_pair_distance(self, rng):
         # alpha exactly at a pair's scalar distance: the scalar form keeps
@@ -154,9 +190,22 @@ class TestGlobalSpatial:
             alpha = haversine(a.lat, a.lon, b.lat, b.lon)
             if alpha == 0:
                 continue
-            g = build_global_spatial(catalog, alpha_km=alpha)
-            assert set(g.edges) == set(oracles.global_spatial_edges(catalog, alpha))
-            assert tuple(sorted((a.poi_id, b.poi_id))) not in g.edges
+            got = spatial_by_id(build_global_spatial(catalog, alpha_km=alpha))
+            assert set(got) == set(oracles.global_spatial_edges(catalog, alpha))
+            assert tuple(sorted((a.poi_id, b.poi_id))) not in got
+
+    @given(st.data())
+    def test_rows_equal_the_scalar_scan(self, data):
+        n = data.draw(st.integers(1, 80))
+        coords = data.draw(st.lists(st.tuples(st.floats(40.0, 40.05), st.floats(-74.0, -73.95)),
+                                    min_size=n, max_size=n))
+        coords += coords[:data.draw(st.integers(0, n // 4))]  # exact duplicates
+        catalog = [Poi(f"q{k:03d}", "c", lat, lon) for k, (lat, lon) in enumerate(coords)]
+        alpha = data.draw(st.floats(0.1, 4.0))
+        got = spatial_by_id(build_global_spatial(catalog, alpha))
+        ref = oracles.global_spatial_edges(catalog, alpha)
+        assert list(got) == sorted(ref)
+        assert all(got[e] == pytest.approx(d, rel=0, abs=1e-9) for e, d in ref.items())
 
 
 class TestShortestPaths:
@@ -271,14 +320,17 @@ class TestMasterNode:
         [(_, _, _, geo)] = master_graphs([build_trajectory_graph(make_traj(["a", "b"]))])
         assert geo is None
 
-    def test_haversine_stack_has_the_bits_of_haversine_matrix(self, rng):
+    def test_stacked_haversine_has_the_bits_of_its_slices(self, rng):
         xy = np.column_stack([rng.uniform(-89, 89, 40), rng.uniform(-180, 180, 40)])
         xy[rng.random(40) < 0.2] = np.nan
         for n in (1, 2, 5, 13):
             sets = xy[:(len(xy) // n) * n].reshape(-1, n, 2)
-            got = haversine_stack(sets)
+            got = haversine_matrix(sets)
+            other = sets[::-1, :max(1, n - 1)]
+            cross = haversine_matrix(sets, other)
             for k, one in enumerate(sets):
                 assert got[k].tobytes() == haversine_matrix(one).tobytes()
+                assert cross[k].tobytes() == haversine_matrix(one, other[k]).tobytes()
 
 
 class TestMasterNodeOracle:
@@ -307,7 +359,8 @@ class TestMasterNodeOracle:
 
 class TestSerialization:
     def test_edge_list_headers(self, tmp_path):
-        gt = build_global_temporal([make_traj(["a", "b", "c"])], 5)
+        trajs = [make_traj(["a", "b", "c"])]
+        gt = build_global_temporal(trajs, 5, catalog_of(trajs))
         save_temporal_graph(gt, tmp_path / "gt.edges")
         head = (tmp_path / "gt.edges").read_text().splitlines()[0]
         assert head == "temporal 3 2"

@@ -2,18 +2,18 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from poirec import pretrain
 from poirec.config import RngHub, RunConfig
 from poirec.data import Poi
-from poirec.graphs import (GlobalSpatialGraph, build_global_spatial,
-                           build_global_temporal)
-from poirec.pretrain import (EmbeddingTable, fuse_embeddings, load_table,
-                             node2vec_embed, random_walks, save_table,
-                             spatial_adjacency, temporal_adjacency,
-                             train_skipgram)
+from poirec.graphs import build_global_spatial, build_global_temporal
+from poirec.pretrain import (EmbeddingTable, adjacency, fuse_embeddings,
+                             load_table, node2vec_embed, random_walks,
+                             save_table, train_skipgram)
 from poirec.training import pretrain_tables
+from conftest import make_traj
 from synth import markov_dataset
 
 
@@ -40,34 +40,62 @@ def random_graph(rng, n, density, isolated):
     return {v: sorted(nbrs) for v, nbrs in adj.items()}, names
 
 
+def as_rows(adj, nodes=None):
+    """(ids, row adjacency) of a {node: sorted neighbours} dict: rows are the
+    sorted `nodes` (default: the dict's keys), and the dict's nodes must be
+    the first of them."""
+    ids = sorted(adj if nodes is None else nodes)
+    assert sorted(adj) == ids[:len(adj)]
+    row = {v: i for i, v in enumerate(ids)}
+    return ids, [[row[u] for u in adj[v]] for v in ids[:len(adj)]]
+
+
+def walks_by_id(adj, *args):
+    """`random_walks` over the rows of a {node: sorted neighbours} dict,
+    with each row named by its node again."""
+    ids, rows = as_rows(adj)
+    return [[ids[r] for r in walk] for walk in random_walks(rows, *args)]
+
+
+def embed_by_id(adj, **kwargs):
+    """{node: vector} of `node2vec_embed` over the rows of a {node: sorted
+    neighbours} dict."""
+    ids, rows = as_rows(adj)
+    table = node2vec_embed(rows, ids, **kwargs)
+    return dict(zip(table.ids, table.vectors))
+
+
 def assert_matches_oracle(adj, nodes, walks_per_node, walk_len, p, q, seed,
                           **skipgram):
-    """Walks and skip-gram equal the per-step / per-update oracles: same
-    walks, byte-equal table, same rng state after each part."""
+    """Walks and skip-gram over rows equal the per-step / per-update oracles
+    over poi_ids: the same walks once rows are named, a byte-equal table,
+    the same rng state after each part."""
+    ids, rows = as_rows(adj, nodes)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     ref_walks = oracles.random_walks(adj, walks_per_node, walk_len, p, q, ref_rng)
-    walks = random_walks(adj, walks_per_node, walk_len, p, q, rng)
-    assert walks == ref_walks
+    walks = random_walks(rows, walks_per_node, walk_len, p, q, rng)
+    named = [[ids[r] for r in walk] for walk in walks]
+    assert named == ref_walks
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     ref = oracles.train_skipgram(ref_walks, nodes, rng=ref_rng, **skipgram)
-    table = train_skipgram(walks, nodes, rng=rng, **skipgram)
+    table = train_skipgram(walks, ids, rng=rng, **skipgram)
     assert table.ids == ref.ids
     assert table.vectors.dtype == np.float32
     assert table.vectors.tobytes() == ref.vectors.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    return walks
+    return named
 
 
 def oracle_pretrain(split, cfg):
-    """`pretrain_tables` with the oracle walks, skip-gram and spatial scan."""
+    """`pretrain_tables` with the oracle graphs keyed by poi_id, walks,
+    skip-gram and spatial scan."""
     hub = RngHub(cfg.seed)
     nodes = [p.poi_id for p in split.catalog]
-    spatial_graph = GlobalSpatialGraph(
-        sorted(nodes), oracles.global_spatial_edges(split.catalog, cfg.alpha_km))
-    gt = build_global_temporal(split.train, cfg.n_neighbors, catalog=split.catalog)
+    spatial = oracles.global_spatial_edges(split.catalog, cfg.alpha_km)
+    gt = oracles.global_temporal(split.train, cfg.n_neighbors, catalog=split.catalog)
     tables, corpora = {}, {}
-    for name, adj in (("temporal", temporal_adjacency(gt)),
-                      ("spatial", oracles.spatial_adjacency(spatial_graph))):
+    for name, adj in (("temporal", oracles.temporal_adjacency(gt)),
+                      ("spatial", oracles.undirected_adjacency(nodes, spatial))):
         rng = hub.stream(f"pretrain.{name}")
         walks = oracles.random_walks(adj, cfg.walks_per_node, cfg.walk_len,
                                      cfg.n2v_p, cfg.n2v_q, rng)
@@ -81,26 +109,26 @@ def oracle_pretrain(split, cfg):
 class TestWalks:
     def test_single_edge_forced_walk(self):
         adj = {"a": ["b"], "b": ["a"]}
-        walks = random_walks(adj, 1, 3, p=1, q=1, rng=np.random.default_rng(0))
+        walks = walks_by_id(adj, 1, 3, 1, 1, np.random.default_rng(0))
         assert ["a", "b", "a"] in walks and ["b", "a", "b"] in walks
 
     def test_walks_respect_adjacency(self, rng):
         adj, _ = two_cliques()
-        walks = random_walks(adj, 3, 10, p=0.5, q=2.0, rng=rng)
+        walks = walks_by_id(adj, 3, 10, 0.5, 2.0, rng)
         for walk in walks:
             for a, b in zip(walk, walk[1:]):
                 assert b in adj[a]
 
     def test_isolated_node_yields_length_one(self):
         adj = {"a": ["b"], "b": ["a"], "lonely": []}
-        walks = random_walks(adj, 1, 5, 1, 1, np.random.default_rng(0))
+        walks = walks_by_id(adj, 1, 5, 1, 1, np.random.default_rng(0))
         assert ["lonely"] in walks
 
     def test_p_q_one_is_uniform(self):
         # star center: second step from a leaf returns to center or stays put
         adj = {"c": ["l0", "l1", "l2", "l3"],
                "l0": ["c"], "l1": ["c"], "l2": ["c"], "l3": ["c"]}
-        walks = random_walks(adj, 400, 2, p=1, q=1, rng=np.random.default_rng(7))
+        walks = walks_by_id(adj, 400, 2, 1, 1, np.random.default_rng(7))
         first_from_center = [w[1] for w in walks if w[0] == "c"]
         counts = {l: first_from_center.count(l) for l in adj["c"]}
         assert all(abs(c / len(first_from_center) - 0.25) < 0.07
@@ -111,32 +139,31 @@ class TestWalks:
         # favors the far node d over returning to a
         adj = {"a": ["b", "c"], "b": ["a", "c", "d"], "c": ["a", "b"], "d": ["b"]}
         rng = np.random.default_rng(3)
-        walks = random_walks(adj, 500, 3, p=100.0, q=0.01, rng=rng)
+        walks = walks_by_id(adj, 500, 3, 100.0, 0.01, rng)
         thirds = [w[2] for w in walks if w[:2] == ["a", "b"] and len(w) > 2]
         assert thirds.count("d") > thirds.count("a")
 
     def test_deterministic_given_seed(self):
         adj, _ = two_cliques()
-        w1 = random_walks(adj, 2, 6, 1, 1, np.random.default_rng(42))
-        w2 = random_walks(adj, 2, 6, 1, 1, np.random.default_rng(42))
+        w1 = walks_by_id(adj, 2, 6, 1, 1, np.random.default_rng(42))
+        w2 = walks_by_id(adj, 2, 6, 1, 1, np.random.default_rng(42))
         assert w1 == w2
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
-            random_walks({}, 1, 1, 1, 1, np.random.default_rng(0))
+            random_walks([], 1, 1, 1, 1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            random_walks({}, 1, 5, 0, 1, np.random.default_rng(0))
+            random_walks([], 1, 5, 0, 1, np.random.default_rng(0))
 
 
 class TestSkipGram:
     def test_cliques_separate(self):
-        adj, names = two_cliques()
+        adj, _ = two_cliques()
         rng = np.random.default_rng(11)
-        table = node2vec_embed(adj, names, dim=16, walks_per_node=8, walk_len=10,
-                               epochs=4, rng=rng)
+        vec = embed_by_id(adj, dim=16, walks_per_node=8, walk_len=10, epochs=4, rng=rng)
 
         def cos(u, v):
-            a, b = table.row(u), table.row(v)
+            a, b = vec[u], vec[v]
             return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
         intra = np.mean([cos("a0", "a1"), cos("a1", "a2"), cos("b0", "b1")])
@@ -144,8 +171,8 @@ class TestSkipGram:
         assert intra > inter
 
     def test_zero_epochs_keeps_random_init(self):
-        adj, names = two_cliques()
-        walks = random_walks(adj, 1, 5, 1, 1, np.random.default_rng(0))
+        names, rows = as_rows(two_cliques()[0])
+        walks = random_walks(rows, 1, 5, 1, 1, np.random.default_rng(0))
         t1 = train_skipgram(walks, names, dim=8, epochs=0, rng=np.random.default_rng(5))
         t2 = train_skipgram([], names, dim=8, epochs=3, rng=np.random.default_rng(5))
         # same rng consumption for init; zero epochs trains nothing
@@ -162,12 +189,11 @@ class TestSkipGram:
                "z": ["h", "w"], "w": ["z"]}
         closer = 0
         for seed in range(5):
-            table = node2vec_embed(adj, sorted(adj), dim=12, walks_per_node=10,
-                                   walk_len=8, epochs=4,
-                                   rng=np.random.default_rng(seed))
+            vec = embed_by_id(adj, dim=12, walks_per_node=10, walk_len=8, epochs=4,
+                              rng=np.random.default_rng(seed))
 
             def cos(u, v):
-                a, b = table.row(u), table.row(v)
+                a, b = vec[u], vec[v]
                 return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-12))
 
             if cos("x", "y") > cos("x", "w"):
@@ -175,10 +201,10 @@ class TestSkipGram:
         assert closer >= 3
 
     def test_bit_for_bit_determinism(self):
-        adj, names = two_cliques(3)
+        names, rows = as_rows(two_cliques(3)[0])
         runs = []
         for _ in range(2):
-            table = node2vec_embed(adj, names, dim=8, walks_per_node=3,
+            table = node2vec_embed(rows, names, dim=8, walks_per_node=3,
                                    walk_len=6, epochs=2,
                                    rng=np.random.default_rng(99))
             runs.append(table.vectors.tobytes())
@@ -265,31 +291,43 @@ class TestOracleEquivalence:
 
 
 class TestSpatialAdjacency:
-    """The sorted-code adjacency equals the per-edge set build."""
+    """`adjacency` of a spatial graph equals the per-edge set build over its
+    poi_ids."""
 
     @pytest.mark.parametrize("n,alpha", [(1, 3.0), (2, 50.0), (40, 0.5), (150, 2.0), (300, 4.0)])
     def test_matches_oracle_on_spatial_graphs(self, rng, n, alpha):
-        catalog = [Poi(f"q{j}", "c", 40.0 + 0.05 * rng.random(), -74.0 + 0.05 * rng.random())
-                   for j in rng.permutation(n)]
+        catalog = [Poi(f"q{j:03d}", "c", 40.0 + 0.05 * rng.random(), -74.0 + 0.05 * rng.random())
+                   for j in range(n)]
         graph = build_global_spatial(catalog, alpha)
-        assert spatial_adjacency(graph) == oracles.spatial_adjacency(graph)
+        ids = graph.nodes
+        want = oracles.undirected_adjacency(ids, oracles.global_spatial_edges(catalog, alpha))
+        got = adjacency(*graph.edges.T, n)
+        assert {ids[i]: [ids[j] for j in nbrs] for i, nbrs in enumerate(got)} == want
 
     def test_edge_cases(self):
-        # unsorted nodes, an isolated node, a self pair, an edge stored in
-        # both directions, and no edges at all
-        graph = GlobalSpatialGraph(["c", "a", "d", "b"], {("a", "b"): 1.0, ("b", "a"): 1.0,
-                                                         ("c", "c"): 0.0, ("a", "c"): 2.0})
-        adj = spatial_adjacency(graph)
-        assert adj == oracles.spatial_adjacency(graph)
-        assert adj == {"a": ["b", "c"], "b": ["a"], "c": ["a", "c"], "d": []}
-        assert list(adj) == graph.nodes
-        empty = GlobalSpatialGraph(["b", "a"], {})
-        assert spatial_adjacency(empty) == {"b": [], "a": []}
-        assert spatial_adjacency(GlobalSpatialGraph([], {})) == {}
+        # an isolated row, a self pair, an edge given in both directions,
+        # and no edges at all
+        adj = adjacency([0, 1, 2, 0], [1, 0, 2, 2], 4)
+        assert adj == [[1, 2], [0], [0, 2], []]
+        assert adjacency([], [], 2) == [[], []]
+        assert adjacency([], [], 0) == []
 
     def test_unknown_edge_end_fatal(self):
-        with pytest.raises(KeyError):
-            spatial_adjacency(GlobalSpatialGraph(["a"], {("a", "z"): 1.0}))
+        with pytest.raises(ValueError, match="rows 0..0"):
+            adjacency([0], [1], 1)
+
+
+class TestTemporalAdjacency:
+    @given(st.data())
+    def test_matches_oracle_on_temporal_graphs(self, data):
+        ids = [f"p{k}" for k in range(data.draw(st.integers(1, 10)))]
+        trajs = [make_traj(seq) for seq in data.draw(st.lists(
+            st.lists(st.sampled_from(ids), max_size=10), max_size=8))]
+        catalog = [Poi(p, "c", 0.0, 0.0) for p in ids]
+        n = data.draw(st.integers(1, 4))
+        got = adjacency(*build_global_temporal(trajs, n, catalog).neighbors.T, len(ids))
+        want = oracles.temporal_adjacency(oracles.global_temporal(trajs, n, catalog))
+        assert {ids[i]: [ids[j] for j in nbrs] for i, nbrs in enumerate(got)} == want
 
 
 class TestFusion:
