@@ -13,7 +13,6 @@ OPERATORS = ("dropout", "insertion", "substitution")
 
 @dataclass
 class ViewPair:
-    source_id: str
     view_a: object  # TrajectoryGraph
     view_b: object
     tags: tuple  # (operator tag for a, operator tag for b)
@@ -26,17 +25,16 @@ RANK_BLOCK = 64
 
 class CorrelationIndex:
     """Ranked same-mode cosine neighbors per POI under the pretrained
-    spatial and temporal embeddings.
+    spatial and temporal embeddings, by table row (`Trainer` checks that
+    table rows are catalog rows).
 
     Each POI keeps its `top` most similar other POIs, in descending cosine
-    score with the lower table row first on equal scores; table rows are
-    catalog rows, so that is the smaller poi_id. The table is built as a
+    score with the lower row first on equal scores. The table is built as a
     blocked top-k: one full similarity product, then per block of RANK_BLOCK
     rows a partition finds the top-th score, every score above it is kept
     and ties at it fill the remaining slots lowest row first.
-    Each mode is stored as (poi_id -> row, ids, (P, keep) neighbor rows,
-    (P, keep) scores); a temporal table that is the spatial one is ranked
-    once and shared."""
+    Each mode is stored as ((P, keep) neighbor rows, (P, keep) scores); a
+    temporal table that is the spatial one is ranked once and shared."""
 
     def __init__(self, spatial_table, temporal_table, top=50):
         self.spatial = self._rank(spatial_table, top)
@@ -45,10 +43,7 @@ class CorrelationIndex:
 
     @staticmethod
     def _rank(table, top):
-        if table is None or len(table.ids) == 0:
-            return {}, [], np.empty((0, 0), dtype=np.intp), np.empty((0, 0))
-        ids = list(table.ids)
-        n = len(ids)
+        n = len(table.ids)
         keep = max(0, min(top, n - 1))
         v = table.vectors.astype(np.float64)
         norms = np.linalg.norm(v, axis=1)
@@ -70,34 +65,19 @@ class CorrelationIndex:
             desc = np.argsort(-vals, axis=1, kind="stable")
             nbr[lo:lo + len(block)] = np.take_along_axis(cols, desc, axis=1)
             score[lo:lo + len(block)] = np.take_along_axis(vals, desc, axis=1)
-        return {pid: i for i, pid in enumerate(ids)}, ids, nbr, score
+        return nbr, score
 
-    def neighbors(self, poi_id, mode):
-        """[(poi_id, score), ...] best first; [] for an unknown POI."""
-        pos, ids, nbr, score = self.spatial if mode == "spatial" else self.temporal
-        i = pos.get(poi_id)
-        if i is None:
-            return []
-        return [(ids[j], s) for j, s in zip(nbr[i].tolist(), score[i].tolist())]
+    def top_unvisited(self, row, mode, visited):
+        """The best `mode` neighbor of `row` not in `visited`, or None."""
+        nbr, _score = self.spatial if mode == "spatial" else self.temporal
+        return next((c for c in nbr[row].tolist() if c not in visited), None)
 
-    def top_unvisited(self, poi_id, mode, visited):
-        for cand, score in self.neighbors(poi_id, mode):
-            if cand not in visited:
-                return cand, score
-        return None, None
-
-    def top_unvisited_merged(self, poi_id, visited):
-        """Best candidate across both modes, merged by max score."""
-        best = {}
-        for mode in ("spatial", "temporal"):
-            for cand, score in self.neighbors(poi_id, mode):
-                if cand in visited:
-                    continue
-                if cand not in best or score > best[cand]:
-                    best[cand] = score
-        if not best:
-            return None
-        return max(sorted(best), key=lambda c: best[c])
+    def top_unvisited_merged(self, row, visited):
+        """The best neighbor of `row` not in `visited` across both modes, by
+        its higher score, the lower row on equal scores; None if none."""
+        cands = [(-s, c) for nbr, score in (self.spatial, self.temporal)
+                 for c, s in zip(nbr[row].tolist(), score[row].tolist()) if c not in visited]
+        return min(cands)[1] if cands else None
 
 
 # -- operators -------------------------------------------------------------
@@ -110,8 +90,8 @@ def _remove_node(g, victim):
     succs = {b for (a, b) in g.edges if a == victim and b != victim}
     g.edges = {(a, b) for (a, b) in g.edges if victim not in (a, b)}
     g.edges.update((a, b) for a in preds for b in succs if a != b)
-    g.nodes.remove(victim)
-    g.last_step.pop(victim, None)
+    pos = g.nodes.index(victim)
+    del g.nodes[pos], g.last_step[pos]
 
 
 def node_dropout(g, beta, rng):
@@ -132,15 +112,14 @@ def node_dropout(g, beta, rng):
 
 def _insert_node(g, new):
     g.nodes.append(new)
+    g.last_step.append(0)  # no check-in step: position padding index
     g.edges.add((new, new))
-    g.last_step[new] = None  # no check-in step: position padding index
 
 
-def correlated_insertion(g, k, index, mode, rng, categories):
+def correlated_insertion(g, k, index, mode, rng):
     """Insert the top correlated unvisited neighbor of k randomly selected
     nodes. Temporal mode splices the new node onto an outgoing edge; spatial
-    mode attaches it with a bidirected edge pair. A candidate missing from
-    `categories` (the catalog's POIs) is skipped."""
+    mode attaches it with a bidirected edge pair."""
     if k < 0:
         raise ValueError("k must be >= 0")
     out = g.copy()
@@ -149,9 +128,8 @@ def correlated_insertion(g, k, index, mode, rng, categories):
     pool = list(out.nodes)
     selected = [pool[i] for i in rng.permutation(len(pool))[:min(k, len(pool))]]
     for anchor in selected:
-        visited = set(out.nodes)
-        new, _score = index.top_unvisited(anchor, mode, visited)
-        if new is None or new not in categories:
+        new = index.top_unvisited(anchor, mode, set(out.nodes))
+        if new is None:
             continue
         if mode == "temporal":
             out_edges = sorted((a, b) for (a, b) in out.edges if a == anchor and b != anchor)
@@ -167,10 +145,9 @@ def correlated_insertion(g, k, index, mode, rng, categories):
     return out
 
 
-def correlated_substitute(g, k, index, rng, categories):
+def correlated_substitute(g, k, index, rng):
     """Replace k randomly selected non-last nodes with their most correlated
-    POI not already in the graph, rewiring incident edges. A candidate
-    missing from `categories` (the catalog's POIs) is skipped."""
+    POI not already in the graph, rewiring incident edges."""
     if k < 0:
         raise ValueError("k must be >= 0")
     out = g.copy()
@@ -182,13 +159,11 @@ def correlated_substitute(g, k, index, rng, categories):
         if old not in out.nodes:
             continue
         sub = index.top_unvisited_merged(old, set(out.nodes))
-        if sub is None or sub not in categories:
+        if sub is None:
             continue
-        pos = out.nodes.index(old)
-        out.nodes[pos] = sub
+        out.nodes[out.nodes.index(old)] = sub
         out.edges = {(sub if a == old else a, sub if b == old else b)
                      for (a, b) in out.edges}
-        out.last_step[sub] = out.last_step.pop(old)
     return out
 
 
@@ -198,7 +173,7 @@ def auto_insert_count(g, k_config):
     return max(1, math.ceil(0.1 * len(g.nodes)))
 
 
-def make_views(g, config, index, rng, categories):
+def make_views(g, config, index, rng):
     """Two independent uniform operator draws applied to fresh copies of g."""
     views = []
     tags = []
@@ -210,14 +185,13 @@ def make_views(g, config, index, rng, categories):
         elif op == "insertion":
             mode = ("spatial", "temporal")[rng.integers(2)]
             k = auto_insert_count(g, config.k_insert)
-            views.append(correlated_insertion(g, k, index, mode, rng, categories))
+            views.append(correlated_insertion(g, k, index, mode, rng))
             tags.append(f"insertion:{mode}")
         else:
             k = auto_insert_count(g, config.k_insert)
-            views.append(correlated_substitute(g, k, index, rng, categories))
+            views.append(correlated_substitute(g, k, index, rng))
             tags.append("substitution")
-    source = f"{g.last_node}:{g.seq_len}"
-    return ViewPair(source, views[0], views[1], tuple(tags))
+    return ViewPair(views[0], views[1], tuple(tags))
 
 
 # -- contrastive loss ------------------------------------------------------

@@ -87,7 +87,7 @@ def cmd_preprocess(args):
 def cmd_build_graphs(args):
     cfg = _config_from_args(args)
     split = ingest.load_split(args.data)
-    gt = build_global_temporal(split.train, cfg.n_neighbors, catalog=split.catalog)
+    gt = build_global_temporal(split.train, cfg.n_neighbors, ingest.catalog_rows(split.catalog))
     gs = build_global_spatial(split.catalog, cfg.alpha_km)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,25 +233,25 @@ def cmd_augment_debug(args):
     if not (0 <= args.traj_index < len(split.train)):
         raise DataError(f"trajectory index {args.traj_index} out of range "
                         f"(0..{len(split.train) - 1})")
-    traj = split.train[args.traj_index]
-    categories = {p.poi_id: p.category_id for p in split.catalog}
-    g = build_trajectory_graph(traj)
+    trainer = Trainer(split, cfg)
+    g = build_trajectory_graph(split.train[args.traj_index], trainer.row)
     # the trainer builds no index at lam = 0, so this command builds its own
-    index = Trainer(split, cfg).correlation_index()
+    index = trainer.correlation_index()
     rng = np.random.default_rng(cfg.seed)
+    ids = trainer.model.poi_ids
 
     def show(tag, graph):
-        print(f"--- {tag}: {len(graph.nodes)} nodes, last={graph.last_node}")
-        for e in sorted(graph.edges):
-            print(f"  {e[0]} -> {e[1]}")
+        # rows ascend with poi_id, so edges sorted by row are sorted by id
+        print(f"--- {tag}: {len(graph.nodes)} nodes, last={ids[graph.last_node]}")
+        for a, b in sorted(graph.edges):
+            print(f"  {ids[a]} -> {ids[b]}")
 
     show("source", g)
     show(f"node_dropout(beta={cfg.beta})", node_dropout(g, cfg.beta, rng))
     for mode in ("spatial", "temporal"):
         show(f"correlated_insertion(k=1, {mode})",
-             correlated_insertion(g, 1, index, mode, rng, categories))
-    show("correlated_substitute(k=1)",
-         correlated_substitute(g, 1, index, rng, categories))
+             correlated_insertion(g, 1, index, mode, rng))
+    show("correlated_substitute(k=1)", correlated_substitute(g, 1, index, rng))
     return EXIT_OK
 
 

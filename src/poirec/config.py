@@ -115,11 +115,13 @@ def _parse_value(field, raw):
 
 def load_config(path=None, overrides=None):
     """Build a RunConfig from an optional key=value file plus overrides.
-    Unknown keys are fatal (the error lists the valid ones)."""
+    Unknown keys and keys the file sets twice are fatal (the errors list the
+    valid keys, or name both lines)."""
     known = config_keys()
-    values = {}
+    values, set_on = {}, {}
     if path is not None:
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -128,6 +130,10 @@ def load_config(path=None, overrides=None):
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}; valid keys: {sorted(known)}")
+            if key in set_on:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is set twice, "
+                                 f"on lines {set_on[key]} and {lineno}")
+            set_on[key] = lineno
             values[key] = _parse_value(known[key], raw)
     for key, val in (overrides or {}).items():
         if val is None:

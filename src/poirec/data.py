@@ -16,6 +16,11 @@ class DataError(ValueError):
     pass
 
 
+def check_coordinates(lat, lon):
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        raise DataError(f"coordinates out of bounds: ({lat}, {lon})")
+
+
 @dataclass(frozen=True)
 class CheckIn:
     user_id: str
@@ -26,8 +31,7 @@ class CheckIn:
     lon: float
 
     def __post_init__(self):
-        if not (-90.0 <= self.lat <= 90.0 and -180.0 <= self.lon <= 180.0):
-            raise DataError(f"coordinates out of bounds: ({self.lat}, {self.lon})")
+        check_coordinates(self.lat, self.lon)
         if not (self.timestamp >= 0 and self.timestamp == self.timestamp):
             raise DataError(f"bad timestamp: {self.timestamp}")
 
@@ -38,6 +42,9 @@ class Poi:
     category_id: str
     lat: float
     lon: float
+
+    def __post_init__(self):
+        check_coordinates(self.lat, self.lon)
 
 
 @dataclass
@@ -58,6 +65,13 @@ class DatasetSplit:
     val: list = field(default_factory=list)  # (prefix Trajectory, target CheckIn)
     test: list = field(default_factory=list)
     catalog: list = field(default_factory=list)  # Poi, strictly ascending by poi_id
+
+
+def catalog_rows(catalog):
+    """poi_id -> row of each catalog POI: the one map from the poi_ids of
+    files to the int rows that graphs, augmentation, the model and ranking
+    work on."""
+    return {p.poi_id: i for i, p in enumerate(catalog)}
 
 
 # -- parsing ---------------------------------------------------------------
@@ -283,9 +297,11 @@ def save_split(split, out_dir):
 
 
 def load_split(in_dir):
-    """Read a `save_split` directory. Raises DataError unless the catalog's
-    poi_ids strictly ascend (the row order of every later stage), or when a
-    check-in or target names a POI not in the catalog."""
+    """Read a `save_split` directory. Raises DataError, naming the file and
+    line, unless the catalog's poi_ids strictly ascend (the row order of
+    every later stage) and its coordinates are in bounds, and unless each
+    record has a train, val or test "kind", each val and test record a
+    "target", and each check-in and target a catalog POI."""
     src = Path(in_dir)
     cat_path = src / "catalog.jsonl"
     traj_path = src / "trajectories.jsonl"
@@ -299,20 +315,27 @@ def load_split(in_dir):
                 why = "is listed twice" if poi_id == prev else f"follows {prev!r}"
                 raise DataError(f"{cat_path}:{lineno}: POI {poi_id!r} {why}; catalog "
                                 f"poi_ids must be strictly ascending")
-            split.catalog.append(Poi(poi_id, cat, float(lat), float(lon)))
+            try:
+                split.catalog.append(Poi(poi_id, cat, float(lat), float(lon)))
+            except DataError as exc:
+                raise DataError(f"{cat_path}:{lineno}: {exc}") from None
     known = {p.poi_id for p in split.catalog}
+    kinds = {"train": split.train, "val": split.val, "test": split.test}
     with traj_path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             rec = json.loads(line)
+            kind = rec.get("kind")
+            if kind not in kinds:
+                what = f"kind {kind!r}, not one of {', '.join(kinds)}" if "kind" in rec else 'no "kind"'
+                raise DataError(f"{traj_path}:{lineno}: record has {what}")
+            if kind != "train" and "target" not in rec:
+                raise DataError(f'{traj_path}:{lineno}: {kind} record has no "target"')
             rows = rec["checkins"] + ([rec["target"]] if "target" in rec else [])
             missing = sorted({row[1] for row in rows} - known)
             if missing:
-                raise DataError(f"{traj_path}:{lineno}: {rec['kind']} record names POI "
+                raise DataError(f"{traj_path}:{lineno}: {kind} record names POI "
                                 f"{missing[0]!r}, which is not in the catalog")
             traj = Trajectory(rec["user"], [_checkin_from_row(r) for r in rec["checkins"]])
-            if rec["kind"] == "train":
-                split.train.append(traj)
-            else:
-                pair = (traj, _checkin_from_row(rec["target"]))
-                (split.val if rec["kind"] == "val" else split.test).append(pair)
+            kinds[kind].append(traj if kind == "train"
+                               else (traj, _checkin_from_row(rec["target"])))
     return split

@@ -95,11 +95,11 @@ class GraphStack:
         return hops
 
 
-def stack_graphs(graphs, poi_index, coords=None):
+def stack_graphs(graphs, coords=None):
     """`graphs` (TrajectoryGraphs) as one `GraphStack` per node count, in
     order of first appearance, from one Python pass over each graph's nodes
-    and edges. `poi_index` maps poi_id -> catalog row; `coords` is a (rows,
-    2) array of (lat, lon) degrees by catalog row, NaN where unknown."""
+    and edges. `coords` is a (rows, 2) array of (lat, lon) degrees by
+    catalog row, NaN where unknown."""
     groups = {}
     for k, g in enumerate(graphs):
         groups.setdefault(len(g.nodes), []).append(k)
@@ -110,9 +110,8 @@ def stack_graphs(graphs, poi_index, coords=None):
         for slot, k in enumerate(members):
             g = graphs[k]
             order = {p: i for i, p in enumerate(g.nodes)}
-            rows += [poi_index[p] for p in g.nodes]
-            steps = [g.last_step.get(p) for p in g.nodes]
-            pos += [0 if step is None else g.seq_len - step + 1 for step in steps]
+            rows += g.nodes
+            pos += [g.seq_len - step + 1 if step else 0 for step in g.last_step]
             last.append(order[g.last_node])
             base = slot * size * size
             flat += [base + order[a] * size + order[b] for a, b in g.edges if a != b]
@@ -156,7 +155,6 @@ class GsanModel:
         self.bins = dist_bins
         self.dtype = dtype
         self.poi_ids = [p.poi_id for p in catalog]
-        self.poi_index = {pid: i for i, pid in enumerate(self.poi_ids)}
 
         d = config.d
         n_pois = len(self.poi_ids)
@@ -361,7 +359,7 @@ class GsanModel:
             raise NumericError("non-finite catalog logits")
         return logits
 
-    def rec_loss(self, logits, target_poi_ids):
-        """Mean catalog cross-entropy of a (B, P) logit matrix."""
-        targets = np.array([self.poi_index[p] for p in target_poi_ids], dtype=np.int64)
-        return ad.log_softmax_nll(logits, targets)
+    def rec_loss(self, logits, target_rows):
+        """Mean catalog cross-entropy of a (B, P) logit matrix against the
+        target catalog rows."""
+        return ad.log_softmax_nll(logits, target_rows)

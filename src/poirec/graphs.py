@@ -37,31 +37,31 @@ def haversine_matrix(coords, other=None):
 
 @dataclass
 class TrajectoryGraph:
-    nodes: list  # unique poi_ids, first-visit order
-    edges: set  # directed (i, j) poi_id pairs, includes one self-loop per node
-    last_step: dict  # poi_id -> 1-based index of last occurrence; None = synthetic
-    last_node: str
+    nodes: list  # unique catalog rows, first-visit order
+    edges: set  # directed (i, j) row pairs, includes one self-loop per node
+    last_step: list  # per node the 1-based index of its last occurrence; 0 = synthetic
+    last_node: int  # row of the last check-in
     seq_len: int
 
     def copy(self):
         return TrajectoryGraph(
-            list(self.nodes), set(self.edges), dict(self.last_step),
+            list(self.nodes), set(self.edges), list(self.last_step),
             self.last_node, self.seq_len,
         )
 
 
-def build_trajectory_graph(traj):
-    """Convert a trajectory into a directed graph of its unique POIs.
+def build_trajectory_graph(traj, row):
+    """Convert a trajectory into a directed graph of its unique POIs, as the
+    catalog rows `row` (poi_id -> row) gives them.
 
     One edge per observed consecutive pair, plus a self-loop per node.
     """
     if len(traj) < 1:
         raise ValueError("empty trajectory")
-    seq = traj.poi_ids()
-    nodes = list(dict.fromkeys(seq))
-    edges = {(p, p) for p in nodes} | set(zip(seq, seq[1:]))
-    last_step = {p: t + 1 for t, p in enumerate(seq)}
-    return TrajectoryGraph(nodes, edges, last_step, seq[-1], len(seq))
+    seq = [row[p] for p in traj.poi_ids()]
+    last = {p: t + 1 for t, p in enumerate(seq)}  # keys in first-visit order
+    edges = {(p, p) for p in last} | set(zip(seq, seq[1:]))
+    return TrajectoryGraph(list(last), edges, list(last.values()), seq[-1], len(seq))
 
 
 def sorted_distinct(codes):
@@ -87,14 +87,14 @@ class GlobalTemporalGraph:
     visits: np.ndarray  # (P,) visits of each row
 
 
-def build_global_temporal(trajs, n_neighbors, catalog):
+def build_global_temporal(trajs, n_neighbors, row):
     """Aggregate consecutive-pair co-occurrence over all trajectories
     (direction-ignored), keeping at most N >= 1 neighbors per node by
-    descending count, ties broken by ascending row (ascending poi_id). Every
-    visited POI must be in `catalog`."""
-    nodes = [p.poi_id for p in catalog]
+    descending count, ties broken by ascending row (ascending poi_id). `row`
+    maps the poi_id of every catalog POI to its row, in row order; every
+    visited POI must be in it."""
+    nodes = list(row)
     n = len(nodes)
-    row = {pid: i for i, pid in enumerate(nodes)}
     seq = np.array([row[c.poi_id] for traj in trajs for c in traj.checkins], dtype=np.int64)
     owner = np.repeat(np.arange(len(trajs)), np.array([len(t) for t in trajs], dtype=np.int64))
     step = (owner[1:] == owner[:-1]) & (seq[1:] != seq[:-1])

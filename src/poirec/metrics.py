@@ -8,23 +8,18 @@ import numpy as np
 DEFAULT_KS = (1, 5, 10, 20)
 
 
-def rank_targets(scores, poi_ids, targets):
+def rank_targets(scores, target_rows):
     """1-based rank of each row's target over the whole POI set: row i of the
-    (B, P) score matrix ranks targets[i], column j scores poi_ids[j].
+    (B, P) score matrix, whose column j scores catalog row j, ranks
+    catalog row target_rows[i].
 
-    Ties are broken deterministically: equal-score POIs with a smaller
-    poi_id precede the target.
+    Ties are broken deterministically: equal-score POIs in a lower column
+    (catalog rows ascend with poi_id: a smaller poi_id) precede the target.
     """
     scores = np.asarray(scores)
-    column = {p: j for j, p in enumerate(poi_ids)}
-    missing = [t for t in targets if t not in column]
-    if missing:
-        raise ValueError(f"target {missing[0]!r} not in catalog")
-    cols = np.array([column[t] for t in targets], dtype=np.int64)
-    id_order = np.empty(len(poi_ids), dtype=np.int64)  # position in sorted id order
-    id_order[sorted(range(len(poi_ids)), key=poi_ids.__getitem__)] = np.arange(len(poi_ids))
+    cols = np.asarray(target_rows, dtype=np.int64)
     s_t = scores[np.arange(len(cols)), cols][:, None]
-    ahead = (scores > s_t) | ((scores == s_t) & (id_order < id_order[cols][:, None]))
+    ahead = (scores > s_t) | ((scores == s_t) & (np.arange(scores.shape[1]) < cols[:, None]))
     return (1 + np.count_nonzero(ahead, axis=1)).tolist()
 
 

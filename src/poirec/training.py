@@ -13,7 +13,7 @@ from .augment import CorrelationIndex, infonce, make_views
 from .autodiff import Adam, NumericError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RngHub
-from .data import DataError
+from .data import DataError, catalog_rows
 from .encoder import (GsanModel, build_category_vocab, fit_distance_bins,
                       stack_graphs)
 from .graphs import (build_global_spatial, build_global_temporal,
@@ -42,7 +42,7 @@ class EpochReport:
 class TrainSample:
     graph: object  # TrajectoryGraph of the prefix, the source of its views
     plan: object  # EncoderPlan of `graph`
-    target: str  # poi_id
+    target: int  # catalog row
 
 
 def total_loss(rec, ssl, model, lam, gamma):
@@ -85,15 +85,14 @@ class Trainer:
         self.split = split
         self.config = config
         self.hub = RngHub(config.seed)
-        self.categories = {p.poi_id: p.category_id for p in split.catalog}
-        # (lat, lon) by catalog row, the row order of the model's tables
+        # poi_id -> catalog row, the row order of the model's tables: past
+        # this map everything runs on rows
+        self.row = catalog_rows(split.catalog)
         self.coords = np.array([(p.lat, p.lon) for p in split.catalog], dtype=np.float64)
 
-        self.gt_graph = build_global_temporal(split.train, config.n_neighbors,
-                                              catalog=split.catalog)
+        self.gt_graph = build_global_temporal(split.train, config.n_neighbors, self.row)
         graphs, targets = self._prefix_graphs()
-        stacks = stack_graphs(graphs, {pid: i for i, pid in enumerate(catalog_ids)},
-                              self.coords)
+        stacks = stack_graphs(graphs, self.coords)
         self.cat_vocab = build_category_vocab(stacks, [p.category_id for p in split.catalog])
         self.bins = fit_distance_bins(stacks, config.m_bins)
 
@@ -117,7 +116,7 @@ class Trainer:
     # -- data --------------------------------------------------------------
 
     def _prefix_graphs(self):
-        """The trajectory graph of each training prefix, and its target."""
+        """The trajectory graph of each training prefix, and its target row."""
         graphs, targets = [], []
         cfg = self.config
         for traj in self.split.train:
@@ -126,8 +125,8 @@ class Trainer:
             cut_points = range(2, len(traj) + 1) if cfg.all_prefix else [len(traj)]
             for cut in cut_points:
                 prefix = type(traj)(traj.user_id, traj.checkins[:cut - 1])
-                graphs.append(build_trajectory_graph(prefix))
-                targets.append(traj.checkins[cut - 1].poi_id)
+                graphs.append(build_trajectory_graph(prefix, self.row))
+                targets.append(self.row[traj.checkins[cut - 1].poi_id])
         return graphs, targets
 
     def correlation_index(self, spatial_table=None, temporal_table=None):
@@ -144,8 +143,7 @@ class Trainer:
 
     def _plans(self, graphs):
         """The encoder plans of a list of trajectory graphs."""
-        return self.model.plan_stacks(stack_graphs(graphs, self.model.poi_index,
-                                                   self.coords))
+        return self.model.plan_stacks(stack_graphs(graphs, self.coords))
 
     # -- training ----------------------------------------------------------
 
@@ -157,8 +155,8 @@ class Trainer:
         plans = [sample.plan for sample in batch]
         contrast = cfg.lam != 0 and len(batch) >= 2
         if contrast:
-            pairs = [make_views(sample.graph, cfg, self.corr_index, self.aug_rng,
-                                self.categories) for sample in batch]
+            pairs = [make_views(sample.graph, cfg, self.corr_index, self.aug_rng)
+                     for sample in batch]
             plans += self._plans([p.view_a for p in pairs] + [p.view_b for p in pairs])
         s_u = self.model.encode_plans(plans)
         n = len(batch)
@@ -179,7 +177,7 @@ class Trainer:
             if not np.isfinite(loss.data).all():
                 raise NumericError(
                     f"non-finite loss at epoch {self.epoch}, batch {n_batches}: "
-                    f"targets={[s.target for s in batch]}")
+                    f"targets={[self.model.poi_ids[s.target] for s in batch]}")
             self.optimizer.zero_grad()
             loss.backward()
             self.optimizer.step()
@@ -232,10 +230,10 @@ class Trainer:
         (B, P) logit matrix."""
         if not pairs:
             return []
-        plans = self._plans([build_trajectory_graph(prefix) for prefix, _ in pairs])
+        plans = self._plans([build_trajectory_graph(prefix, self.row) for prefix, _ in pairs])
         with ad.no_grad():
             logits = self.model.predict(self.model.encode_plans(plans)).data
-        return rank_targets(logits, self.model.poi_ids, [t.poi_id for _, t in pairs])
+        return rank_targets(logits, [self.row[t.poi_id] for _, t in pairs])
 
     def evaluate(self, pairs, split_name="test", ks=(1, 5, 10, 20)):
         return report_from_ranks(self.rank_pairs(pairs), split=split_name, ks=ks)
@@ -289,7 +287,7 @@ def pretrain_tables(split, config):
     """node2vec over the two global graphs, plus the fused table; logs one
     INFO line per graph (see `node2vec_embed`)."""
     hub = RngHub(config.seed)
-    gt = build_global_temporal(split.train, config.n_neighbors, catalog=split.catalog)
+    gt = build_global_temporal(split.train, config.n_neighbors, catalog_rows(split.catalog))
     gs = build_global_spatial(split.catalog, config.alpha_km)
     common = dict(dim=config.d, walks_per_node=config.walks_per_node,
                   walk_len=config.walk_len, p=config.n2v_p, q=config.n2v_q,

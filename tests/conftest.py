@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ settings.load_profile("poirec")
 
 def make_traj(poi_ids, user="u1", categories=None, t0=0.0, step=3600.0,
               coords=None):
-    """Trajectory fixture: synthetic timestamps, grid coordinates."""
+    """Trajectory fixture: synthetic timestamps, grid coordinates (the same
+    in every process: from a CRC of the poi_id, not its salted `hash`)."""
     checkins = []
     for i, p in enumerate(poi_ids):
         cat = categories[p] if categories else f"cat_{p}"
-        lat, lon = coords[p] if coords else (10.0 + 0.01 * (hash(p) % 7), 20.0)
+        lat, lon = coords[p] if coords else (10.0 + 0.01 * (zlib.crc32(p.encode()) % 7), 20.0)
         checkins.append(CheckIn(user, p, cat, t0 + i * step, lat, lon))
     return Trajectory(user, checkins)
 
@@ -34,9 +36,21 @@ def catalog_of(trajs):
     return build_catalog([c for traj in trajs for c in traj.checkins])
 
 
+def rows_of(poi_ids):
+    """poi_id -> row of a catalog of the sorted distinct `poi_ids`."""
+    return {p: i for i, p in enumerate(sorted(set(poi_ids)))}
+
+
+def traj_graph(seq, ids=None, **kwargs):
+    """The trajectory graph of `make_traj(seq, **kwargs)` over a catalog of
+    the sorted `ids` (default: the POIs of `seq`)."""
+    return build_trajectory_graph(make_traj(seq, **kwargs), rows_of(ids or seq))
+
+
 def augmented_graphs(rng, count, cats=None):
-    """`count` random trajectory graphs, each followed by its augmented
-    copies: node dropout, insertion in both modes, substitution."""
+    """`count` random trajectory graphs over a catalog of the sorted POIs of
+    `cats` (poi_id -> category), each followed by its augmented copies: node
+    dropout, insertion in both modes, substitution."""
     cats = cats or {f"p{i}": f"c{i % 3}" for i in range(30)}
     table = EmbeddingTable(sorted(cats),
                            rng.normal(size=(len(cats), 4)).astype(np.float32))
@@ -44,12 +58,12 @@ def augmented_graphs(rng, count, cats=None):
     out = []
     for _ in range(count):
         seq = [f"p{i}" for i in rng.integers(0, 12, size=rng.integers(1, 16))]
-        g = build_trajectory_graph(make_traj(seq, categories=cats))
+        g = build_trajectory_graph(make_traj(seq, categories=cats), rows_of(cats))
         out.append(g)
         out.append(node_dropout(g, 0.4, rng))
         for mode in ("spatial", "temporal"):
-            out.append(correlated_insertion(g, 2, index, mode, rng, cats))
-        out.append(correlated_substitute(g, 2, index, rng, cats))
+            out.append(correlated_insertion(g, 2, index, mode, rng))
+        out.append(correlated_substitute(g, 2, index, rng))
     return out
 
 
@@ -65,8 +79,7 @@ def row_coords(poi_ids, coords):
 def stacks(graphs, poi_ids, coords=None):
     """`stack_graphs` over a catalog of the sorted `poi_ids`, with coordinates
     given as a poi_id -> (lat, lon) dict."""
-    return stack_graphs(graphs, {p: i for i, p in enumerate(poi_ids)},
-                        row_coords(poi_ids, coords))
+    return stack_graphs(graphs, row_coords(poi_ids, coords))
 
 
 def stacked(graphs, poi_ids, coords=None):

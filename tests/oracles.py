@@ -3,7 +3,8 @@ counts and connectivity of plain graphs, the master graph and encoder plan
 built one graph at a time, the per-edge category vocabulary, the per-pair
 BFS and loop forms of the master-graph structure and of the attention bias,
 the per-graph encoder, the sorted-row correlation ranking, the catalog-loop target rank,
-the clamped softmax loss chain, the per-step node2vec walks and per-update
+the augmentation operators, neighbour lists and target ranks keyed by
+poi_id, the clamped softmax loss chain, the per-step node2vec walks and per-update
 skip-gram, the global temporal graph and both node2vec adjacencies keyed by
 poi_id, the scalar spatial-graph scan, the check-in line parsers with one
 `strptime` per line and exactly the format's fields, plus small autodiff
@@ -79,7 +80,7 @@ def all_pairs_spd(nodes, adjacency, cap):
             u = queue.popleft()
             if dist[u] >= cap:
                 continue
-            for v in sorted(adjacency[u]):
+            for v in adjacency[u]:  # hop counts do not depend on the order
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
@@ -126,14 +127,14 @@ class MasterGraph:
     # (n+1, n+1) km, NaN for the master and for missing coordinates; None
     # when add_master_node got no coordinates
     geo: object
-    coords: object  # the poi_id -> (lat, lon) dict it was built with, or None
+    coords: object  # the (rows, 2) coordinates it was built with, or None
 
 
 def add_master_node(g, coords=None):
     """Attach the readout master node: undirected edges to every base node,
     the closed-form hop and midpoint matrices, and base-pair Haversine
-    distances. `coords` maps poi_id -> (lat, lon); without it `geo` is
-    None."""
+    distances. `coords` is a (rows, 2) array of (lat, lon) by catalog row,
+    NaN where unknown; without it `geo` is None."""
     if not g.nodes:
         raise ValueError("empty base graph")
     n = len(g.nodes)
@@ -148,9 +149,8 @@ def add_master_node(g, coords=None):
     common = adj[:, :, None] & adj  # [i, k, j]
     mid = np.where(hops == 2, common.argmax(axis=1), np.arange(size))
     geo = None
-    if coords:
-        nan = (math.nan, math.nan)  # also the master's
-        geo = haversine_matrix(np.array([coords.get(p, nan) for p in g.nodes] + [nan]))
+    if coords is not None:
+        geo = haversine_matrix(np.vstack([coords[g.nodes], [math.nan, math.nan]]))
     return MasterGraph(g, list(g.nodes) + [MASTER], adj, hops, mid, geo, coords)
 
 
@@ -171,9 +171,8 @@ def plan(model, mgraph):
     """The `EncoderPlan` of one master graph, built on its own matrices."""
     cfg = model.config
     g = mgraph.base
-    poi_rows = np.array([model.poi_index[p] for p in g.nodes], dtype=np.int64)
-    steps = [g.last_step.get(p) for p in g.nodes]
-    pos = [0 if step is None else g.seq_len - step + 1 for step in steps]
+    poi_rows = np.array(g.nodes, dtype=np.int64)
+    pos = [0 if step == 0 else g.seq_len - step + 1 for step in g.last_step]
     if max(pos) > cfg.t_max:
         raise ad.NumericError(f"position index {max(pos)} exceeds t_max={cfg.t_max}")
     size = len(mgraph.nodes)
@@ -206,7 +205,7 @@ def category_pair(cat_a, cat_b):
 
 def category_vocab(graphs, categories):
     """Category-pair vocabulary read off the graphs' edges (self-loops
-    included); `categories` maps poi_id -> category."""
+    included); `categories[r]` is the category of catalog row r."""
     pairs = {category_pair(categories[a], categories[b])
              for g in graphs for a, b in g.edges}
     return {pair: i + 1 for i, pair in enumerate(sorted(pairs))}
@@ -277,7 +276,7 @@ def distance_bias(dist, bins, boundary_values):
 
 def pair_index(vocab, categories, base, u, w):
     """Category-pair table index for the path edge between u and w: the
-    sorted pair of their categories (`categories` maps poi_id -> category)
+    sorted pair of their categories (`categories[r]`: catalog row r's)
     when an edge joins them in either direction or u == w."""
     if MASTER in (u, w) or (u != w and (u, w) not in base.edges
                             and (w, u) not in base.edges):
@@ -305,9 +304,10 @@ def category_bias(mgraph, vocab, categories, i, j, pair_table, w_r, paths=None):
 
 def bias_matrix(model, mgraph, coords, categories):
     """The attention bias of `model` built pair by pair from BFS hop counts,
-    scalar Haversine distances and canonical paths. `coords` maps poi_id ->
-    (lat, lon); a pair missing either takes the master/unknown distance slot.
-    `categories` maps poi_id -> category. The last b_spd row is the master
+    scalar Haversine distances and canonical paths. `coords` is a (rows, 2)
+    array of (lat, lon) by catalog row, NaN where unknown, or None; a pair
+    missing either takes the master/unknown distance slot. `categories[r]`
+    is the category of catalog row r. The last b_spd row is the master
     slot."""
     cfg = model.config
     nodes, adjacency = master_adjacency(mgraph.base)
@@ -327,7 +327,7 @@ def bias_matrix(model, mgraph, coords, categories):
     b_dist = model.params["b_dist"].data[:, 0]
     cat_table = model.params["cat_pairs"].data
     w_r = model.params["w_r"].data[:, 0]
-    coords = coords or {}
+    known = set() if coords is None else set(np.flatnonzero(~np.isnan(coords).any(axis=1)))
     out = np.zeros((len(nodes), len(nodes)))
     for a, i in enumerate(nodes):
         for b, j in enumerate(nodes):
@@ -335,7 +335,7 @@ def bias_matrix(model, mgraph, coords, categories):
                 out[a, b] = b_spd[-1] + b_dist[cfg.m_bins + 1]
             else:
                 out[a, b] = b_spd[spd[(i, j)]]
-                if i in coords and j in coords:
+                if i in known and j in known:
                     km = haversine(*coords[i], *coords[j])
                     out[a, b] += distance_bias(km, model.bins, b_dist)
                 else:
@@ -354,11 +354,10 @@ def node_features(model, mgraph):
     each node's POI, degree, popularity and reverse-position rows; the
     master takes the mean plus the padding position row."""
     g = mgraph.base
-    idx = np.array([model.poi_index[p] for p in g.nodes], dtype=np.int64)
+    idx = np.array(g.nodes, dtype=np.int64)
     pos_idx = []
-    for p in g.nodes:
-        step = g.last_step.get(p)
-        if step is None:
+    for step in g.last_step:
+        if step == 0:
             pos_idx.append(0)  # synthetic nodes use the padding row
         else:
             rev = g.seq_len - step + 1
@@ -393,8 +392,7 @@ def gather_bias(model, mgraph):
     idx[1], idx[2], w[1], w[2] = model.bins.locate(dist)
     idx[1:3] += tables[0].shape[0]
     if cfg.use_category_bias:
-        rows = [model.poi_index[p] for p in mgraph.base.nodes]
-        cat = category_index(model, mgraph, rows) + (tables[0].shape[0] + tables[1].shape[0])
+        cat = category_index(model, mgraph, mgraph.base.nodes) + (tables[0].shape[0] + tables[1].shape[0])
         tables.append(ad.matmul(model.params["cat_pairs"], model.params["w_r"]))
         nodes = np.arange(size)
         idx[3] = cat[nodes[:, None], mgraph.mid]
@@ -478,6 +476,191 @@ def rank_target(scores, poi_ids, target):
         if s > s_t or (s == s_t and p < target):
             rank += 1
     return rank
+
+
+def rank_targets(scores, poi_ids, targets):
+    """1-based rank of each row's target over the whole POI set: row i of the
+    (B, P) score matrix ranks targets[i], column j scores poi_ids[j]; an
+    equal-score POI with a smaller poi_id precedes the target, whatever its
+    column."""
+    scores = np.asarray(scores)
+    column = {p: j for j, p in enumerate(poi_ids)}
+    missing = [t for t in targets if t not in column]
+    if missing:
+        raise ValueError(f"target {missing[0]!r} not in catalog")
+    cols = np.array([column[t] for t in targets], dtype=np.int64)
+    id_order = np.empty(len(poi_ids), dtype=np.int64)  # position in sorted id order
+    id_order[sorted(range(len(poi_ids)), key=poi_ids.__getitem__)] = np.arange(len(poi_ids))
+    s_t = scores[np.arange(len(cols)), cols][:, None]
+    ahead = (scores > s_t) | ((scores == s_t) & (id_order < id_order[cols][:, None]))
+    return (1 + np.count_nonzero(ahead, axis=1)).tolist()
+
+
+# -- augmentation keyed by poi_id ------------------------------------------
+
+
+@dataclass
+class IdGraph:
+    """A trajectory graph keyed by poi_id, the form the augmentation
+    operators below take."""
+
+    nodes: list  # unique poi_ids, first-visit order
+    edges: set  # directed (i, j) poi_id pairs, includes one self-loop per node
+    last_step: dict  # poi_id -> 1-based index of last occurrence; None = synthetic
+    last_node: str
+    seq_len: int
+
+    def copy(self):
+        return IdGraph(list(self.nodes), set(self.edges), dict(self.last_step),
+                       self.last_node, self.seq_len)
+
+
+def id_graph(g, ids):
+    """The `IdGraph` of a `TrajectoryGraph` whose row r is the POI ids[r]."""
+    return IdGraph([ids[r] for r in g.nodes], {(ids[a], ids[b]) for a, b in g.edges},
+                   {ids[r]: step or None for r, step in zip(g.nodes, g.last_step)},
+                   ids[g.last_node], g.seq_len)
+
+
+class IdIndex:
+    """A `CorrelationIndex` whose row r is the POI ids[r], read by poi_id."""
+
+    def __init__(self, index, ids):
+        self.modes = {"spatial": index.spatial, "temporal": index.temporal}
+        self.ids = ids
+        self.pos = {pid: i for i, pid in enumerate(ids)}
+
+    def neighbors(self, poi_id, mode):
+        """[(poi_id, score), ...] best first; [] for an unknown POI."""
+        nbr, score = self.modes[mode]
+        i = self.pos.get(poi_id)
+        if i is None:
+            return []
+        return [(self.ids[j], s) for j, s in zip(nbr[i].tolist(), score[i].tolist())]
+
+    def top_unvisited(self, poi_id, mode, visited):
+        for cand, score in self.neighbors(poi_id, mode):
+            if cand not in visited:
+                return cand, score
+        return None, None
+
+    def top_unvisited_merged(self, poi_id, visited):
+        """Best candidate across both modes, merged by max score."""
+        best = {}
+        for mode in ("spatial", "temporal"):
+            for cand, score in self.neighbors(poi_id, mode):
+                if cand in visited:
+                    continue
+                if cand not in best or score > best[cand]:
+                    best[cand] = score
+        if not best:
+            return None
+        return max(sorted(best), key=lambda c: best[c])
+
+
+def _remove_node(g, victim):
+    preds = {a for (a, b) in g.edges if b == victim and a != victim}
+    succs = {b for (a, b) in g.edges if a == victim and b != victim}
+    g.edges = {(a, b) for (a, b) in g.edges if victim not in (a, b)}
+    g.edges.update((a, b) for a in preds for b in succs if a != b)
+    g.nodes.remove(victim)
+    g.last_step.pop(victim, None)
+
+
+def node_dropout(g, beta, rng):
+    """Drop each non-last node of an `IdGraph` with probability beta,
+    rewiring every predecessor to every successor."""
+    if not (0 <= beta < 1):
+        raise ValueError(f"beta must be in [0, 1), got {beta}")
+    out = g.copy()
+    if beta == 0:
+        return out
+    victims = [p for p in out.nodes
+               if p != out.last_node and rng.random() < beta]
+    for victim in victims:
+        if len(out.nodes) <= 1:
+            break
+        _remove_node(out, victim)
+    return out
+
+
+def _insert_node(g, new):
+    g.nodes.append(new)
+    g.edges.add((new, new))
+    g.last_step[new] = None
+
+
+def correlated_insertion(g, k, index, mode, rng, categories):
+    """Insert the top correlated unvisited neighbor (by an `IdIndex`) of k
+    randomly selected nodes, skipping a candidate missing from
+    `categories`."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    out = g.copy()
+    if k == 0:
+        return out
+    pool = list(out.nodes)
+    selected = [pool[i] for i in rng.permutation(len(pool))[:min(k, len(pool))]]
+    for anchor in selected:
+        visited = set(out.nodes)
+        new, _score = index.top_unvisited(anchor, mode, visited)
+        if new is None or new not in categories:
+            continue
+        if mode == "temporal":
+            out_edges = sorted((a, b) for (a, b) in out.edges if a == anchor and b != anchor)
+            if not out_edges:
+                continue
+            a, b = out_edges[rng.integers(len(out_edges))]
+            out.edges.discard((a, b))
+            _insert_node(out, new)
+            out.edges.update(((a, new), (new, b)))
+        else:
+            _insert_node(out, new)
+            out.edges.update(((anchor, new), (new, anchor)))
+    return out
+
+
+def correlated_substitute(g, k, index, rng, categories):
+    """Replace k randomly selected non-last nodes with their most correlated
+    POI not in the graph, skipping a candidate missing from `categories`."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    out = g.copy()
+    if k == 0:
+        return out
+    pool = sorted(p for p in out.nodes if p != out.last_node)
+    selected = [pool[i] for i in rng.permutation(len(pool))[:min(k, len(pool))]]
+    for old in selected:
+        if old not in out.nodes:
+            continue
+        sub = index.top_unvisited_merged(old, set(out.nodes))
+        if sub is None or sub not in categories:
+            continue
+        pos = out.nodes.index(old)
+        out.nodes[pos] = sub
+        out.edges = {(sub if a == old else a, sub if b == old else b)
+                     for (a, b) in out.edges}
+        out.last_step[sub] = out.last_step.pop(old)
+    return out
+
+
+def make_views(g, config, index, rng, categories):
+    """(view a, view b, tags): two independent uniform operator draws."""
+    views, tags = [], []
+    for _ in range(2):
+        op = ("dropout", "insertion", "substitution")[rng.integers(3)]
+        k = config.k_insert or max(1, math.ceil(0.1 * len(g.nodes)))
+        if op == "dropout":
+            views.append(node_dropout(g, config.beta, rng))
+            tags.append("dropout")
+        elif op == "insertion":
+            mode = ("spatial", "temporal")[rng.integers(2)]
+            views.append(correlated_insertion(g, k, index, mode, rng, categories))
+            tags.append(f"insertion:{mode}")
+        else:
+            views.append(correlated_substitute(g, k, index, rng, categories))
+            tags.append("substitution")
+    return views[0], views[1], tuple(tags)
 
 
 # -- global graphs keyed by poi_id -----------------------------------------

@@ -15,14 +15,14 @@ from poirec.augment import (CorrelationIndex, correlated_insertion,
 from poirec.autodiff import Tensor
 from poirec.cli import main
 from poirec.config import RunConfig
-from poirec.data import Poi, save_split
+from poirec.data import Poi, catalog_rows, save_split
 from poirec.encoder import GsanModel, fit_distance_bins
 from poirec.graphs import (TrajectoryGraph, build_global_temporal,
                            build_trajectory_graph, haversine)
 from poirec.metrics import hit_rate, ndcg, rank_targets
 from poirec.pretrain import EmbeddingTable
 from poirec.training import Trainer, pretrain_tables, total_loss
-from conftest import builder_plans, category_vocab, make_traj, stacked, stacks
+from conftest import builder_plans, category_vocab, make_traj, rows_of, stacked, stacks
 from gradcheck import grad_check
 from synth import markov_dataset
 
@@ -36,10 +36,11 @@ def verdict(num, ok, detail=""):
     return ok
 
 
-def random_traj_graph(rng, n_pool=10, max_len=12):
+def random_traj_graph(rng, ids, n_pool=10, max_len=12):
+    """The graph of a random walk over p0 .. p{n_pool - 1}, over a catalog
+    of the sorted `ids`."""
     seq = [f"p{i}" for i in rng.integers(0, n_pool, size=rng.integers(2, max_len))]
-    cats = {f"p{i}": f"c{i % 3}" for i in range(n_pool + 10)}
-    return build_trajectory_graph(make_traj(seq, categories=cats)), cats
+    return build_trajectory_graph(make_traj(seq), rows_of(ids))
 
 
 def test_criterion_1_gradient_integrity():
@@ -55,8 +56,9 @@ def test_criterion_1_gradient_integrity():
     trajs = [make_traj(["p0", "p1", "p2", "p3", "p4", "p5"], categories=cmap,
                        coords=coords),
              make_traj(["p5", "p3", "p1", "p0"], categories=cmap, coords=coords)]
-    graphs = [build_trajectory_graph(t) for t in trajs]
-    gt = build_global_temporal(trajs, 5, catalog=catalog)
+    row = catalog_rows(catalog)
+    graphs = [build_trajectory_graph(t, row) for t in trajs]
+    gt = build_global_temporal(trajs, 5, row)
     vocab = category_vocab(graphs, cmap)
     bins = fit_distance_bins(stacks(graphs, sorted(cmap), coords), cfg.m_bins)
     model = GsanModel(catalog, gt, vocab, bins, cfg,
@@ -70,11 +72,10 @@ def test_criterion_1_gradient_integrity():
     views = []
     for g in graphs:
         a = node_dropout(g, 0.4, rng)
-        b = correlated_substitute(correlated_insertion(g, 1, index, "spatial",
-                                                       rng, cmap),
-                                  1, index, rng, cmap)
+        b = correlated_substitute(correlated_insertion(g, 1, index, "spatial", rng),
+                                  1, index, rng)
         views.append((a, b))
-    targets = ["p4", "p2"]
+    targets = [row["p4"], row["p2"]]
     # as in training: the samples, then view a and view b of each, in one call
     plans = builder_plans(model, graphs + [a for a, _ in views] + [b for _, b in views],
                           coords)
@@ -116,11 +117,11 @@ def test_criterion_3_spd_matches_floyd_warshall():
     graphs, pair_sets = [], []
     for _ in range(200):
         n = int(rng.integers(2, 21))
-        nodes = [f"v{i}" for i in range(n)]
+        nodes = list(range(n))
         pairs = {(nodes[i], nodes[j]) for i in range(n)
                  for j in range(i + 1, n) if rng.random() < 0.25}
         graphs.append(TrajectoryGraph(nodes, pairs | {(v, v) for v in nodes},
-                                      {v: i + 1 for i, v in enumerate(nodes)}, nodes[-1], n))
+                                      [i + 1 for i in nodes], nodes[-1], n))
         pair_sets.append(pairs | {(v, "master") for v in nodes})
     mismatches = 0
     for g, pairs, (hops, _, _) in zip(graphs, pair_sets,
@@ -158,16 +159,15 @@ def test_criterion_5_master_node_property():
     index = CorrelationIndex(table, table, top=10)
     graphs = []
     for _ in range(100):
-        g, _ = random_traj_graph(rng)
+        g = random_traj_graph(rng, cats)
         op = int(rng.integers(3))
         if op == 0:
             g = node_dropout(g, 0.4, rng)
         elif op == 1:
             g = correlated_insertion(g, 2, index,
-                                     ("spatial", "temporal")[int(rng.integers(2))],
-                                     rng, cats)
+                                     ("spatial", "temporal")[int(rng.integers(2))], rng)
         else:
-            g = correlated_substitute(g, 2, index, rng, cats)
+            g = correlated_substitute(g, 2, index, rng)
         graphs.append(g)
     violations = 0
     for hops, _, _ in stacked(graphs, sorted(cats)):
@@ -195,12 +195,11 @@ def test_criterion_6_metric_oracle():
 
     rng = np.random.default_rng(41)
     n_pois, trials, k = 50, 10_000, 10
-    catalog = [f"p{i:03d}" for i in range(n_pois)]
     hits = 0
     for _ in range(trials):
         scores = rng.random(n_pois)
-        target = catalog[int(rng.integers(n_pois))]
-        hits += rank_targets(scores[None, :], catalog, [target])[0] <= k
+        target = int(rng.integers(n_pois))
+        hits += rank_targets(scores[None, :], [target])[0] <= k
     p = k / n_pois
     sigma = math.sqrt(p * (1 - p) / trials)
     dev = abs(hits / trials - p)
@@ -258,23 +257,21 @@ def test_criterion_9_augmentation_safety():
     rng = np.random.default_rng(61)
     pool = 10
     catalog_ids = {f"p{i}" for i in range(pool + 10)}
-    cats = {p: f"c{hash(p) % 3}" for p in catalog_ids}
+    catalog_row_set = set(range(len(catalog_ids)))
     table = EmbeddingTable(sorted(catalog_ids),
                            rng.normal(size=(len(catalog_ids), 4)).astype(np.float32))
     index = CorrelationIndex(table, table, top=10)
     bad, safe = 0, []
     for trial in range(10_000):
-        g, _ = random_traj_graph(rng, n_pool=pool)
+        g = random_traj_graph(rng, catalog_ids, n_pool=pool)
         op = trial % 3
         if op == 0:
             out = node_dropout(g, 0.4, rng)
         elif op == 1:
-            out = correlated_insertion(g, 2, index,
-                                       ("spatial", "temporal")[trial % 2],
-                                       rng, cats)
+            out = correlated_insertion(g, 2, index, ("spatial", "temporal")[trial % 2], rng)
         else:
-            out = correlated_substitute(g, 2, index, rng, cats)
-        if out.last_node in out.nodes and set(out.nodes) <= catalog_ids:
+            out = correlated_substitute(g, 2, index, rng)
+        if out.last_node in out.nodes and set(out.nodes) <= catalog_row_set:
             safe.append(out)
         else:
             bad += 1
@@ -282,9 +279,9 @@ def test_criterion_9_augmentation_safety():
     for st in stacks(safe, sorted(catalog_ids)):
         bad += int((~connected(st.adj[:, :-1, :-1])).sum())
 
-    g, _ = random_traj_graph(rng, n_pool=pool)
+    g = random_traj_graph(rng, catalog_ids, n_pool=pool)
     ident_drop = node_dropout(g, 0.0, rng)
-    ident_ins = correlated_insertion(g, 0, index, "spatial", rng, cats)
+    ident_ins = correlated_insertion(g, 0, index, "spatial", rng)
     identities = (ident_drop.nodes == g.nodes and ident_drop.edges == g.edges
                   and ident_ins.nodes == g.nodes and ident_ins.edges == g.edges)
     ok = bad == 0 and identities

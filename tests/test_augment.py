@@ -1,48 +1,59 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from poirec.augment import (CorrelationIndex, auto_insert_count,
                             correlated_insertion, correlated_substitute,
                             infonce, make_views, node_dropout)
 from poirec.autodiff import ShapeError, Tensor
+from poirec.config import RunConfig
 from poirec.graphs import build_trajectory_graph
 from poirec.pretrain import EmbeddingTable
-from conftest import category_vocab, make_traj
+from conftest import augmented_graphs, category_vocab, make_traj, rows_of
 import oracles
+from oracles import id_graph
 
 CATS = {p: f"cat_{p}" for p in
         ["a", "b", "c", "d", "x", "y", "z"] + [f"p{i}" for i in range(10)]}
+IDS = sorted(CATS)
 
 
-def path_graph(seq):
-    return build_trajectory_graph(make_traj(seq, categories=CATS))
+def path_graph(seq, ids=IDS):
+    """The trajectory graph of `seq` over a catalog of the sorted `ids`."""
+    return build_trajectory_graph(make_traj(seq, categories=CATS), rows_of(ids))
 
 
 def clustered_index(groups, top=50):
-    """Embeddings where POIs in the same group are nearly parallel."""
+    """(index, catalog ids): embeddings where POIs in the same group are
+    nearly parallel, over a catalog of the sorted group members."""
     rng = np.random.default_rng(0)
-    ids, rows = [], []
+    vectors = {}
     for gi, group in enumerate(groups):
         base = np.zeros(4)
         base[gi % 4] = 1.0
         for j, pid in enumerate(group):
-            ids.append(pid)
-            rows.append(base + 0.01 * (j + 1) * rng.normal(size=4))
-    vec = np.array(rows, dtype=np.float32)
-    table = EmbeddingTable(ids, vec)
-    return CorrelationIndex(table, table, top=top)
+            vectors[pid] = base + 0.01 * (j + 1) * rng.normal(size=4)
+    ids = sorted(vectors)
+    table = EmbeddingTable(ids, np.array([vectors[p] for p in ids], dtype=np.float32))
+    return CorrelationIndex(table, table, top=top), ids
+
+
+def cats_of(ids):
+    return {p: CATS[p] for p in ids}
 
 
 class TestCorrelationIndex:
     def test_clusters_rank_first(self):
-        idx = clustered_index([["a", "b", "c"], ["x", "y"]])
-        assert idx.neighbors("a", "spatial")[0][0] in ("b", "c")
-        assert idx.neighbors("x", "temporal")[0][0] == "y"
+        idx, ids = clustered_index([["a", "b", "c"], ["x", "y"]])
+        row = rows_of(ids)
+        assert ids[idx.top_unvisited(row["a"], "spatial", set())] in ("b", "c")
+        assert ids[idx.top_unvisited(row["x"], "temporal", set())] == "y"
 
     def test_scores_match_cosine_oracle(self, rng):
         ids = ["a", "b", "c", "d"]
         vec = rng.normal(size=(4, 6)).astype(np.float32)
-        idx = CorrelationIndex(EmbeddingTable(ids, vec), None, top=3)
+        table = EmbeddingTable(ids, vec)
+        idx = oracles.IdIndex(CorrelationIndex(table, table, top=3), ids)
         v = vec.astype(np.float64)
         vn = v / np.linalg.norm(v, axis=1)[:, None]
         for cand, score in idx.neighbors("a", "spatial"):
@@ -50,22 +61,22 @@ class TestCorrelationIndex:
             assert score == pytest.approx(float(vn[0] @ vn[j]), abs=1e-9)
 
     def test_symmetric_for_pairs(self):
-        idx = clustered_index([["a", "b"], ["x", "y"]])
+        idx = oracles.IdIndex(*clustered_index([["a", "b"], ["x", "y"]]))
         sa = dict(idx.neighbors("a", "spatial"))["b"]
         sb = dict(idx.neighbors("b", "spatial"))["a"]
         assert sa == pytest.approx(sb, abs=1e-9)
 
     def test_top_unvisited_skips_visited(self):
-        idx = clustered_index([["a", "b", "c"]])
-        cand, _ = idx.top_unvisited("a", "spatial", visited={"a", "b", "c"})
-        assert cand is None
-        cand2, _ = idx.top_unvisited("a", "spatial", visited={"a"})
-        assert cand2 in ("b", "c")
+        idx, ids = clustered_index([["a", "b", "c"]])
+        assert idx.top_unvisited(0, "spatial", visited={0, 1, 2}) is None
+        assert ids[idx.top_unvisited(0, "spatial", visited={0})] in ("b", "c")
 
     def test_empty_index(self):
-        idx = CorrelationIndex(None, None)
-        assert idx.neighbors("a", "spatial") == []
-        assert idx.top_unvisited_merged("a", set()) is None
+        # a one-POI catalog: no other POI to rank
+        table = EmbeddingTable(["a"], np.ones((1, 4), dtype=np.float32))
+        idx = CorrelationIndex(table, table)
+        assert idx.top_unvisited(0, "spatial", set()) is None
+        assert idx.top_unvisited_merged(0, set()) is None
 
 
 def tied_table(rng, n, d=5):
@@ -80,10 +91,11 @@ def tied_table(rng, n, d=5):
 
 
 def assert_index_matches_oracle(idx, spatial, temporal, top):
+    by_id = oracles.IdIndex(idx, spatial.ids)
     for mode, table in (("spatial", spatial), ("temporal", temporal)):
         want = oracles.correlation_rank(table, top)
         for pid in table.ids:
-            assert idx.neighbors(pid, mode) == want[pid], (mode, pid)
+            assert by_id.neighbors(pid, mode) == want[pid], (mode, pid)
 
 
 class TestCorrelationIndexOracle:
@@ -103,14 +115,7 @@ class TestCorrelationIndexOracle:
                                   rng.normal(size=spatial.vectors.shape).astype(np.float32))
         idx = CorrelationIndex(spatial, temporal, top=7)
         assert_index_matches_oracle(idx, spatial, temporal, top=7)
-        assert any(idx.neighbors(p, "spatial") != idx.neighbors(p, "temporal")
-                   for p in spatial.ids)
-
-    def test_unknown_poi_has_no_neighbors(self):
-        table = tied_table(np.random.default_rng(0), 6)
-        idx = CorrelationIndex(table, None, top=3)
-        assert idx.neighbors("nope", "spatial") == []
-        assert idx.neighbors(table.ids[0], "temporal") == []
+        assert not np.array_equal(idx.spatial[0], idx.temporal[0])
 
 
 class TestNodeDropout:
@@ -122,7 +127,7 @@ class TestNodeDropout:
 
     def test_last_node_survives_beta_near_one(self):
         g = path_graph(["a", "b", "c", "d"])
-        out = node_dropout(g, 0.999, np.random.default_rng(0))
+        out = id_graph(node_dropout(g, 0.999, np.random.default_rng(0)), IDS)
         assert "d" in out.nodes and out.last_node == "d"
 
     def test_middle_drop_rewires_path(self):
@@ -131,8 +136,8 @@ class TestNodeDropout:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             out = node_dropout(g, 0.5, rng)
-            if set(out.nodes) == {"a", "c"}:
-                assert ("a", "c") in out.edges
+            if set(id_graph(out, IDS).nodes) == {"a", "c"}:
+                assert ("a", "c") in id_graph(out, IDS).edges
                 assert set(category_vocab([out], CATS)) == {
                     (CATS["a"], CATS["a"]), tuple(sorted((CATS["a"], CATS["c"]))),
                     (CATS["c"], CATS["c"])}
@@ -148,7 +153,7 @@ class TestNodeDropout:
 
     def test_original_untouched(self, rng):
         g = path_graph(["a", "b", "c", "d"])
-        before = (list(g.nodes), set(g.edges), dict(g.last_step))
+        before = (list(g.nodes), set(g.edges), list(g.last_step))
         node_dropout(g, 0.8, rng)
         assert (g.nodes, g.edges, g.last_step) == before
 
@@ -159,16 +164,16 @@ class TestNodeDropout:
 
 class TestInsertion:
     def test_k_zero_identity(self, rng):
-        g = path_graph(["a", "b"])
-        idx = clustered_index([["a", "b", "x"]])
-        out = correlated_insertion(g, 0, idx, "temporal", rng, CATS)
+        idx, ids = clustered_index([["a", "b", "x"]])
+        g = path_graph(["a", "b"], ids)
+        out = correlated_insertion(g, 0, idx, "temporal", rng)
         assert out.nodes == g.nodes and out.edges == g.edges
 
     def test_temporal_splice_on_outgoing_edge(self):
-        g = path_graph(["a", "b"])
-        idx = clustered_index([["a", "x"], ["b"]])
-        out = correlated_insertion(g, 1, idx, "temporal",
-                                   np.random.default_rng(0), CATS)
+        idx, ids = clustered_index([["a", "x"], ["b"]])
+        g = path_graph(["a", "b"], ids)
+        out = id_graph(correlated_insertion(g, 1, idx, "temporal",
+                                            np.random.default_rng(0)), ids)
         if "x" in out.nodes:
             # spliced onto some outgoing edge of the anchor it was drawn for
             assert ("x", "x") in out.edges
@@ -178,11 +183,11 @@ class TestInsertion:
 
     def test_temporal_splice_removes_bypassed_edge(self):
         # single anchor "a" with one outgoing edge a->b; x most correlated
-        g = path_graph(["a", "b"])
-        idx = clustered_index([["a", "x"], ["b"]])
+        idx, ids = clustered_index([["a", "x"], ["b"]])
+        g = path_graph(["a", "b"], ids)
         for seed in range(50):
-            out = correlated_insertion(g, 2, idx, "temporal",
-                                       np.random.default_rng(seed), CATS)
+            out = id_graph(correlated_insertion(g, 2, idx, "temporal",
+                                                np.random.default_rng(seed)), ids)
             if "x" in out.nodes and ("a", "x") in out.edges:
                 assert ("a", "b") not in out.edges
                 assert ("x", "b") in out.edges
@@ -190,11 +195,11 @@ class TestInsertion:
         pytest.fail("temporal splice via anchor a never happened")
 
     def test_spatial_attach_is_bidirected(self):
-        g = path_graph(["a", "b"])
-        idx = clustered_index([["a", "x"], ["b"]])
+        idx, ids = clustered_index([["a", "x"], ["b"]])
+        g = path_graph(["a", "b"], ids)
         for seed in range(50):
-            out = correlated_insertion(g, 2, idx, "spatial",
-                                       np.random.default_rng(seed), CATS)
+            out = id_graph(correlated_insertion(g, 2, idx, "spatial",
+                                                np.random.default_rng(seed)), ids)
             if "x" in out.nodes:
                 anchors = [u for (u, v) in out.edges if v == "x" and u != "x"]
                 (anchor,) = anchors
@@ -204,16 +209,14 @@ class TestInsertion:
         pytest.fail("spatial insertion never fired")
 
     def test_k_clamped_to_node_count(self, rng):
-        g = path_graph(["a", "b"])
-        idx = clustered_index([["a", "b", "x", "y", "z"]])
-        out = correlated_insertion(g, 99, idx, "spatial", rng, CATS)
+        idx, ids = clustered_index([["a", "b", "x", "y", "z"]])
+        out = correlated_insertion(path_graph(["a", "b"], ids), 99, idx, "spatial", rng)
         assert len(out.nodes) <= 2 + 2  # at most one insert per selected node
 
     def test_exhausted_index_is_noop(self, rng):
-        g = path_graph(["a", "b"])
-        idx = clustered_index([["a", "b"]])  # only visited POIs available
-        out = correlated_insertion(g, 2, idx, "spatial", rng, CATS)
-        assert set(out.nodes) == {"a", "b"}
+        idx, ids = clustered_index([["a", "b"]])  # only visited POIs available
+        out = correlated_insertion(path_graph(["a", "b"], ids), 2, idx, "spatial", rng)
+        assert set(id_graph(out, ids).nodes) == {"a", "b"}
 
     def test_auto_insert_count(self):
         assert auto_insert_count(path_graph(["a"]), 0) == 1
@@ -227,13 +230,14 @@ class TestInsertion:
 class TestSubstitution:
     def test_simple_path_substitution(self):
         # b's strongest correlate is x; after substitution the path reads a,x,c
-        g = path_graph(["a", "b", "c"])
-        idx = clustered_index([["b", "x"], ["a"], ["c"]])
+        idx, ids = clustered_index([["b", "x"], ["a"], ["c"]])
+        g = path_graph(["a", "b", "c"], ids)
         for seed in range(100):
-            out = correlated_substitute(g, 1, idx, np.random.default_rng(seed), CATS)
+            view = correlated_substitute(g, 1, idx, np.random.default_rng(seed))
+            out = id_graph(view, ids)
             if "x" in out.nodes and "b" not in out.nodes:
                 assert ("a", "x") in out.edges and ("x", "c") in out.edges
-                assert set(category_vocab([out], CATS)) == {
+                assert set(category_vocab([view], cats_of(ids))) == {
                     (CATS[p], CATS[p]) for p in "axc"} | {
                     tuple(sorted((CATS["a"], CATS["x"]))),
                     tuple(sorted((CATS["x"], CATS["c"])))}
@@ -242,68 +246,128 @@ class TestSubstitution:
         pytest.fail("substitution of b never happened")
 
     def test_last_node_never_substituted(self):
-        g = path_graph(["a", "b"])
-        idx = clustered_index([["a", "x"], ["b", "y"]])
+        idx, ids = clustered_index([["a", "x"], ["b", "y"]])
+        g = path_graph(["a", "b"], ids)
         for seed in range(30):
-            out = correlated_substitute(g, 5, idx, np.random.default_rng(seed), CATS)
+            out = id_graph(correlated_substitute(g, 5, idx, np.random.default_rng(seed)), ids)
             assert out.last_node == "b" and "b" in out.nodes
 
     def test_k_zero_identity(self, rng):
-        g = path_graph(["a", "b", "c"])
-        out = correlated_substitute(g, 0, clustered_index([["a"]]), rng, CATS)
+        idx, ids = clustered_index([["a"], ["b"], ["c"]])
+        g = path_graph(["a", "b", "c"], ids)
+        out = correlated_substitute(g, 0, idx, rng)
         assert out.nodes == g.nodes and out.edges == g.edges
 
     def test_node_count_preserved(self, rng):
-        g = path_graph(["a", "b", "c", "d"])
-        idx = clustered_index([["a", "x"], ["b", "y"], ["c", "z"]])
-        out = correlated_substitute(g, 2, idx, rng, CATS)
+        idx, ids = clustered_index([["a", "x"], ["b", "y"], ["c", "z"], ["d"]])
+        view = correlated_substitute(path_graph(["a", "b", "c", "d"], ids), 2, idx, rng)
+        out = id_graph(view, ids)
         assert len(out.nodes) == 4
         # every edge joins two catalog POIs of the view, so its label exists
         assert {p for e in out.edges for p in e} == set(out.nodes) <= set(CATS)
-        assert set(category_vocab([out], CATS)) == {
+        assert set(category_vocab([view], cats_of(ids))) == {
             tuple(sorted((CATS[a], CATS[b]))) for a, b in out.edges}
 
 
 class TestMakeViews:
     def test_returns_two_views_with_tags(self, tiny_config, rng):
-        g = path_graph(["a", "b", "c"])
-        idx = clustered_index([["a", "x"], ["b", "y"], ["c"]])
-        pair = make_views(g, tiny_config, idx, rng, CATS)
+        idx, ids = clustered_index([["a", "x"], ["b", "y"], ["c"]])
+        g = path_graph(["a", "b", "c"], ids)
+        pair = make_views(g, tiny_config, idx, rng)
         assert pair.view_a is not g and pair.view_b is not g
         assert len(pair.tags) == 2
         for tag in pair.tags:
             assert tag.split(":")[0] in ("dropout", "insertion", "substitution")
 
     def test_deterministic_given_seed(self, tiny_config):
-        g = path_graph(["a", "b", "c", "d"])
-        idx = clustered_index([["a", "x"], ["b", "y"], ["c", "z"], ["d"]])
+        idx, ids = clustered_index([["a", "x"], ["b", "y"], ["c", "z"], ["d"]])
+        g = path_graph(["a", "b", "c", "d"], ids)
         pairs = []
         for _ in range(2):
             rng = np.random.default_rng(77)
-            p = make_views(g, tiny_config, idx, rng, CATS)
+            p = make_views(g, tiny_config, idx, rng)
             pairs.append((p.tags, sorted(p.view_a.nodes), sorted(p.view_b.nodes),
                           sorted(p.view_a.edges), sorted(p.view_b.edges)))
         assert pairs[0] == pairs[1]
 
     def test_operator_frequencies_near_uniform(self, tiny_config):
-        g = path_graph(["a", "b", "c"])
-        idx = clustered_index([["a", "x"], ["b", "y"], ["c"]])
+        idx, ids = clustered_index([["a", "x"], ["b", "y"], ["c"]])
+        g = path_graph(["a", "b", "c"], ids)
         rng = np.random.default_rng(5)
         counts = {"dropout": 0, "insertion": 0, "substitution": 0}
         for _ in range(1000):
-            pair = make_views(g, tiny_config, idx, rng, CATS)
+            pair = make_views(g, tiny_config, idx, rng)
             counts[pair.tags[0].split(":")[0]] += 1
         for c in counts.values():
             assert abs(c / 1000 - 1 / 3) < 0.05
 
     def test_views_keep_last_node(self, tiny_config):
-        g = path_graph(["a", "b", "c"])
-        idx = clustered_index([["a", "x"], ["b", "y"], ["c"]])
+        idx, ids = clustered_index([["a", "x"], ["b", "y"], ["c"]])
+        g = path_graph(["a", "b", "c"], ids)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            pair = make_views(g, tiny_config, idx, rng, CATS)
+            pair = make_views(g, tiny_config, idx, rng)
             for view in (pair.view_a, pair.view_b):
-                assert view.last_node == "c" and "c" in view.nodes
+                assert ids[view.last_node] == "c" and view.last_node in view.nodes
+
+
+def same_views(new, old, ids):
+    """Whether program views over rows equal reference views over ids."""
+    return [id_graph(v, ids) for v in new] == list(old)
+
+
+def assert_operators_match_reference(g, index, ids, seed, k, beta, config):
+    """Every operator and `make_views` on the row graph `g` returns the
+    views the poi_id reference returns on its `IdGraph`, and leaves its rng
+    in the same state."""
+    by_id, ref_g = oracles.IdIndex(index, ids), id_graph(g, ids)
+    cats = dict.fromkeys(ids)  # every candidate is a catalog POI
+    calls = [
+        (lambda r: [node_dropout(g, beta, r)],
+         lambda r: [oracles.node_dropout(ref_g, beta, r)]),
+        (lambda r: [correlated_substitute(g, k, index, r)],
+         lambda r: [oracles.correlated_substitute(ref_g, k, by_id, r, cats)]),
+        (lambda r: make_views(g, config, index, r),
+         lambda r: oracles.make_views(ref_g, config, by_id, r, cats)),
+    ] + [
+        (lambda r, m=mode: [correlated_insertion(g, k, index, m, r)],
+         lambda r, m=mode: [oracles.correlated_insertion(ref_g, k, by_id, m, r, cats)])
+        for mode in ("spatial", "temporal")]
+    for new, ref in calls:
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = new(rng_new), ref(rng_ref)
+        if isinstance(got, list):
+            assert same_views(got, want, ids)
+        else:  # a ViewPair against (view a, view b, tags)
+            assert same_views([got.view_a, got.view_b], want[:2], ids)
+            assert got.tags == want[2]
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+class TestOperatorsMatchIdReference:
+    @given(n=st.integers(1, 14), seq=st.lists(st.integers(0, 13), min_size=1, max_size=16),
+           seed=st.integers(0, 2**16), k=st.integers(0, 4), beta=st.sampled_from([0.0, 0.3, 0.9]),
+           top=st.integers(0, 6), k_insert=st.integers(0, 3))
+    def test_random_graphs(self, n, seq, seed, k, beta, top, k_insert):
+        # rounded vectors: equal scores are common, so the tie rules matter
+        table = tied_table(np.random.default_rng(seed), n)
+        ids = table.ids
+        index = CorrelationIndex(table, table, top=top)
+        g = build_trajectory_graph(make_traj([ids[i % n] for i in seq]), rows_of(ids))
+        config = RunConfig(beta=beta, k_insert=k_insert)
+        assert_operators_match_reference(g, index, ids, seed, k, beta, config)
+
+    def test_augmented_graphs(self, rng):
+        # graphs with synthetic nodes; distinct spatial and temporal tables
+        ids = sorted(f"p{i}" for i in range(30))
+        graphs = augmented_graphs(rng, 8)
+        spatial = EmbeddingTable(ids, rng.normal(size=(30, 4)).astype(np.float32))
+        temporal = EmbeddingTable(ids, rng.normal(size=(30, 4)).astype(np.float32))
+        index = CorrelationIndex(spatial, temporal, top=8)
+        assert any(0 in g.last_step for g in graphs)
+        for seed, g in enumerate(graphs):
+            assert_operators_match_reference(g, index, ids, seed, 2, 0.4,
+                                              RunConfig(beta=0.4, k_insert=0))
 
 
 class TestInfoNCE:

@@ -411,6 +411,55 @@ class TestTrainEvaluate:
         assert code == 3
         assert message in capsys.readouterr().err
 
+    @staticmethod
+    def edited_split(data_dir, out, name, at, record):
+        """A copy of the split in `out` whose file `name` has `record`, as
+        JSON, on line `at` (0-based)."""
+        out.mkdir()
+        for other in ("catalog.jsonl", "trajectories.jsonl"):
+            (out / other).write_bytes((data_dir / other).read_bytes())
+        lines = (out / name).read_text().splitlines(keepends=True)
+        lines[at] = json.dumps(record) + "\n"
+        (out / name).write_text("".join(lines))
+        return out
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("train", lambda rec: rec.pop("kind"), 'record has no "kind"'),
+        ("val", lambda rec: rec.update(kind="valid"),
+         "record has kind 'valid', not one of train, val, test"),
+        ("val", lambda rec: rec.pop("target"), 'val record has no "target"'),
+    ], ids=["no-kind", "unknown-kind", "no-target"])
+    def test_bad_trajectory_record_exit_3(self, data_dir, tmp_path, capsys, kind, edit,
+                                          message):
+        recs = [json.loads(line) for line in
+                (data_dir / "trajectories.jsonl").read_text().splitlines()]
+        at = next(i for i, rec in enumerate(recs) if rec["kind"] == kind)
+        edit(recs[at])
+        bad = self.edited_split(data_dir, tmp_path / "bad", "trajectories.jsonl", at, recs[at])
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "run"),
+                     "--from-scratch", "--epochs", "1"] + TINY)
+        assert code == 3
+        assert (f"error: {bad / 'trajectories.jsonl'}:{at + 1}: {message}"
+                in capsys.readouterr().err)
+
+    def test_catalog_latitude_out_of_bounds_exit_3(self, data_dir, tmp_path, capsys):
+        poi = json.loads((data_dir / "catalog.jsonl").read_text().splitlines()[1])
+        bad = self.edited_split(data_dir, tmp_path / "bad", "catalog.jsonl", 1,
+                                [poi[0], poi[1], 123.0, poi[3]])
+        code = main(["build-graphs", "--data", str(bad), "--out", str(tmp_path / "g")] + TINY)
+        assert code == 3
+        assert (f"error: {bad / 'catalog.jsonl'}:2: coordinates out of bounds: (123.0, "
+                in capsys.readouterr().err)
+
+    def test_config_key_set_twice_exit_3(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("d = 8\n# width again\nlam = 0.1\nd = 16\n")
+        code = main(["build-graphs", "--data", str(data_dir), "--out", str(tmp_path / "g"),
+                     "--config", str(cfg)])
+        assert code == 3
+        assert (f"error: {cfg}:4: config key 'd' is set twice, on lines 1 and 4"
+                in capsys.readouterr().err)
+
     def test_train_from_scratch_flag(self, data_dir, tmp_path):
         run = tmp_path / "scratch"
         code = main(["train", "--data", str(data_dir), "--out", str(run),
@@ -468,6 +517,42 @@ class TestTrainEvaluate:
         assert "bad boolean 'ture'" in capsys.readouterr().err
 
 
+# `poirec augment-debug` on `data_dir` with TINY flags, trajectory 0
+AUGMENT_DEBUG_TRAJ_0 = """\
+--- source: 3 nodes, last=p003
+  p003 -> p003
+  p008 -> p003
+  p008 -> p008
+  p010 -> p008
+  p010 -> p010
+--- node_dropout(beta=0.3): 2 nodes, last=p003
+  p003 -> p003
+  p010 -> p003
+  p010 -> p010
+--- correlated_insertion(k=1, spatial): 4 nodes, last=p003
+  p003 -> p003
+  p003 -> p007
+  p007 -> p003
+  p007 -> p007
+  p008 -> p003
+  p008 -> p008
+  p010 -> p008
+  p010 -> p010
+--- correlated_insertion(k=1, temporal): 3 nodes, last=p003
+  p003 -> p003
+  p008 -> p003
+  p008 -> p008
+  p010 -> p008
+  p010 -> p010
+--- correlated_substitute(k=1): 3 nodes, last=p003
+  p003 -> p003
+  p004 -> p003
+  p004 -> p004
+  p010 -> p004
+  p010 -> p010
+"""
+
+
 class TestSweepAndDebug:
     def test_invalid_sweep_param_exit_3(self, data_dir, tmp_path, capsys):
         code = main(["sweep", "--param", "lr", "--values", "0.1",
@@ -490,6 +575,12 @@ class TestSweepAndDebug:
         out = capsys.readouterr().out
         assert "--- source" in out
         assert "node_dropout" in out and "correlated_substitute" in out
+
+    def test_augment_debug_output_is_pinned(self, data_dir, capsys):
+        # graphs hold catalog rows; the command prints their poi_ids, edges
+        # in poi_id order, exactly as when graphs held poi_ids
+        assert main(["augment-debug", "--data", str(data_dir)] + TINY) == 0
+        assert capsys.readouterr().out == AUGMENT_DEBUG_TRAJ_0
 
     def test_augment_debug_without_contrastive_term(self, data_dir, capsys):
         # at lam = 0 training builds no correlation index; the command builds

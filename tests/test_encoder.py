@@ -5,15 +5,16 @@ import pytest
 
 from poirec import autodiff as ad
 from poirec.autodiff import NumericError, Tensor
-from poirec.data import Poi
-from poirec.encoder import DistanceBins, GsanModel, fit_distance_bins
+from poirec.data import Poi, catalog_rows
+from poirec.encoder import DistanceBins, GsanModel, fit_distance_bins, stack_graphs
 from poirec.graphs import (TrajectoryGraph, build_global_temporal,
                            build_trajectory_graph, haversine)
 from gradcheck import grad_check
 from oracles import (MASTER, add_master_node, category_bias, category_pair,
                      locate_scalar, master_paths, path_pair_indices)
 import oracles
-from conftest import augmented_graphs, builder_plans, category_vocab, make_traj, stacks
+from conftest import (augmented_graphs, builder_plans, category_vocab, make_traj, row_coords,
+                      stacks, traj_graph)
 
 
 def grid_catalog(n=6):
@@ -23,6 +24,7 @@ def grid_catalog(n=6):
 
 
 GRID_CATS = {p.poi_id: p.category_id for p in grid_catalog()}
+GRID_CAT_ROWS = [p.category_id for p in grid_catalog()]  # category by catalog row
 
 
 def small_model(config, seq=("p0", "p1", "p2", "p0", "p3"), dtype=np.float64,
@@ -31,9 +33,10 @@ def small_model(config, seq=("p0", "p1", "p2", "p0", "p3"), dtype=np.float64,
     cats = {p.poi_id: p.category_id for p in catalog}
     coords = {p.poi_id: (p.lat, p.lon) for p in catalog}
     traj = make_traj(list(seq), categories=cats, coords=coords)
-    g = build_trajectory_graph(traj)
-    mg = add_master_node(g, coords)
-    gt = build_global_temporal([traj], config.n_neighbors, catalog=catalog)
+    row = catalog_rows(catalog)
+    g = build_trajectory_graph(traj, row)
+    mg = add_master_node(g, row_coords(list(row), coords))
+    gt = build_global_temporal([traj], config.n_neighbors, row)
     vocab = category_vocab([g], cats)
     bins = fit_distance_bins(stacks([g], sorted(cats), coords), config.m_bins)
     model = GsanModel(catalog, gt, vocab, bins, config,
@@ -44,7 +47,7 @@ def small_model(config, seq=("p0", "p1", "p2", "p0", "p3"), dtype=np.float64,
 def plan_of(model, mg):
     """The builder's plan of the reference master graph `mg`'s base graph,
     with the coordinates `mg` was built with."""
-    return builder_plans(model, [mg.base], mg.coords)[0]
+    return model.plan_stacks(stack_graphs([mg.base], mg.coords))[0]
 
 
 def encode(model, mg):
@@ -128,14 +131,14 @@ class TestDistanceBias:
 
     def test_fit_bins_covers_observed_range(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
-        bins = fit_distance_bins(stacks([mg.base], model.poi_ids, mg.coords), 4)
+        bins = fit_distance_bins(stack_graphs([mg.base], mg.coords), 4)
         dists = mg.geo[~np.isnan(mg.geo)]
         assert bins.min_dist == dists.min() and bins.max_dist == dists.max()
 
     def test_fit_bins_skip_missing_coordinates(self):
-        g = build_trajectory_graph(make_traj(["a", "b", "c"]))
+        g = traj_graph(["a", "b", "c"])
         coords = {"a": (0.0, 0.0), "b": (0.0, 1.0)}
-        bins = fit_distance_bins(stacks([g], g.nodes, coords) + stacks([g], g.nodes), 4)
+        bins = fit_distance_bins(stacks([g], "abc", coords) + stacks([g], "abc"), 4)
         assert bins.min_dist == 0.0
         assert bins.max_dist == pytest.approx(haversine(*coords["a"], *coords["b"]))
 
@@ -146,10 +149,10 @@ class TestCategoryBias:
         vocab = model.cat_vocab
         table = np.zeros((len(vocab) + 1, tiny_config.d))
         r = np.arange(1.0, tiny_config.d + 1)
-        (k,) = path_pair_indices(mg, vocab, GRID_CATS, "p0", "p1")
+        (k,) = path_pair_indices(mg, vocab, GRID_CAT_ROWS, 0, 1)  # p0, p1
         table[k] = r
         w_r = r / (r @ r)
-        assert category_bias(mg, vocab, GRID_CATS, "p0", "p1", table, w_r) == \
+        assert category_bias(mg, vocab, GRID_CAT_ROWS, 0, 1, table, w_r) == \
             pytest.approx(1.0)
 
     def test_zero_weight_vector(self, tiny_config):
@@ -158,12 +161,13 @@ class TestCategoryBias:
         w_r = np.zeros(tiny_config.d)
         for i in mg.base.nodes:
             for j in mg.base.nodes:
-                assert category_bias(mg, model.cat_vocab, GRID_CATS, i, j, table, w_r) == 0.0
+                assert category_bias(mg, model.cat_vocab, GRID_CAT_ROWS, i, j, table,
+                                     w_r) == 0.0
 
     def test_two_edge_path_is_mean(self):
         cats = {"a": "ca", "b": "cb", "c": "cc"}
-        g = build_trajectory_graph(make_traj(["a", "b", "c"], categories=cats))
-        g.edges.discard(("a", "c"))
+        g = traj_graph(["a", "b", "c"], categories=cats)  # rows 0, 1, 2
+        g.edges.discard((0, 2))
         mg = add_master_node(g)
         vocab = category_vocab([g], cats)
         d = 1
@@ -171,19 +175,19 @@ class TestCategoryBias:
         table[vocab[("ca", "cb")]] = [0.2]
         table[vocab[("cb", "cc")]] = [0.6]
         # canonical a->c path goes a,b,c (2 hops) rather than via master
-        assert master_paths(mg)[("a", "c")] == ["a", "b", "c"]
+        assert master_paths(mg)[(0, 2)] == [0, 1, 2]
         assert mg.mid[0, 2] == 1
-        assert category_bias(mg, vocab, cats, "a", "c", table, np.ones(1)) == \
+        assert category_bias(mg, vocab, ["ca", "cb", "cc"], 0, 2, table, np.ones(1)) == \
             pytest.approx(0.4)
 
     def test_self_pair_uses_self_loop(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
-        idxs = path_pair_indices(mg, model.cat_vocab, GRID_CATS, "p0", "p0")
+        idxs = path_pair_indices(mg, model.cat_vocab, GRID_CAT_ROWS, 0, 0)
         assert idxs == [model.cat_vocab[("food", "food")]]
 
     def test_master_edges_use_unknown(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
-        assert path_pair_indices(mg, model.cat_vocab, GRID_CATS, MASTER, "p0") == [0]
+        assert path_pair_indices(mg, model.cat_vocab, GRID_CAT_ROWS, MASTER, 0) == [0]
 
 
 class TestBiasMatrixOracle:
@@ -191,20 +195,24 @@ class TestBiasMatrixOracle:
     counts, scalar distances and canonical paths."""
 
     CATS = {f"p{i}": f"c{i % 4}" for i in range(30)}
+    CAT_ROWS = [c for _, c in sorted(CATS.items())]  # category by catalog row
 
     @staticmethod
     def build(config, coords_for, rng):
+        """(model, master graphs, poi_id -> (lat, lon) dict or None)."""
         cats = TestBiasMatrixOracle.CATS
-        catalog = [Poi(p, c, 40.0 + 0.01 * rng.random(), -74.0 + 0.01 * rng.random())
-                   for p, c in cats.items()]
+        catalog = sorted((Poi(p, c, 40.0 + 0.01 * rng.random(), -74.0 + 0.01 * rng.random())
+                          for p, c in cats.items()), key=lambda p: p.poi_id)
         coords = coords_for({p.poi_id: (p.lat, p.lon) for p in catalog})
         graphs = augmented_graphs(rng, 12, cats)
-        mgraphs = [add_master_node(g, coords) for g in graphs]
-        gt = build_global_temporal([], config.n_neighbors, catalog=catalog)
+        xy = row_coords(sorted(cats), coords)
+        mgraphs = [add_master_node(g, xy) for g in graphs]
+        gt = build_global_temporal([], config.n_neighbors, catalog_rows(catalog))
         # fit the vocabulary on the graphs without a c3 node, so every pair
         # with c3 is UNKNOWN
+        cat_rows = TestBiasMatrixOracle.CAT_ROWS
         vocab = category_vocab(
-            [g for g in graphs if all(cats[p] != "c3" for p in g.nodes)], cats)
+            [g for g in graphs if all(cat_rows[p] != "c3" for p in g.nodes)], cats)
         bins = fit_distance_bins(stacks(graphs[::3], sorted(cats), coords), config.m_bins)
         model = GsanModel(catalog, gt, vocab, bins, config, rng, dtype=np.float64)
         for p in model.params.values():
@@ -223,10 +231,10 @@ class TestBiasMatrixOracle:
         plans = builder_plans(model, [mg.base for mg in mgraphs], coords)
         unknown = 0
         for mg, plan in zip(mgraphs, plans):
-            expected = oracles.bias_matrix(model, mg, coords, self.CATS)
+            expected = oracles.bias_matrix(model, mg, mg.coords, self.CAT_ROWS)
             assert np.allclose(bias_of(model, plan).data, expected, rtol=0, atol=1e-9)
-            unknown += sum(category_pair(self.CATS[a], self.CATS[b]) not in model.cat_vocab
-                           for a, b in mg.base.edges)
+            unknown += sum(category_pair(self.CAT_ROWS[a], self.CAT_ROWS[b])
+                           not in model.cat_vocab for a, b in mg.base.edges)
         assert unknown  # some base edges take the UNKNOWN row
 
     def test_missing_coordinates_take_unknown_slot(self, tiny_config, rng):
@@ -235,10 +243,10 @@ class TestBiasMatrixOracle:
             cfg, lambda c: {p: ll for p, ll in c.items() if p != "p0"}, rng)
         b_spd = model.params["b_spd"].data[:, 0]
         unknown = model.params["b_dist"].data[cfg.m_bins + 1, 0]
-        with_p0 = [mg for mg in mgraphs if "p0" in mg.base.nodes]
+        with_p0 = [mg for mg in mgraphs if 0 in mg.base.nodes]  # p0 is row 0
         assert with_p0
         for mg in with_p0:
-            a = mg.nodes.index("p0")
+            a = mg.nodes.index(0)
             bias = plan_bias(model, mg).data
             assert np.allclose(bias[a, :-1], b_spd[mg.hops[a, :-1]] + unknown, rtol=0, atol=1e-12)
 
@@ -253,7 +261,7 @@ class TestCategoryIndex:
         for st in stacks([mg.base for mg in mgraphs], model.poi_ids):
             for got, m in zip(model._category_index(st), st.members):
                 mg = mgraphs[m]
-                want = [[oracles.pair_index(model.cat_vocab, TestBiasMatrixOracle.CATS,
+                want = [[oracles.pair_index(model.cat_vocab, TestBiasMatrixOracle.CAT_ROWS,
                                             mg.base, u, w) for w in mg.nodes] for u in mg.nodes]
                 assert got.tolist() == want
                 one_way += sum((b, a) not in mg.base.edges for a, b in mg.base.edges)
@@ -263,7 +271,7 @@ class TestCategoryIndex:
         # the vocabulary holds food-shop and shop-park edges, not food-park
         model, _, _ = small_model(tiny_config, seq=("p0", "p1", "p2"))
         assert ("food", "park") not in model.cat_vocab
-        [st] = stacks([build_trajectory_graph(make_traj(["p0", "p2"], categories=GRID_CATS))],
+        [st] = stacks([traj_graph(["p0", "p2"], model.poi_ids, categories=GRID_CATS)],
                       model.poi_ids)
         [plan] = model.plan_stacks([st])
         [cat] = model._category_index(st)
@@ -287,16 +295,15 @@ class TestNodeFeatures:
             model.params[name].data[:] = 0.0
         x = features(model, mg).data
         n_base = len(mg.base.nodes)
-        idx = [model.poi_index[p] for p in mg.base.nodes]
-        assert np.allclose(x[:n_base], model.params["poi_table"].data[idx])
+        assert np.allclose(x[:n_base], model.params["poi_table"].data[mg.base.nodes])
         assert np.allclose(x[n_base], x[:n_base].mean(axis=0))
 
     def test_reverse_position_indices(self, tiny_config):
         # eight visits, six unique POIs; positions count back from the end
         seq = ["p1", "p2", "p3", "p4", "p5", "p3", "p6", "p4"]
         cats = {f"p{i}": "c" for i in range(1, 7)}
-        g = build_trajectory_graph(make_traj(seq, categories=cats))
-        rev = {p: g.seq_len - s + 1 for p, s in g.last_step.items()}
+        g = traj_graph(seq, categories=cats)
+        rev = {sorted(cats)[p]: g.seq_len - s + 1 for p, s in zip(g.nodes, g.last_step)}
         assert rev == {"p4": 1, "p6": 2, "p3": 3, "p5": 4, "p2": 7, "p1": 8}
 
     def test_position_overflow_is_fatal(self, tiny_config):
@@ -374,18 +381,16 @@ class TestAttention:
         # independent dense-matrix oracle over the full biased-attention eq.
         P = model.params["poi_table"].data
         nodes = mg.base.nodes
-        idx = [model.poi_index[p] for p in nodes]
-        x = (P[idx]
-             + model.params["deg_in"].data[model.deg_in_bucket[idx]]
-             + model.params["deg_out"].data[model.deg_out_bucket[idx]]
-             + model.params["pop"].data[model.pop_bucket[idx]])
-        pos = np.array([mg.base.seq_len - mg.base.last_step[p] + 1 for p in nodes])
+        x = (P[nodes]
+             + model.params["deg_in"].data[model.deg_in_bucket[nodes]]
+             + model.params["deg_out"].data[model.deg_out_bucket[nodes]]
+             + model.params["pop"].data[model.pop_bucket[nodes]])
+        pos = np.array([mg.base.seq_len - s + 1 for s in mg.base.last_step])
         x = x + model.params["pos"].data[pos]
         master = x.mean(axis=0) + model.params["pos"].data[0]
         x = np.vstack([x, master])
 
-        coords = {p.poi_id: (p.lat, p.lon) for p in grid_catalog()}
-        bias = oracles.bias_matrix(model, mg, coords, GRID_CATS)
+        bias = oracles.bias_matrix(model, mg, mg.coords, GRID_CAT_ROWS)
 
         def softmax(m):
             e = np.exp(m - m.max(axis=1, keepdims=True))
@@ -458,15 +463,15 @@ class TestReadoutAndPrediction:
         model, _, _ = small_model(tiny_config)
         # logits whose softmax is one-hot on p2, and uniform logits
         sure = np.zeros((1, 6))
-        sure[0, model.poi_index["p2"]] = 100.0
-        loss = model.rec_loss(Tensor(sure), ["p2"])
+        sure[0, 2] = 100.0  # p2 is catalog row 2
+        loss = model.rec_loss(Tensor(sure), [2])
         assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
         uniform = np.zeros((1, 6))
-        loss_u = model.rec_loss(Tensor(uniform), ["p0"])
+        loss_u = model.rec_loss(Tensor(uniform), [0])
         assert loss_u.item() == pytest.approx(np.log(6))
 
-        both = model.rec_loss(Tensor(np.concatenate([sure, uniform])), ["p2", "p0"])
+        both = model.rec_loss(Tensor(np.concatenate([sure, uniform])), [2, 0])
         assert both.item() == pytest.approx(np.log(6) / 2)
 
     def test_rec_loss_hard_target_keeps_gradient(self, tiny_config):
@@ -475,15 +480,15 @@ class TestReadoutAndPrediction:
         model, _, _ = small_model(tiny_config)
         d = tiny_config.d
         table = np.zeros((6, d))
-        table[model.poi_index["p3"], 0] = 30.0
+        table[3, 0] = 30.0  # p3 is catalog row 3
         model.params["poi_table"].data = table
         s_u = Tensor(np.eye(1, d), requires_grad=True)
-        loss = model.rec_loss(model.predict(s_u), ["p0"])
+        loss = model.rec_loss(model.predict(s_u), [0])
         loss.backward()
         assert loss.item() == pytest.approx(30.0, abs=1e-9)
         assert s_u.grad[0, 0] == pytest.approx(30.0, abs=1e-9)
         grad = model.params["poi_table"].grad
-        assert grad[model.poi_index["p3"], 0] == pytest.approx(1.0, abs=1e-9)
+        assert grad[3, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestGradients:
@@ -493,7 +498,7 @@ class TestGradients:
 
         def f():
             s_u = encode(model, mg)
-            return model.rec_loss(model.predict(s_u), ["p2"])
+            return model.rec_loss(model.predict(s_u), [2])
 
         report = grad_check(f, model.params)
         assert max(report.values()) < 1e-4, report
@@ -508,13 +513,13 @@ class TestEncodePlans:
     ], ids=["1x1", "2heads-2layers", "no-category-bias"])
     def test_matches_oracle_encode(self, tiny_config, rng, overrides):
         cfg = tiny_config.override(t_max=40, **overrides)
-        model, mgraphs, _ = TestBiasMatrixOracle.build(cfg, lambda c: c, rng)
+        model, mgraphs, coords = TestBiasMatrixOracle.build(cfg, lambda c: c, rng)
         for p in model.params.values():
             p.data *= 0.3  # keep the attention rows away from one-hot
         sizes = [len(mg.nodes) for mg in mgraphs]
         assert len(set(sizes)) > 3 and sizes != sorted(sizes)
         s_u = model.encode_plans(builder_plans(model, [mg.base for mg in mgraphs],
-                                               mgraphs[0].coords)).data
+                                               coords)).data
         expected = np.vstack([oracles.encode(model, mg).data for mg in mgraphs])
         assert s_u.shape == (len(mgraphs), cfg.d)
         assert np.allclose(s_u, expected, rtol=0, atol=1e-9)
@@ -538,10 +543,9 @@ class TestEncodePlans:
         coords = {p.poi_id: (p.lat, p.lon) for p in catalog}
         seqs = [("p0", "p1", "p2", "p0"), ("p3", "p4"), ("p1", "p5", "p2"),
                 ("p2", "p3"), ("p5", "p0", "p1")]
-        graphs = [build_trajectory_graph(make_traj(list(s), categories=cats))
-                  for s in seqs]
+        graphs = [traj_graph(list(s), cats, categories=cats) for s in seqs]
         plans = builder_plans(model, graphs, coords)
-        targets = ["p2", "p0", "p4", "p1", "p3"]
+        targets = [2, 0, 4, 1, 3]  # catalog rows of p2, p0, p4, p1, p3
 
         def f():
             return model.rec_loss(model.predict(model.encode_plans(plans)), targets)
@@ -559,7 +563,7 @@ class TestEncodePlans:
                            rtol=0, atol=0)
         assert plan.bias_idx.dtype == np.int32
         assert plan.bias_w.dtype == model.dtype
-        assert plan.poi_rows.tolist() == [model.poi_index[p] for p in mg.base.nodes]
+        assert plan.poi_rows.tolist() == mg.base.nodes
 
     def test_empty_plan_list_fatal(self, tiny_config):
         model, _, _ = small_model(tiny_config)
@@ -582,14 +586,15 @@ class TestEncodePlans:
             model.predict(model.encode_plans([plan_of(model, mg)] * 2))
 
 
-def random_graph(rng, pool):
-    """A trajectory graph of random nodes and random directed edges, some
-    self-loops missing, some nodes synthetic (no step)."""
-    nodes = list(rng.choice(pool, size=rng.integers(1, 12), replace=False))
+def random_graph(rng, n_rows):
+    """A trajectory graph of random nodes (catalog rows below n_rows) and
+    random directed edges, some self-loops missing, some nodes synthetic (no
+    step)."""
+    nodes = rng.choice(n_rows, size=rng.integers(1, 12), replace=False).tolist()
     edges = {(a, b) for a in nodes for b in nodes if rng.random() < 0.2}
     seq_len = len(nodes) + int(rng.integers(0, 6))
     steps = rng.choice(np.arange(1, seq_len + 1), size=len(nodes), replace=False)
-    last_step = {p: None if rng.random() < 0.2 else int(t) for p, t in zip(nodes, steps)}
+    last_step = [0 if rng.random() < 0.2 else int(t) for t in steps]
     return TrajectoryGraph(nodes, edges, last_step, nodes[int(rng.integers(len(nodes)))],
                            seq_len)
 
@@ -601,9 +606,9 @@ class TestPlanBuilder:
     CATS = TestBiasMatrixOracle.CATS
 
     def model(self, cfg, graphs, coords, rng, dtype):
-        catalog = [Poi(p, c, 40.0 + 0.01 * rng.random(), -74.0 + 0.01 * rng.random())
-                   for p, c in self.CATS.items()]
-        gt = build_global_temporal([], cfg.n_neighbors, catalog=catalog)
+        catalog = sorted((Poi(p, c, 40.0 + 0.01 * rng.random(), -74.0 + 0.01 * rng.random())
+                          for p, c in self.CATS.items()), key=lambda p: p.poi_id)
+        gt = build_global_temporal([], cfg.n_neighbors, catalog_rows(catalog))
         # the vocabulary of half the graphs, so that some pairs are UNKNOWN
         bins = fit_distance_bins(stacks(graphs, sorted(self.CATS), coords), cfg.m_bins)
         return GsanModel(catalog, gt, category_vocab(graphs[::2], self.CATS), bins, cfg,
@@ -625,14 +630,14 @@ class TestPlanBuilder:
         if source == "augmented":
             graphs = augmented_graphs(rng, 30, self.CATS)
         else:
-            graphs = [random_graph(rng, sorted(self.CATS)) for _ in range(120)]
+            graphs = [random_graph(rng, len(self.CATS)) for _ in range(120)]
         assert len({len(g.nodes) for g in graphs}) > 5
-        assert any(None in g.last_step.values() for g in graphs)  # synthetic nodes
+        assert any(0 in g.last_step for g in graphs)  # synthetic nodes
         model = self.model(cfg, graphs, coords, rng, dtype)
         plans = builder_plans(model, graphs, coords)
         assert len(plans) == len(graphs)
         for g, got in zip(graphs, plans):
-            want = oracles.plan(model, add_master_node(g, coords))
+            want = oracles.plan(model, add_master_node(g, row_coords(model.poi_ids, coords)))
             for name in ("poi_rows", "pos_rows", "bias_idx", "bias_w"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a.dtype, a.shape) == (b.dtype, b.shape), name
@@ -643,8 +648,9 @@ class TestPlanBuilder:
         graphs = augmented_graphs(rng, 30, self.CATS)
         coords = {p: (40.0 + 0.02 * rng.random(), -74.0 + 0.02 * rng.random())
                   for p in sorted(self.CATS)[::2]}
-        assert category_vocab(graphs, self.CATS) == oracles.category_vocab(graphs, self.CATS)
-        geo = [add_master_node(g, coords).geo for g in graphs]
+        assert category_vocab(graphs, self.CATS) == oracles.category_vocab(
+            graphs, TestBiasMatrixOracle.CAT_ROWS)
+        geo = [add_master_node(g, row_coords(sorted(self.CATS), coords)).geo for g in graphs]
         seen = np.concatenate([d[~np.isnan(d)] for d in geo])
         bins = fit_distance_bins(stacks(graphs, sorted(self.CATS), coords), 4)
         assert (bins.min_dist, bins.max_dist) == (seen.min(), seen.max())
@@ -652,7 +658,7 @@ class TestPlanBuilder:
     def test_t_max_error_is_the_reference_error(self, tiny_config, rng):
         cfg = tiny_config.override(t_max=5)
         # largest reverse positions 2, 8, 7 and 10; node counts 2, 2, 4 and 2
-        graphs = [build_trajectory_graph(make_traj(seq, categories=self.CATS)) for seq in (
+        graphs = [traj_graph(seq, self.CATS, categories=self.CATS) for seq in (
             ["p1", "p2"], ["p3"] + ["p4"] * 7, ["p5", "p6", "p7"] + ["p8"] * 4,
             ["p0"] + ["p9"] * 9)]
         model = self.model(cfg, graphs, None, rng, np.float64)

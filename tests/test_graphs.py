@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from poirec.data import Poi
+from poirec.data import Poi, catalog_rows
 from poirec.graphs import (build_global_spatial, build_global_temporal,
                            build_trajectory_graph, haversine, haversine_matrix,
                            save_spatial_graph, save_temporal_graph)
 import oracles
 from oracles import MASTER, add_master_node, adjacency_from_pairs, all_pairs_spd
-from conftest import augmented_graphs, catalog_of, category_vocab, make_traj, stacked
+from conftest import (augmented_graphs, catalog_of, category_vocab, make_traj,
+                      stacked, traj_graph)
 
 
 def temporal_by_id(trajs, n_neighbors, catalog=None):
     """`build_global_temporal` over `catalog` (default: the trajectories'
     POIs), keyed by poi_id like `oracles.global_temporal`."""
-    g = build_global_temporal(trajs, n_neighbors, catalog or catalog_of(trajs))
+    g = build_global_temporal(trajs, n_neighbors, catalog_rows(catalog or catalog_of(trajs)))
     ids = g.nodes
     neighbors = {v: [] for v in ids}
     for a, b in g.neighbors.tolist():
@@ -34,34 +35,38 @@ def spatial_by_id(g):
 
 class TestTrajectoryGraph:
     def test_repeat_visit_sequence(self):
-        g = build_trajectory_graph(make_traj(["a", "b", "a", "c"]))
-        assert set(g.nodes) == {"a", "b", "c"}
+        g = build_trajectory_graph(make_traj(["c", "b", "c", "a"]), {"a": 0, "b": 1, "c": 2})
+        assert g.nodes == [2, 1, 0]  # catalog rows, first-visit order
         non_loops = {e for e in g.edges if e[0] != e[1]}
-        assert non_loops == {("a", "b"), ("b", "a"), ("a", "c")}
+        assert non_loops == {(2, 1), (1, 2), (2, 0)}
         assert {(n, n) for n in g.nodes} <= g.edges
-        assert g.last_step == {"a": 3, "b": 2, "c": 4}
-        assert g.last_node == "c" and g.seq_len == 4
+        assert g.last_step == [3, 2, 4]
+        assert g.last_node == 0 and g.seq_len == 4
 
     def test_single_node(self):
-        g = build_trajectory_graph(make_traj(["a"]))
-        assert g.nodes == ["a"] and g.edges == {("a", "a")}
+        g = build_trajectory_graph(make_traj(["a"]), {"z": 0, "a": 1})
+        assert g.nodes == [1] and g.edges == {(1, 1)}
 
     def test_repeated_same_poi_merges_into_self_loop(self):
-        g = build_trajectory_graph(make_traj(["a", "a", "a"]))
-        assert g.nodes == ["a"] and g.edges == {("a", "a")}
-        assert g.last_step == {"a": 3}
+        g = traj_graph(["a", "a", "a"])
+        assert g.nodes == [0] and g.edges == {(0, 0)}
+        assert g.last_step == [3]
+
+    def test_poi_outside_the_row_map_fatal(self):
+        with pytest.raises(KeyError):
+            build_trajectory_graph(make_traj(["a", "b"]), {"a": 0})
 
     def test_node_and_edge_counts(self, rng):
         for _ in range(25):
             seq = [f"p{i}" for i in rng.integers(0, 6, size=rng.integers(1, 12))]
-            g = build_trajectory_graph(make_traj(seq))
+            g = traj_graph(seq)
             assert len(g.nodes) == len(set(seq))
             non_loops = [e for e in g.edges if e[0] != e[1]]
             assert len(non_loops) <= len(seq) - 1
 
     def test_edge_categories_are_unordered_pairs(self):
         cats = {"a": "z_cat", "b": "a_cat"}
-        g = build_trajectory_graph(make_traj(["a", "b"], categories=cats))
+        g = traj_graph(["a", "b"], categories=cats)
         assert category_vocab([g], cats) == {
             ("a_cat", "a_cat"): 1, ("a_cat", "z_cat"): 2, ("z_cat", "z_cat"): 3}
 
@@ -113,7 +118,7 @@ class TestGlobalTemporal:
 
     def test_poi_outside_the_catalog_fatal(self):
         with pytest.raises(KeyError):
-            build_global_temporal([make_traj(["a", "b"])], 3, [Poi("a", "c", 0.0, 0.0)])
+            build_global_temporal([make_traj(["a", "b"])], 3, {"a": 0})
 
 
 class TestHaversine:
@@ -250,11 +255,11 @@ class TestShortestPaths:
                     assert spd[(a, c)] <= spd[(a, b)] + spd[(b, c)]
 
 
-def master_graphs(graphs, coords=None):
+def master_graphs(graphs, ids=(), coords=None):
     """[(graph, hops, adj, geo)] of each graph, from one `stack_graphs` call
-    over a catalog of the graphs' POIs; geo is None without coordinates."""
-    ids = sorted({p for g in graphs for p in g.nodes} | set(coords or ()))
-    return [(g, *m) for g, m in zip(graphs, stacked(graphs, ids, coords))]
+    over a catalog of the sorted `ids` with coordinates from a poi_id ->
+    (lat, lon) dict; geo is None without coordinates."""
+    return [(g, *m) for g, m in zip(graphs, stacked(graphs, sorted(ids), coords))]
 
 
 class TestMasterNode:
@@ -262,20 +267,20 @@ class TestMasterNode:
     distances."""
 
     def test_single_node_graph(self):
-        [(_, hops, _, _)] = master_graphs([build_trajectory_graph(make_traj(["a"]))])
+        [(_, hops, _, _)] = master_graphs([traj_graph(["a"])])
         assert hops.shape == (2, 2)
         assert hops[1, 0] == 1
 
     def test_disconnected_base_bridged(self):
-        g = build_trajectory_graph(make_traj(["a", "b"]))
-        g.edges = {("a", "a"), ("b", "b")}  # sever the base connection
+        g = traj_graph(["a", "b"])
+        g.edges = {(0, 0), (1, 1)}  # sever the base connection
         [(_, hops, adj, _)] = master_graphs([g])
         assert hops[0, 1] == 2
         assert adj[0, 2] and adj[1, 2]  # the path runs through the master
 
     def test_eight_visit_six_unique_sequence(self):
         seq = ["p1", "p2", "p3", "p4", "p5", "p3", "p6", "p4"]
-        [(_, hops, _, _)] = master_graphs([build_trajectory_graph(make_traj(seq))])
+        [(_, hops, _, _)] = master_graphs([traj_graph(seq)])
         assert len(hops) == 7  # 6 unique POIs + master
         master = len(hops) - 1
         off_diag = ~np.eye(len(hops), dtype=bool)
@@ -285,9 +290,9 @@ class TestMasterNode:
         assert master_edges == 12  # 6 undirected edges, both directions
 
     def test_spd_bounded_by_two(self, rng):
-        graphs = [build_trajectory_graph(make_traj(
-            [f"p{i}" for i in rng.integers(0, 8, size=rng.integers(1, 15))]))
-            for _ in range(20)]
+        ids = [f"p{i}" for i in range(8)]
+        graphs = [traj_graph([f"p{i}" for i in rng.integers(0, 8, size=rng.integers(1, 15))],
+                             ids) for _ in range(20)]
         for _, hops, _, _ in master_graphs(graphs):
             assert (hops <= 2).all()
             master_row = np.delete(hops[-1], -1)
@@ -296,8 +301,8 @@ class TestMasterNode:
 
     def test_geo_distances_present_for_base_pairs(self):
         coords = {"a": (0.0, 0.0), "b": (0.0, 1.0)}
-        g = build_trajectory_graph(make_traj(["a", "b"], coords=coords))
-        [(_, _, _, geo)] = master_graphs([g], coords)
+        g = traj_graph(["a", "b"], coords=coords)
+        [(_, _, _, geo)] = master_graphs([g], "ab", coords)
         assert geo[0, 1] == pytest.approx(111.19, abs=0.1)
         assert np.isnan(geo[2]).all() and np.isnan(geo[:, 2]).all()  # master
 
@@ -306,10 +311,11 @@ class TestMasterNode:
                   for i in range(9)}
         del coords["p3"]
         seq = [f"p{i}" for i in range(9)]
-        [(g, _, _, geo)] = master_graphs([build_trajectory_graph(make_traj(seq))], coords)
+        [(g, _, _, geo)] = master_graphs([traj_graph(seq)], seq, coords)
         assert geo.shape == (10, 10)
-        for a, i in enumerate(g.nodes + [MASTER]):
-            for b, j in enumerate(g.nodes + [MASTER]):
+        labels = [seq[r] for r in g.nodes] + [MASTER]
+        for a, i in enumerate(labels):
+            for b, j in enumerate(labels):
                 if i in coords and j in coords:
                     assert geo[a, b] == pytest.approx(
                         haversine(*coords[i], *coords[j]), rel=1e-12, abs=1e-9)
@@ -317,7 +323,7 @@ class TestMasterNode:
                     assert np.isnan(geo[a, b])
 
     def test_no_coords_no_geo(self):
-        [(_, _, _, geo)] = master_graphs([build_trajectory_graph(make_traj(["a", "b"]))])
+        [(_, _, _, geo)] = master_graphs([traj_graph(["a", "b"])])
         assert geo is None
 
     def test_stacked_haversine_has_the_bits_of_its_slices(self, rng):
@@ -360,7 +366,7 @@ class TestMasterNodeOracle:
 class TestSerialization:
     def test_edge_list_headers(self, tmp_path):
         trajs = [make_traj(["a", "b", "c"])]
-        gt = build_global_temporal(trajs, 5, catalog_of(trajs))
+        gt = build_global_temporal(trajs, 5, catalog_rows(catalog_of(trajs)))
         save_temporal_graph(gt, tmp_path / "gt.edges")
         head = (tmp_path / "gt.edges").read_text().splitlines()[0]
         assert head == "temporal 3 2"

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import oracles
 from poirec import pretrain
 from poirec.config import RngHub, RunConfig
-from poirec.data import Poi
+from poirec.data import Poi, catalog_rows
 from poirec.graphs import build_global_spatial, build_global_temporal
 from poirec.pretrain import (EmbeddingTable, adjacency, fuse_embeddings,
                              load_table, node2vec_embed, random_walks,
@@ -325,7 +325,8 @@ class TestTemporalAdjacency:
             st.lists(st.sampled_from(ids), max_size=10), max_size=8))]
         catalog = [Poi(p, "c", 0.0, 0.0) for p in ids]
         n = data.draw(st.integers(1, 4))
-        got = adjacency(*build_global_temporal(trajs, n, catalog).neighbors.T, len(ids))
+        got = adjacency(*build_global_temporal(trajs, n, catalog_rows(catalog)).neighbors.T,
+                        len(ids))
         want = oracles.temporal_adjacency(oracles.global_temporal(trajs, n, catalog))
         assert {ids[i]: [ids[j] for j in nbrs] for i, nbrs in enumerate(got)} == want
 

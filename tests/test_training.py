@@ -11,10 +11,9 @@ from poirec.autodiff import NumericError, Tensor
 from poirec.checkpoint import (CheckpointError, load_checkpoint,
                                save_checkpoint)
 from poirec.config import RngHub, RunConfig, load_config, save_config
-from poirec.data import DataError
+from poirec.data import DataError, catalog_rows
 from poirec.encoder import GsanModel
 from poirec.graphs import build_trajectory_graph
-from poirec.metrics import rank_targets
 from poirec.pretrain import EmbeddingTable
 from poirec.training import Trainer, pretrain_tables, total_loss
 import oracles
@@ -35,8 +34,8 @@ def small_trainer(split, **overrides):
 
 
 def catalog_coords(split):
-    """poi_id -> (lat, lon) of the split's catalog."""
-    return {p.poi_id: (p.lat, p.lon) for p in split.catalog}
+    """(rows, 2) (lat, lon) of the split's catalog, by catalog row."""
+    return np.array([(p.lat, p.lon) for p in split.catalog])
 
 
 def param_bytes(trainer):
@@ -209,8 +208,9 @@ class TestTrainingLoop:
         assert spatial is temporal and spatial.ids == tr.model.poi_ids
         assert spatial.vectors.tobytes() == tr.model.params["poi_table"].data.tobytes()
         ref = index_class(spatial, spatial, top=10)
-        assert all(tr.corr_index.neighbors(p, "temporal") == ref.neighbors(p, "spatial")
-                   for p in tr.model.poi_ids)
+        assert tr.corr_index.spatial is tr.corr_index.temporal
+        for got, want in zip(tr.corr_index.spatial, ref.spatial):
+            assert got.tobytes() == want.tobytes()
 
     def test_lambda_zero_skips_augmentation_rng(self, small_split):
         # with lam=0 no augmentation stream is consumed; two runs with
@@ -295,12 +295,12 @@ class TestBatchedRanking:
         tr = Trainer(small_split, cfg, dtype=np.float64)
         tr.fit()
         pairs = small_split.val + small_split.test
-        coords = catalog_coords(small_split)
+        coords, row = catalog_coords(small_split), catalog_rows(small_split.catalog)
         want = []
         for prefix, target in pairs:
-            mg = add_master_node(build_trajectory_graph(prefix), coords)
+            mg = add_master_node(build_trajectory_graph(prefix, row), coords)
             logits = tr.model.predict(oracles.encode(tr.model, mg)).data[0]
-            want.append(rank_targets(logits[None, :], tr.model.poi_ids, [target.poi_id])[0])
+            want.append(oracles.rank_target(logits, tr.model.poi_ids, target.poi_id))
         assert tr.rank_pairs(pairs) == want
         assert len(set(len(p.checkins) for p, _ in pairs)) > 1
 
@@ -377,7 +377,7 @@ def oracle_batch_loss(trainer, batch, rng):
     rec = model.rec_loss(model.predict(s_u), [s.target for s in batch])
     za, zb = [], []
     for sample in batch:
-        pair = make_views(sample.graph, cfg, trainer.corr_index, rng, trainer.categories)
+        pair = make_views(sample.graph, cfg, trainer.corr_index, rng)
         za.append(oracles.encode(model, add_master_node(pair.view_a, coords)))
         zb.append(oracles.encode(model, add_master_node(pair.view_b, coords)))
     return rec, infonce(ad.concat(za, axis=0), ad.concat(zb, axis=0), tau=cfg.tau)
