@@ -53,6 +53,9 @@ class Tensor:
     # -- graph traversal ---------------------------------------------------
 
     def backward(self):
+        """Gradients of this scalar into `.grad` of every tensor on its tape,
+        a tensor that requires grad or has parents. A constant (neither) gets
+        no buffer: its `.grad` stays None, and ops skip it (`_accumulate`)."""
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
         topo = []
@@ -68,7 +71,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if id(p) not in visited and (p.requires_grad or p._parents):
                     stack.append((p, False))
         for node in topo:
             node.grad = np.zeros_like(node.data)
@@ -82,29 +85,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, mul(self, -1.0))
-
     def __truediv__(self, other):
         return mul(self, power(_wrap(other), -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     @property
     def T(self):
@@ -140,6 +125,22 @@ def _needs(*tensors):
     return _grad_enabled and any(t.requires_grad or t._parents for t in tensors)
 
 
+def _result(data, parents, backward):
+    """An op's output: it records `parents` and `backward` only when one of
+    the parents is on a tape, so a single-operand op's backward never meets a
+    constant."""
+    if _needs(*parents):
+        return Tensor(data, parents=parents, backward=backward)
+    return Tensor(data)
+
+
+def _accumulate(t, grad):
+    """t.grad += grad() for an operand of a multi-operand op; a constant
+    operand has no buffer, and its gradient is not computed."""
+    if t.grad is not None:
+        t.grad += grad()
+
+
 def _unbroadcast(g, shape):
     """Sum a gradient down to the original (broadcast-from) shape."""
     while g.ndim > len(shape):
@@ -154,69 +155,53 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = _wrap(a, like=b if isinstance(b, Tensor) else None), _wrap(b, like=a if isinstance(a, Tensor) else None)
-    out_data = a.data + b.data
-    out = Tensor(out_data, parents=(a, b) if _needs(a, b) else ())
+    a, b = _wrap(a, like=b), _wrap(b, like=a)
 
     def backward(g):
-        a.grad += _unbroadcast(g, a.data.shape).astype(a.dtype)
-        b.grad += _unbroadcast(g, b.data.shape).astype(b.dtype)
+        _accumulate(a, lambda: _unbroadcast(g, a.data.shape).astype(a.dtype, copy=False))
+        _accumulate(b, lambda: _unbroadcast(g, b.data.shape).astype(b.dtype, copy=False))
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b):
-    a, b = _wrap(a, like=b if isinstance(b, Tensor) else None), _wrap(b, like=a if isinstance(a, Tensor) else None)
-    out = Tensor(a.data * b.data, parents=(a, b) if _needs(a, b) else ())
+    a, b = _wrap(a, like=b), _wrap(b, like=a)
 
     def backward(g):
-        a.grad += _unbroadcast(g * b.data, a.data.shape).astype(a.dtype)
-        b.grad += _unbroadcast(g * a.data, b.data.shape).astype(b.dtype)
+        _accumulate(a, lambda: _unbroadcast(g * b.data, a.data.shape).astype(a.dtype, copy=False))
+        _accumulate(b, lambda: _unbroadcast(g * a.data, b.data.shape).astype(b.dtype, copy=False))
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(a.data * b.data, (a, b), backward)
 
 
 def power(a, exponent):
     a = _wrap(a)
-    out = Tensor(np.power(a.data, exponent), parents=(a,) if _needs(a) else ())
 
     def backward(g):
         a.grad += g * exponent * np.power(a.data, exponent - 1)
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(np.power(a.data, exponent), (a,), backward)
 
 
 def sqrt(a):
     a = _wrap(a)
     out_data = np.sqrt(a.data)
-    out = Tensor(out_data, parents=(a,) if _needs(a) else ())
 
     def backward(g):
         a.grad += g / (2.0 * out_data)
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(out_data, (a,), backward)
 
 
 def clamp_min(a, floor):
     """max(a, floor); gradient flows only through unclamped entries."""
     a = _wrap(a)
     mask = a.data >= floor
-    out = Tensor(np.maximum(a.data, floor), parents=(a,) if _needs(a) else ())
 
     def backward(g):
         a.grad += g * mask
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(np.maximum(a.data, floor), (a,), backward)
 
 
 # -- linear algebra --------------------------------------------------------
@@ -236,53 +221,40 @@ def matmul(a, b):
         out_data = (x @ y).reshape(a.shape[:-1] + y.shape[-1:])
     else:
         out_data = x @ y
-    out = Tensor(out_data, parents=(a, b) if _needs(a, b) else ())
 
     def backward(g):
         if flat:
             g = g.reshape(-1, g.shape[-1])
-            a.grad += (g @ y.T).astype(a.dtype).reshape(a.shape)
-            b.grad += (x.T @ g).astype(b.dtype)
+            _accumulate(a, lambda: (g @ y.T).astype(a.dtype, copy=False).reshape(a.shape))
+            _accumulate(b, lambda: (x.T @ g).astype(b.dtype, copy=False))
         else:
-            a.grad += (g @ y.swapaxes(-1, -2)).astype(a.dtype)
-            b.grad += (x.swapaxes(-1, -2) @ g).astype(b.dtype)
+            _accumulate(a, lambda: (g @ y.swapaxes(-1, -2)).astype(a.dtype, copy=False))
+            _accumulate(b, lambda: (x.swapaxes(-1, -2) @ g).astype(b.dtype, copy=False))
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(out_data, (a, b), backward)
 
 
 def transpose(a):
     """Swap the last two axes."""
     a = _wrap(a)
-    out = Tensor(a.data.swapaxes(-1, -2), parents=(a,) if _needs(a) else ())
 
     def backward(g):
         a.grad += g.swapaxes(-1, -2)
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(a.data.swapaxes(-1, -2), (a,), backward)
 
 
 def reshape(a, shape):
     a = _wrap(a)
-    out = Tensor(a.data.reshape(shape), parents=(a,) if _needs(a) else ())
 
     def backward(g):
         a.grad += g.reshape(a.data.shape)
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(a.data.reshape(shape), (a,), backward)
 
 
 def concat(tensors, axis=0):
-    tensors = [_wrap(t) for t in tensors]
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        parents=tuple(tensors) if any(_needs(t) for t in tensors) else (),
-    )
+    tensors = tuple(_wrap(t) for t in tensors)
     sizes = [t.data.shape[axis] for t in tensors]
 
     def backward(g):
@@ -290,26 +262,21 @@ def concat(tensors, axis=0):
         for t, size in zip(tensors, sizes):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offset, offset + size)
-            t.grad += g[tuple(sl)]
+            _accumulate(t, lambda: g[tuple(sl)])
             offset += size
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def gather_rows(table, indices):
     """Embedding lookup: out[i] = table[indices[i]]. Backward scatter-adds."""
     table = _wrap(table)
     idx = np.asarray(indices, dtype=np.int64)
-    out = Tensor(table.data[idx], parents=(table,) if _needs(table) else ())
 
     def backward(g):
         np.add.at(table.grad, idx, g)
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(table.data[idx], (table,), backward)
 
 
 def gather_sum(table, indices, weights):
@@ -321,14 +288,11 @@ def gather_sum(table, indices, weights):
     idx = np.asarray(indices, dtype=np.int64)
     w = np.asarray(weights, dtype=table.dtype)
     out_data = (table.data.reshape(-1)[idx] * w).sum(axis=0, dtype=np.float64)
-    out = Tensor(out_data.astype(table.dtype), parents=(table,) if _needs(table) else ())
 
     def backward(g):
         np.add.at(table.grad, np.unravel_index(idx, table.shape), g * w)
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(out_data.astype(table.dtype), (table,), backward)
 
 
 # -- reductions (64-bit accumulation) --------------------------------------
@@ -337,7 +301,6 @@ def gather_sum(table, indices, weights):
 def tsum(a, axis=None, keepdims=False):
     a = _wrap(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(a.dtype)
-    out = Tensor(out_data, parents=(a,) if _needs(a) else ())
 
     def backward(g):
         gg = g
@@ -345,15 +308,28 @@ def tsum(a, axis=None, keepdims=False):
             gg = np.expand_dims(gg, axis)
         a.grad += np.broadcast_to(gg, a.data.shape)
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(out_data, (a,), backward)
 
 
 def tmean(a, axis=None, keepdims=False):
     a = _wrap(a)
     n = a.data.size if axis is None else a.data.shape[axis]
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+
+
+def l2_penalty(params, gamma):
+    """gamma * (sum of the squares of every tensor in `params`), summed in 64
+    bits and stored in their dtype, as one tape node whose backward adds
+    2 * gamma * g * theta to each of them."""
+    params = tuple(params)
+    total = sum(float(np.square(p.data, dtype=np.float64).sum()) for p in params)
+
+    def backward(g):
+        scale = 2.0 * gamma * g
+        for p in params:
+            p.grad += (scale * p.data).astype(p.dtype, copy=False)
+
+    return _result(np.asarray(gamma * total, dtype=params[0].dtype), params, backward)
 
 
 # -- composite / specialized ops -------------------------------------------
@@ -367,15 +343,12 @@ def row_softmax(a):
     y = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(a.dtype)
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite softmax output")
-    out = Tensor(y, parents=(a,) if _needs(a) else ())
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        a.grad += (y * (g - dot)).astype(a.dtype)
+        a.grad += (y * (g - dot)).astype(a.dtype, copy=False)
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(y, (a,), backward)
 
 
 def log_softmax_nll(logits, targets):
@@ -394,17 +367,13 @@ def log_softmax_nll(logits, targets):
     e = np.exp(shifted)
     total = e.sum(axis=1, dtype=np.float64)
     nll = np.log(total) - shifted[rows, targets]
-    out = Tensor(np.asarray(nll.mean(), dtype=logits.dtype),
-                 parents=(logits,) if _needs(logits) else ())
 
     def backward(g):
         grad = e / total[:, None]
         grad[rows, targets] -= 1.0
-        logits.grad += (grad * (g / targets.shape[0])).astype(logits.dtype)
+        logits.grad += (grad * (g / targets.shape[0])).astype(logits.dtype, copy=False)
 
-    if out._parents:
-        out._backward = backward
-    return out
+    return _result(np.asarray(nll.mean(), dtype=logits.dtype), (logits,), backward)
 
 
 # -- optimizer -------------------------------------------------------------
@@ -428,21 +397,29 @@ class Adam:
             p.grad = None
 
     def step(self):
+        """Update every parameter that has a gradient, in place. Each
+        operation is the textbook one, m_hat = m / (1 - beta1^t) and
+        p -= lr * m_hat / (sqrt(v_hat) + eps), in the same order and dtype,
+        but it writes into one of two scratch arrays instead of a new one."""
         self.step_count += 1
         t = self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            m = self.m[name]
-            v = self.v[name]
+            m, v = self.m[name], self.v[name]
+            step, denom = np.empty_like(m), np.empty_like(v)
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(g, 1 - self.beta1, out=step)
             v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype)
+            np.multiply(g, 1 - self.beta2, out=denom)
+            v += np.multiply(denom, g, out=denom)
+            np.sqrt(np.divide(v, 1 - self.beta2**t, out=denom), out=denom)
+            denom += self.eps
+            np.divide(m, 1 - self.beta1**t, out=step)
+            step *= self.lr
+            step /= denom
+            p.data -= step
 
     def state_arrays(self):
         """Flat view of optimizer state for checkpointing."""

@@ -272,6 +272,9 @@ def _checkin_to_row(c):
 
 
 def _checkin_from_row(row):
+    if not isinstance(row, list) or len(row) != 6:
+        raise DataError(f"check-in row {json.dumps(row)} is not a list of the 6 fields "
+                        f"user, POI, category, timestamp, latitude, longitude")
     return CheckIn(row[0], row[1], row[2], float(row[3]), float(row[4]), float(row[5]))
 
 
@@ -301,7 +304,8 @@ def load_split(in_dir):
     line, unless the catalog's poi_ids strictly ascend (the row order of
     every later stage) and its coordinates are in bounds, and unless each
     record has a train, val or test "kind", each val and test record a
-    "target", and each check-in and target a catalog POI."""
+    "target", and each check-in and target is a row of its 6 fields, with
+    coordinates in bounds, naming a catalog POI."""
     src = Path(in_dir)
     cat_path = src / "catalog.jsonl"
     traj_path = src / "trajectories.jsonl"
@@ -331,11 +335,14 @@ def load_split(in_dir):
             if kind != "train" and "target" not in rec:
                 raise DataError(f'{traj_path}:{lineno}: {kind} record has no "target"')
             rows = rec["checkins"] + ([rec["target"]] if "target" in rec else [])
-            missing = sorted({row[1] for row in rows} - known)
+            try:
+                checkins = [_checkin_from_row(row) for row in rows]
+            except (TypeError, ValueError) as exc:  # DataError, or a field of the wrong type
+                raise DataError(f"{traj_path}:{lineno}: {exc}") from None
+            missing = sorted({c.poi_id for c in checkins} - known)
             if missing:
                 raise DataError(f"{traj_path}:{lineno}: {kind} record names POI "
                                 f"{missing[0]!r}, which is not in the catalog")
-            traj = Trajectory(rec["user"], [_checkin_from_row(r) for r in rec["checkins"]])
-            kinds[kind].append(traj if kind == "train"
-                               else (traj, _checkin_from_row(rec["target"])))
+            traj = Trajectory(rec["user"], checkins[:len(rec["checkins"])])
+            kinds[kind].append(traj if kind == "train" else (traj, checkins[-1]))
     return split

@@ -38,7 +38,7 @@ def random_walks(adjacency, walks_per_node, walk_len, p, q, rng):
     transitions by the previous step: 1/p back to it, 1 to its neighbors,
     1/q elsewhere.
 
-    Each transition CDF is built once and cached: per current node when
+    Each transition CDF is built once and cached: per neighbour count when
     p = q = 1 (every weight is then 1), else per (previous, current) pair.
     A step draws one uniform and bisects the CDF, which is what
     `Generator.choice(len(nbrs), p=weights)` does, so walks and the rng
@@ -63,7 +63,7 @@ def random_walks(adjacency, walks_per_node, walk_len, p, q, rng):
                     nxt = nbrs[rng.integers(len(nbrs))]
                 else:
                     prev = walk[-2]
-                    key = cur if first_order else (prev, cur)
+                    key = len(nbrs) if first_order else (prev, cur)
                     cdf = cdfs.get(key)
                     if cdf is None:
                         cdf = cdfs[key] = _transition_cdf(nbrs, prev, set(adjacency[prev]), p, q)

@@ -5,6 +5,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,11 @@ class EpochReport:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
+class PlannedPairs(NamedTuple):
+    plans: list  # EncoderPlan of each prefix
+    targets: list  # catalog row of each target
+
+
 @dataclass
 class TrainSample:
     graph: object  # TrajectoryGraph of the prefix, the source of its views
@@ -47,17 +53,14 @@ class TrainSample:
 
 def total_loss(rec, ssl, model, lam, gamma):
     """L = L_rec + lambda * L_ssl + gamma * ||theta||^2 (bias scalars
-    excluded from the penalty)."""
+    excluded from the penalty). The penalty is one tape node over every
+    regularized parameter, also one the encoder does not use."""
     loss = rec
     if ssl is not None and lam != 0:
         loss = loss + ad.mul(ssl, lam)
-    if gamma != 0:
-        reg = None
-        for p in model.regularized().values():
-            term = ad.tsum(ad.mul(p, p))
-            reg = term if reg is None else reg + term
-        if reg is not None:
-            loss = loss + ad.mul(reg, gamma)
+    reg = model.regularized()
+    if gamma != 0 and reg:
+        loss = loss + ad.l2_penalty(reg.values(), gamma)
     return loss
 
 
@@ -112,6 +115,7 @@ class Trainer:
         self.best_hr = -1.0
         self.bad_epochs = 0
         self.reports = []
+        self._val = None  # `plan_pairs(split.val)`, made by the first epoch
 
     # -- data --------------------------------------------------------------
 
@@ -186,7 +190,9 @@ class Trainer:
             total_sum += loss.item()
             n_batches += 1
         self.epoch += 1
-        val = self.evaluate(self.split.val, split_name="val") if self.split.val else None
+        if self.split.val and self._val is None:
+            self._val = self.plan_pairs(self.split.val)  # plans hold no parameter
+        val = self.evaluate(self._val, split_name="val") if self.split.val else None
         report = EpochReport(
             epoch=self.epoch,
             rec_loss=rec_sum / max(1, n_batches),
@@ -224,18 +230,25 @@ class Trainer:
 
     # -- evaluation --------------------------------------------------------
 
-    def rank_pairs(self, pairs):
-        """Full-catalog rank of each (prefix, target) pair's target: all
-        prefixes planned in one call and encoded in one `encode_plans`, one
-        (B, P) logit matrix."""
-        if not pairs:
-            return []
+    def plan_pairs(self, pairs):
+        """The `PlannedPairs` of a list of (prefix, target) pairs: all
+        prefixes planned in one call."""
         plans = self._plans([build_trajectory_graph(prefix, self.row) for prefix, _ in pairs])
+        return PlannedPairs(plans, [self.row[t.poi_id] for _, t in pairs])
+
+    def rank_pairs(self, pairs):
+        """Full-catalog rank of each (prefix, target) pair's target, from one
+        `encode_plans` call and one (B, P) logit matrix. `pairs` is a list of
+        pairs or their `plan_pairs`."""
+        plans, targets = pairs if isinstance(pairs, PlannedPairs) else self.plan_pairs(pairs)
+        if not plans:
+            return []
         with ad.no_grad():
             logits = self.model.predict(self.model.encode_plans(plans)).data
-        return rank_targets(logits, [self.row[t.poi_id] for _, t in pairs])
+        return rank_targets(logits, targets)
 
     def evaluate(self, pairs, split_name="test", ks=(1, 5, 10, 20)):
+        """The metrics of `rank_pairs(pairs)`."""
         return report_from_ranks(self.rank_pairs(pairs), split=split_name, ks=ks)
 
     # -- checkpointing -----------------------------------------------------
@@ -260,9 +273,13 @@ class Trainer:
 
     def restore(self, arrays, meta, path):
         """Restore a decoded checkpoint of the file `path`. Raises
-        CheckpointError, before changing anything, when a parameter or Adam
-        moment is missing or its shape differs from this model's (a
-        checkpoint of other data or config)."""
+        CheckpointError, before changing anything, when a training-state key
+        is missing from the metadata, or a parameter or Adam moment is
+        missing or its shape differs from this model's (a checkpoint of other
+        data or config)."""
+        for key in ("epoch", "adam_step", "best_hr", "bad_epochs", "aug_rng", "batch_rng"):
+            if key not in meta:
+                raise CheckpointError(f"checkpoint {path} has no metadata key {key!r}")
         want = {f"param.{k}": p.data for k, p in self.model.params.items()}
         want.update(self.optimizer.state_arrays())
         for name, ref in want.items():

@@ -7,8 +7,8 @@ the augmentation operators, neighbour lists and target ranks keyed by
 poi_id, the clamped softmax loss chain, the per-step node2vec walks and per-update
 skip-gram, the global temporal graph and both node2vec adjacencies keyed by
 poi_id, the scalar spatial-graph scan, the check-in line parsers with one
-`strptime` per line and exactly the format's fields, plus small autodiff
-compositions used only by tests."""
+`strptime` per line and exactly the format's fields, the textbook Adam
+step, plus small autodiff compositions used only by tests."""
 
 import math
 from collections import deque
@@ -28,6 +28,25 @@ MASTER = "__master__"
 
 
 # -- autodiff compositions -------------------------------------------------
+
+
+def adam_step(opt):
+    """`Adam.step` in its textbook form, each operation into a new array."""
+    opt.step_count += 1
+    t = opt.step_count
+    for name, p in opt.params.items():
+        g = p.grad
+        if g is None:
+            continue
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= opt.beta1
+        m += (1 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1 - opt.beta2) * g * g
+        m_hat = m / (1 - opt.beta1**t)
+        v_hat = v / (1 - opt.beta2**t)
+        p.data -= (opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)).astype(p.dtype)
 
 
 def l2_norm(a):

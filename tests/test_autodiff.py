@@ -129,6 +129,80 @@ class TestGradients:
         assert max(report.values()) < 1e-4
 
 
+GATHER_IDX = np.array([[0, 5, 11], [3, 3, 7]])
+GATHER_W = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])
+
+# (operand shape of the constant c, op applied to the parameter x (4, 3) and c)
+CONSTANT_OPERAND_CASES = {
+    "add": ((4, 3), lambda x, c: ad.add(c, x)),
+    "add-broadcast": ((1, 3), lambda x, c: ad.add(x, c)),
+    "mul": ((4, 3), lambda x, c: ad.mul(c, x)),
+    "mul-scalar": ((), lambda x, c: ad.mul(x, c)),
+    "matmul-right": ((3, 2), lambda x, c: ad.matmul(x, c)),
+    "matmul-left": ((2, 4), lambda x, c: ad.matmul(c, x)),
+    "matmul-stacked": ((2, 5, 4), lambda x, c: ad.matmul(c, x)),
+    "concat": ((2, 3), lambda x, c: ad.concat([c, x, c], axis=0)),
+    "gather_rows": ((5, 3), lambda x, c: ad.add(ad.gather_rows(c, [0, 4, 4, 1]),
+                                                 ad.gather_rows(x, [1, 1, 3, 0]))),
+    "gather_sum": ((4, 3), lambda x, c: ad.mul(ad.gather_sum(c, GATHER_IDX, GATHER_W),
+                                               ad.gather_sum(x, GATHER_IDX, GATHER_W))),
+    "tsum": ((4, 3), lambda x, c: ad.add(ad.tsum(c, axis=0), ad.tsum(x, axis=0))),
+    "row_softmax": ((4, 3), lambda x, c: ad.mul(ad.row_softmax(c), x)),
+    "log_softmax_nll": ((4, 3), lambda x, c: ad.add(ad.log_softmax_nll(c, [0, 2, 1, 2]),
+                                                    ad.log_softmax_nll(x, [1, 0, 0, 2]))),
+}
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("case", list(CONSTANT_OPERAND_CASES))
+    def test_constant_gets_no_gradient(self, case):
+        shape, op = CONSTANT_OPERAND_CASES[case]
+        c_data = np.random.default_rng(1).normal(size=shape)
+        probe = Tensor(np.random.default_rng(2).normal(size=op(randt((4, 3)), Tensor(c_data)).shape))
+
+        def loss(x, c):
+            return ad.tsum(ad.mul(op(x, c), probe))
+
+        x, c = randt((4, 3), seed=3), Tensor(c_data)
+        loss(x, c).backward()
+        assert c.grad is None and probe.grad is None
+        # the parameter's gradient is the one it gets when c is trainable
+        x_ref, c_ref = randt((4, 3), seed=3), Tensor(c_data.copy(), requires_grad=True)
+        loss(x_ref, c_ref).backward()
+        assert np.array_equal(x.grad, x_ref.grad)
+        assert grad_check(lambda: loss(x, c), {"x": x})["x"] < 1e-4
+
+
+class TestL2Penalty:
+    @staticmethod
+    def params(dtype):
+        rng = np.random.default_rng(20)
+        return [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                for shape in ((3, 4), (5,), (2, 1))]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_node_with_gradient_two_gamma_theta(self, dtype):
+        params, gamma = self.params(dtype), 1e-3
+        out = ad.l2_penalty(params, gamma)
+        assert out.dtype == dtype and out._parents == tuple(params)
+        squares = sum(float((p.data.astype(np.float64) ** 2).sum()) for p in params)
+        assert out.item() == pytest.approx(gamma * squares, rel=1e-12 if dtype == np.float64
+                                           else 1e-6)
+        out.backward()
+        for p in params:
+            assert np.array_equal(p.grad, dtype(2 * gamma) * p.data)
+
+    def test_against_finite_differences(self):
+        params = self.params(np.float64)
+        report = grad_check(lambda: ad.mul(ad.l2_penalty(params, 0.3), 2.5),
+                            {str(i): p for i, p in enumerate(params)})
+        assert max(report.values()) < 1e-4
+
+    def test_records_no_graph_under_no_grad(self):
+        with ad.no_grad():
+            assert ad.l2_penalty(self.params(np.float64), 0.5)._parents == ()
+
+
 class TestStackedMatmul:
     @pytest.mark.parametrize("b_shape", [(4, 2), (3, 4, 2)], ids=["shared", "per-item"])
     def test_each_item_is_its_2d_product(self, b_shape):
@@ -236,6 +310,28 @@ class TestLogSoftmaxNll:
 
 
 class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_byte_equal_to_textbook_oracle(self, dtype):
+        rng = np.random.default_rng(30)
+        shapes = {"w": (4, 3), "b": (3,), "s": (1,)}
+        init = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        opt, ref = (Adam({k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()},
+                         lr=0.01) for _ in range(2))
+        for step in range(6):
+            grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+            grads["s"] = None if step == 2 else grads["s"]  # a step without a gradient
+            for o in (opt, ref):
+                for k, p in o.params.items():
+                    p.grad = None if grads[k] is None else grads[k].copy()
+            opt.step()
+            oracles.adam_step(ref)
+        assert opt.step_count == ref.step_count == 6
+        for k in shapes:
+            assert opt.params[k].data.dtype == dtype
+            assert opt.params[k].data.tobytes() == ref.params[k].data.tobytes()
+            assert opt.m[k].tobytes() == ref.m[k].tobytes()
+            assert opt.v[k].tobytes() == ref.v[k].tobytes()
+
     def test_zero_gradient_leaves_params(self):
         p = Tensor(np.ones(3), requires_grad=True)
         opt = Adam({"p": p}, lr=0.1)

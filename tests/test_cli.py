@@ -371,6 +371,27 @@ class TestTrainEvaluate:
         checkpoint.save_checkpoint(ckpt, arrays, meta)
         assert main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)]) == 0
 
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    @pytest.mark.parametrize("key", ["epoch", "adam_step", "best_hr", "bad_epochs",
+                                     "aug_rng", "batch_rng"])
+    def test_checkpoint_metadata_key_missing_exit_3(self, data_dir, tmp_path, capsys,
+                                                    command, key):
+        ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
+        arrays, meta = checkpoint.load_checkpoint(ckpt)
+        del meta[key]
+        checkpoint.save_checkpoint(ckpt, arrays, meta)
+        saved = ckpt.read_bytes()
+        if command == "evaluate":
+            code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
+        else:
+            code = main(["train", "--data", str(data_dir), "--out", str(ckpt.parent),
+                         "--from-scratch", "--epochs", "2", "--lam", "0.0", "--resume"]
+                        + TINY)
+        assert code == 3
+        assert f"error: checkpoint {ckpt} has no metadata key {key!r}" in \
+            capsys.readouterr().err
+        assert ckpt.read_bytes() == saved
+
     def test_cut_checkpoint_exit_3(self, data_dir, tmp_path, capsys):
         ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
         ckpt.write_bytes(ckpt.read_bytes()[:6])
@@ -439,6 +460,25 @@ class TestTrainEvaluate:
         code = main(["train", "--data", str(bad), "--out", str(tmp_path / "run"),
                      "--from-scratch", "--epochs", "1"] + TINY)
         assert code == 3
+        assert (f"error: {bad / 'trajectories.jsonl'}:{at + 1}: {message}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind", ["train", "test"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row[:5], "check-in row [{row}] is not a list of the 6 fields"),
+        (lambda row: row[:4] + [123.0] + row[5:], "coordinates out of bounds: (123.0, "),
+    ], ids=["row-one-field-short", "latitude-out-of-bounds"])
+    def test_bad_checkin_row_exit_3(self, data_dir, tmp_path, capsys, kind, edit, message):
+        recs = [json.loads(line) for line in
+                (data_dir / "trajectories.jsonl").read_text().splitlines()]
+        at = next(i for i, rec in enumerate(recs) if rec["kind"] == kind)
+        row = recs[at]["checkins"][-1]
+        recs[at]["checkins"][-1] = edit(row)
+        bad = self.edited_split(data_dir, tmp_path / "bad", "trajectories.jsonl", at, recs[at])
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "run"),
+                     "--from-scratch", "--epochs", "1"] + TINY)
+        assert code == 3
+        message = message.format(row=", ".join(map(json.dumps, row[:5])))
         assert (f"error: {bad / 'trajectories.jsonl'}:{at + 1}: {message}"
                 in capsys.readouterr().err)
 

@@ -232,6 +232,23 @@ class TestOracleEquivalence:
             window=window, negatives=(0, 1, 5)[seed % 3], epochs=1 + seed % 3)
         assert ["v0"] in walks  # an isolated node's length-1 walk
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_order_cdfs_are_built_once_per_neighbour_count(self, monkeypatch, seed):
+        # at p = q = 1 every weight is 1, so nodes of one degree share a CDF;
+        # walks and the rng stream still equal the per-step `choice` oracle
+        rng = np.random.default_rng(200 + seed)
+        adj, names = random_graph(rng, 24, 0.3, isolated=1)
+        built = []
+        transition_cdf = pretrain._transition_cdf
+        monkeypatch.setattr(pretrain, "_transition_cdf",
+                            lambda nbrs, *rest: built.append(len(nbrs))
+                            or transition_cdf(nbrs, *rest))
+        walks = assert_matches_oracle(adj, names, 3, 8, 1, 1, seed=seed, dim=4,
+                                      window=2, negatives=2, epochs=1)
+        stepped_from = {walk[i] for walk in walks for i in range(1, len(walk) - 1)}
+        assert sorted(built) == sorted({len(adj[v]) for v in stepped_from})
+        assert len(built) < len(stepped_from)
+
     @pytest.mark.parametrize("negatives", [0, 1, 5])
     def test_two_node_graph_repeats_targets(self, negatives):
         # with two nodes the negatives repeat each other and the context

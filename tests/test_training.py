@@ -26,6 +26,10 @@ def small_split():
     return markov_dataset(n_pois=12, n_traj=30, traj_len=6, seed=1)
 
 
+# nodes of `total_loss`'s tape for the first 8 samples of `small_trainer`
+PINNED_TAPE_NODES = 170
+
+
 def small_trainer(split, **overrides):
     cfg = RunConfig(d=8, t_max=20, m_bins=4, degree_buckets=4, batch_size=8,
                     epochs=2, n_neighbors=5, correlation_top=10, patience=10,
@@ -175,6 +179,51 @@ class TestTotalLoss:
         assert "b_spd" not in reg and "b_dist" not in reg
         assert "poi_table" in reg
 
+    def test_l2_gradient_reaches_every_regularized_parameter(self, small_split):
+        # with the category bias off the encoder never reads cat_pairs and
+        # w_r, but the penalty still pulls them toward 0
+        cfg = small_trainer(small_split).config.override(use_category_bias=False)
+        tr, gamma = Trainer(small_split, cfg, dtype=np.float64), 1e-3
+        reg = tr.model.regularized()
+        total_loss(Tensor(np.array(0.0)), None, tr.model, lam=0.0, gamma=gamma).backward()
+        for p in reg.values():
+            assert np.array_equal(p.grad, 2 * gamma * p.data)
+        rec, _ = tr._batch_loss(tr.samples[:8])
+        total_loss(rec, None, tr.model, lam=0.0, gamma=gamma).backward()
+        for name in ("cat_pairs", "w_r"):
+            assert np.array_equal(reg[name].grad, 2 * gamma * reg[name].data)
+
+
+def tape(loss):
+    """Every tensor `loss` was computed from, itself included."""
+    seen, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+class TestTape:
+    def test_fixed_batch_has_pinned_node_count(self, small_split):
+        tr = small_trainer(small_split, lam=0.1, gamma=1e-4)
+        rec, ssl = tr._batch_loss(tr.samples[:8])
+        loss = total_loss(rec, ssl, tr.model, lam=0.1, gamma=1e-4)
+        unpenalized = total_loss(rec, ssl, tr.model, lam=0.1, gamma=0.0)
+        # the penalty over all 12 regularized parameters is one node plus its add
+        assert len(tr.model.regularized()) == 12
+        assert len(tape(loss)) == len(tape(unpenalized)) + 2 == PINNED_TAPE_NODES
+
+    def test_constant_leaves_end_backward_without_gradient(self, small_split):
+        tr = small_trainer(small_split, lam=0.1)
+        rec, ssl = tr._batch_loss(tr.samples[:8])
+        loss = total_loss(rec, ssl, tr.model, lam=0.1, gamma=1e-4)
+        loss.backward()
+        constants = [t for t in tape(loss) if not (t.requires_grad or t._parents)]
+        assert constants and all(t.grad is None for t in constants)
+        assert all(t.grad is not None for t in tape(loss) if t.requires_grad or t._parents)
+
 
 class TestTrainingLoop:
     def test_loss_decreases(self, small_split):
@@ -276,6 +325,20 @@ class TestTrainingLoop:
                    and np.array_equal(other.optimizer.v[k], tr.optimizer.v[k])
                    for k in tr.optimizer.params)
 
+    def test_val_set_planned_once_by_the_first_epoch(self, small_split, monkeypatch):
+        planned = []
+        plan_pairs = Trainer.plan_pairs
+        monkeypatch.setattr(Trainer, "plan_pairs",
+                            lambda self, pairs: planned.append(len(pairs))
+                            or plan_pairs(self, pairs))
+        tr = small_trainer(small_split, epochs=3, lam=0.1, patience=10)
+        assert planned == []  # set-up plans no val pair
+        reports = tr.fit()
+        assert len(reports) == 3 and planned == [len(small_split.val)]
+        # the kept plans rank as freshly planned ones do
+        assert tr.rank_pairs(tr._val) == tr.rank_pairs(small_split.val)
+        assert reports[-1].val_hr10 == tr.evaluate(small_split.val).hr[10]
+
     def test_evaluate_counts_pairs(self, small_split):
         tr = small_trainer(small_split, epochs=1, lam=0.0)
         rep = tr.evaluate(small_split.test)
@@ -283,9 +346,28 @@ class TestTrainingLoop:
         assert 0.0 <= rep.hr[10] <= 1.0
 
 
+class TestRestore:
+    @pytest.mark.parametrize("key", ["epoch", "adam_step", "best_hr", "bad_epochs",
+                                     "aug_rng", "batch_rng"])
+    def test_missing_metadata_key_changes_nothing(self, small_split, tmp_path, key):
+        tr = small_trainer(small_split, epochs=1, lam=0.1)
+        tr.fit()
+        tr.save(tmp_path / "c.ckpt")
+        arrays, meta = load_checkpoint(tmp_path / "c.ckpt")
+        del meta[key]
+        other = small_trainer(small_split, epochs=1, lam=0.1)
+        before = param_bytes(other), other.aug_rng.bit_generator.state
+        with pytest.raises(CheckpointError,
+                           match=f"checkpoint .*c.ckpt has no metadata key '{key}'"):
+            other.restore(arrays, meta, tmp_path / "c.ckpt")
+        assert (param_bytes(other), other.aug_rng.bit_generator.state) == before
+        assert other.epoch == 0 and other.optimizer.step_count == 0
+
+
 class TestBatchedRanking:
     def test_no_pairs(self, small_split):
-        assert small_trainer(small_split).rank_pairs([]) == []
+        tr = small_trainer(small_split)
+        assert tr.rank_pairs([]) == [] and tr.rank_pairs(tr.plan_pairs([])) == []
 
     @pytest.mark.parametrize("overrides", [{}, {"heads": 2, "layers": 2}])
     def test_matches_per_pair_oracle_ranking(self, small_split, overrides):
