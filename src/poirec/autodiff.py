@@ -55,7 +55,7 @@ class Tensor:
     def backward(self):
         """Gradients of this scalar into `.grad` of every tensor on its tape,
         a tensor that requires grad or has parents. A constant (neither) gets
-        no buffer: its `.grad` stays None, and ops skip it (`_accumulate`)."""
+        no buffer: its `.grad` stays None, and ops skip it (`accumulate`)."""
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
         topo = []
@@ -121,22 +121,25 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _needs(*tensors):
+def needs_grad(*tensors):
+    """Whether an op over `tensors` is recorded: outside `no_grad()`, with
+    one of them on a tape. An op may keep its intermediates only then."""
     return _grad_enabled and any(t.requires_grad or t._parents for t in tensors)
 
 
-def _result(data, parents, backward):
-    """An op's output: it records `parents` and `backward` only when one of
-    the parents is on a tape, so a single-operand op's backward never meets a
-    constant."""
-    if _needs(*parents):
+def result(data, parents, backward):
+    """An op's output, and the way to record a custom op: it records
+    `parents` and `backward(g)`, which adds the gradient of each parent to
+    its `.grad`, only when one of the parents is on a tape, so a
+    single-operand op's backward never meets a constant."""
+    if needs_grad(*parents):
         return Tensor(data, parents=parents, backward=backward)
     return Tensor(data)
 
 
-def _accumulate(t, grad):
-    """t.grad += grad() for an operand of a multi-operand op; a constant
-    operand has no buffer, and its gradient is not computed."""
+def accumulate(t, grad):
+    """t.grad += grad() for a parent of a multi-parent op; a constant parent
+    has no buffer, and its gradient is not computed."""
     if t.grad is not None:
         t.grad += grad()
 
@@ -158,20 +161,20 @@ def add(a, b):
     a, b = _wrap(a, like=b), _wrap(b, like=a)
 
     def backward(g):
-        _accumulate(a, lambda: _unbroadcast(g, a.data.shape).astype(a.dtype, copy=False))
-        _accumulate(b, lambda: _unbroadcast(g, b.data.shape).astype(b.dtype, copy=False))
+        accumulate(a, lambda: _unbroadcast(g, a.data.shape).astype(a.dtype, copy=False))
+        accumulate(b, lambda: _unbroadcast(g, b.data.shape).astype(b.dtype, copy=False))
 
-    return _result(a.data + b.data, (a, b), backward)
+    return result(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b):
     a, b = _wrap(a, like=b), _wrap(b, like=a)
 
     def backward(g):
-        _accumulate(a, lambda: _unbroadcast(g * b.data, a.data.shape).astype(a.dtype, copy=False))
-        _accumulate(b, lambda: _unbroadcast(g * a.data, b.data.shape).astype(b.dtype, copy=False))
+        accumulate(a, lambda: _unbroadcast(g * b.data, a.data.shape).astype(a.dtype, copy=False))
+        accumulate(b, lambda: _unbroadcast(g * a.data, b.data.shape).astype(b.dtype, copy=False))
 
-    return _result(a.data * b.data, (a, b), backward)
+    return result(a.data * b.data, (a, b), backward)
 
 
 def power(a, exponent):
@@ -180,7 +183,7 @@ def power(a, exponent):
     def backward(g):
         a.grad += g * exponent * np.power(a.data, exponent - 1)
 
-    return _result(np.power(a.data, exponent), (a,), backward)
+    return result(np.power(a.data, exponent), (a,), backward)
 
 
 def sqrt(a):
@@ -190,7 +193,7 @@ def sqrt(a):
     def backward(g):
         a.grad += g / (2.0 * out_data)
 
-    return _result(out_data, (a,), backward)
+    return result(out_data, (a,), backward)
 
 
 def clamp_min(a, floor):
@@ -201,7 +204,7 @@ def clamp_min(a, floor):
     def backward(g):
         a.grad += g * mask
 
-    return _result(np.maximum(a.data, floor), (a,), backward)
+    return result(np.maximum(a.data, floor), (a,), backward)
 
 
 # -- linear algebra --------------------------------------------------------
@@ -225,13 +228,13 @@ def matmul(a, b):
     def backward(g):
         if flat:
             g = g.reshape(-1, g.shape[-1])
-            _accumulate(a, lambda: (g @ y.T).astype(a.dtype, copy=False).reshape(a.shape))
-            _accumulate(b, lambda: (x.T @ g).astype(b.dtype, copy=False))
+            accumulate(a, lambda: (g @ y.T).astype(a.dtype, copy=False).reshape(a.shape))
+            accumulate(b, lambda: (x.T @ g).astype(b.dtype, copy=False))
         else:
-            _accumulate(a, lambda: (g @ y.swapaxes(-1, -2)).astype(a.dtype, copy=False))
-            _accumulate(b, lambda: (x.swapaxes(-1, -2) @ g).astype(b.dtype, copy=False))
+            accumulate(a, lambda: (g @ y.swapaxes(-1, -2)).astype(a.dtype, copy=False))
+            accumulate(b, lambda: (x.swapaxes(-1, -2) @ g).astype(b.dtype, copy=False))
 
-    return _result(out_data, (a, b), backward)
+    return result(out_data, (a, b), backward)
 
 
 def transpose(a):
@@ -241,16 +244,7 @@ def transpose(a):
     def backward(g):
         a.grad += g.swapaxes(-1, -2)
 
-    return _result(a.data.swapaxes(-1, -2), (a,), backward)
-
-
-def reshape(a, shape):
-    a = _wrap(a)
-
-    def backward(g):
-        a.grad += g.reshape(a.data.shape)
-
-    return _result(a.data.reshape(shape), (a,), backward)
+    return result(a.data.swapaxes(-1, -2), (a,), backward)
 
 
 def concat(tensors, axis=0):
@@ -262,10 +256,10 @@ def concat(tensors, axis=0):
         for t, size in zip(tensors, sizes):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offset, offset + size)
-            _accumulate(t, lambda: g[tuple(sl)])
+            accumulate(t, lambda: g[tuple(sl)])
             offset += size
 
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+    return result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def gather_rows(table, indices):
@@ -276,23 +270,7 @@ def gather_rows(table, indices):
     def backward(g):
         np.add.at(table.grad, idx, g)
 
-    return _result(table.data[idx], (table,), backward)
-
-
-def gather_sum(table, indices, weights):
-    """Weighted sum of table entries picked by flat index: out[p] = sum over
-    k of weights[k, p] * table.flat[indices[k, p]], so out has the shape of
-    one index slice. Accumulates in 64 bits; backward scatter-adds the
-    weighted gradient."""
-    table = _wrap(table)
-    idx = np.asarray(indices, dtype=np.int64)
-    w = np.asarray(weights, dtype=table.dtype)
-    out_data = (table.data.reshape(-1)[idx] * w).sum(axis=0, dtype=np.float64)
-
-    def backward(g):
-        np.add.at(table.grad, np.unravel_index(idx, table.shape), g * w)
-
-    return _result(out_data.astype(table.dtype), (table,), backward)
+    return result(table.data[idx], (table,), backward)
 
 
 # -- reductions (64-bit accumulation) --------------------------------------
@@ -308,13 +286,7 @@ def tsum(a, axis=None, keepdims=False):
             gg = np.expand_dims(gg, axis)
         a.grad += np.broadcast_to(gg, a.data.shape)
 
-    return _result(out_data, (a,), backward)
-
-
-def tmean(a, axis=None, keepdims=False):
-    a = _wrap(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return result(out_data, (a,), backward)
 
 
 def l2_penalty(params, gamma):
@@ -329,26 +301,10 @@ def l2_penalty(params, gamma):
         for p in params:
             p.grad += (scale * p.data).astype(p.dtype, copy=False)
 
-    return _result(np.asarray(gamma * total, dtype=params[0].dtype), params, backward)
+    return result(np.asarray(gamma * total, dtype=params[0].dtype), params, backward)
 
 
 # -- composite / specialized ops -------------------------------------------
-
-
-def row_softmax(a):
-    """Softmax along the last axis, with max subtraction for stability."""
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(a.dtype)
-    if not np.all(np.isfinite(y)):
-        raise NumericError("non-finite softmax output")
-
-    def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        a.grad += (y * (g - dot)).astype(a.dtype, copy=False)
-
-    return _result(y, (a,), backward)
 
 
 def log_softmax_nll(logits, targets):
@@ -373,7 +329,7 @@ def log_softmax_nll(logits, targets):
         grad[rows, targets] -= 1.0
         logits.grad += (grad * (g / targets.shape[0])).astype(logits.dtype, copy=False)
 
-    return _result(np.asarray(nll.mean(), dtype=logits.dtype), (logits,), backward)
+    return result(np.asarray(nll.mean(), dtype=logits.dtype), (logits,), backward)
 
 
 # -- optimizer -------------------------------------------------------------

@@ -278,6 +278,15 @@ def _checkin_from_row(row):
     return CheckIn(row[0], row[1], row[2], float(row[3]), float(row[4]), float(row[5]))
 
 
+def _json_line(path, lineno, line):
+    """The JSON value of one line of a split file, or a DataError naming the
+    file and line."""
+    try:
+        return json.loads(line)
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: line is not JSON: {exc}") from None
+
+
 def save_split(split, out_dir):
     """Write a DatasetSplit as newline-delimited JSON records, one trajectory
     (or eval pair) per line. Deterministic byte-for-byte."""
@@ -301,11 +310,12 @@ def save_split(split, out_dir):
 
 def load_split(in_dir):
     """Read a `save_split` directory. Raises DataError, naming the file and
-    line, unless the catalog's poi_ids strictly ascend (the row order of
-    every later stage) and its coordinates are in bounds, and unless each
-    record has a train, val or test "kind", each val and test record a
-    "target", and each check-in and target is a row of its 6 fields, with
-    coordinates in bounds, naming a catalog POI."""
+    line, unless every line is JSON, each catalog line a row of its 4 fields
+    whose poi_ids strictly ascend (the row order of every later stage) and
+    whose coordinates are in bounds, and unless each record is an object
+    with a train, val or test "kind", a "user" and a "checkins" list, each
+    val and test record a "target", and each check-in and target is a row
+    of its 6 fields, with coordinates in bounds, naming a catalog POI."""
     src = Path(in_dir)
     cat_path = src / "catalog.jsonl"
     traj_path = src / "trajectories.jsonl"
@@ -314,26 +324,36 @@ def load_split(in_dir):
     split = DatasetSplit()
     with cat_path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            poi_id, cat, lat, lon = json.loads(line)
+            row = _json_line(cat_path, lineno, line)
+            if not isinstance(row, list) or len(row) != 4:
+                raise DataError(f"{cat_path}:{lineno}: catalog row {line.strip()} is not a "
+                                f"list of the 4 fields poi_id, category, latitude, longitude")
+            poi_id, cat, lat, lon = row
             if split.catalog and poi_id <= (prev := split.catalog[-1].poi_id):
                 why = "is listed twice" if poi_id == prev else f"follows {prev!r}"
                 raise DataError(f"{cat_path}:{lineno}: POI {poi_id!r} {why}; catalog "
                                 f"poi_ids must be strictly ascending")
             try:
                 split.catalog.append(Poi(poi_id, cat, float(lat), float(lon)))
-            except DataError as exc:
+            except (TypeError, ValueError) as exc:  # DataError, or a field of the wrong type
                 raise DataError(f"{cat_path}:{lineno}: {exc}") from None
     known = {p.poi_id for p in split.catalog}
     kinds = {"train": split.train, "val": split.val, "test": split.test}
     with traj_path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            rec = json.loads(line)
+            rec = _json_line(traj_path, lineno, line)
+            if not isinstance(rec, dict):
+                raise DataError(f"{traj_path}:{lineno}: record {line.strip()} is not a "
+                                f"JSON object")
             kind = rec.get("kind")
             if kind not in kinds:
                 what = f"kind {kind!r}, not one of {', '.join(kinds)}" if "kind" in rec else 'no "kind"'
                 raise DataError(f"{traj_path}:{lineno}: record has {what}")
-            if kind != "train" and "target" not in rec:
-                raise DataError(f'{traj_path}:{lineno}: {kind} record has no "target"')
+            for key in ("user", "checkins") + (() if kind == "train" else ("target",)):
+                if key not in rec:
+                    raise DataError(f'{traj_path}:{lineno}: {kind} record has no "{key}"')
+            if not isinstance(rec["checkins"], list):
+                raise DataError(f'{traj_path}:{lineno}: {kind} record\'s "checkins" is not a list')
             rows = rec["checkins"] + ([rec["target"]] if "target" in rec else [])
             try:
                 checkins = [_checkin_from_row(row) for row in rows]

@@ -3,7 +3,8 @@ category attention biases, master-node readout, and the prediction head.
 
 `stack_graphs` stacks trajectory graphs by node count, `GsanModel.plan_stacks`
 turns the stacks into `EncoderPlan`s, and `GsanModel.encode_plans` runs any
-number of plans through one stacked forward per node count."""
+number of plans through one stacked forward per node count, as one autodiff
+node with a hand-written backward."""
 
 import math
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ UNKNOWN_PAIR_INDEX = 0
 # b_spd row of every pair with the master node; rows 0-2 are the hop counts
 # of base pairs, which the master node caps at 2
 MASTER_HOP_ROW = 3
+# parameters that reach the encoder only through `GsanModel.bias_table()`
+BIAS_PARAMS = ("b_spd", "b_dist", "cat_pairs", "w_r")
 
 
 @dataclass
@@ -128,6 +131,30 @@ def stack_graphs(graphs, coords=None):
         stacks.append(GraphStack(members, rows, np.array(pos, dtype=np.int64).reshape(-1, n),
                                  last, adj, geo))
     return stacks
+
+
+def attention_softmax(scores):
+    """Softmax along the last axis of an attention score array, with max
+    subtraction for stability and a 64-bit row sum. Raises NumericError on a
+    non-finite result."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(scores.dtype)
+    if not np.all(np.isfinite(attn)):
+        raise NumericError("non-finite softmax output")
+    return attn
+
+
+@dataclass
+class GroupCache:
+    """What the backward of a recorded `GsanModel.encode_plans` call reads
+    of one group of G plans with n base nodes each."""
+
+    rows: np.ndarray  # (G, n) poi_table rows
+    pos_rows: np.ndarray  # (G, n) `pos` rows
+    last: np.ndarray  # (G,) index of the last-visited base node
+    bias_idx: np.ndarray  # (terms, G, n+1, n+1) rows of `bias_table()`
+    bias_w: np.ndarray  # (terms, G, n+1, n+1) their weights
+    layers: list  # per layer: its input, each head's (q, k, v, attention), the merged heads
 
 
 @dataclass
@@ -291,65 +318,153 @@ class GsanModel:
     def encode_plans(self, plans):
         """Trajectory representations s_u of a list of plans, one (B, d) row
         per plan in input order. Plans with the same node count run as one
-        stacked forward, so nothing is padded or masked."""
+        stacked forward (`_encode_group`), so nothing is padded or masked.
+        The call is one tape node whose parents are `bias_table()` and the
+        encoder parameters, with the hand-written backward of
+        `_backward`; only a recorded call keeps the forward's intermediates."""
         if not plans:
             raise ValueError("encode_plans needs at least one plan")
         table = self.bias_table()
+        parents = (table,) + tuple(p for k, p in self.params.items() if k not in BIAS_PARAMS)
+        keep = ad.needs_grad(*parents)
         groups = {}
         for i, p in enumerate(plans):
             groups.setdefault(len(p.poi_rows), []).append(i)
-        outs = [self._forward([plans[i] for i in members], table)
-                for members in groups.values()]
-        s_u = outs[0] if len(outs) == 1 else ad.concat(outs, axis=0)
-        order = np.concatenate(list(groups.values()))
-        if (order != np.arange(len(plans))).any():
-            s_u = ad.gather_rows(s_u, np.argsort(order))
-        return s_u
+        d = self.config.d
+        s_u = np.empty((len(plans), d), dtype=self.dtype)
+        readout = np.empty((len(plans), 2 * d), dtype=self.dtype) if keep else None
+        saved = []
+        for members in groups.values():
+            out, cache = self._encode_group([plans[i] for i in members], table.data, keep)
+            s_u[members] = out @ self.params["w_s"].data
+            if keep:
+                readout[members] = out
+                saved.append((members, cache))
 
-    def _forward(self, plans, table):
+        def backward(g):
+            self._backward(g, table, readout, saved)
+
+        return ad.result(s_u, parents, backward)
+
+    def _encode_group(self, plans, table, keep):
         """The encoder over G plans of n base nodes each, as (G, n+1, d)
-        stacks: node features, `layers` biased self-attention layers, and the
-        readout [master row, last-visited row] @ w_s. Returns (G, d)."""
-        x = self._features(plans)
-        bias = ad.gather_sum(table, np.stack([p.bias_idx for p in plans], axis=1),
-                             np.stack([p.bias_w for p in plans], axis=1))
-        for layer in range(self.config.layers):
-            x = self._attention(x, bias, layer)
-        g, (size, d) = len(plans), x.shape[-2:]
-        pick = [[i * size + size - 1, i * size + p.last] for i, p in enumerate(plans)]
-        readout = ad.gather_rows(ad.reshape(x, (g * size, d)), pick)
-        return ad.matmul(ad.reshape(readout, (g, 2 * d)), self.params["w_s"])
-
-    def _features(self, plans):
-        """(G, n+1, d): per base node the sum of its POI, degree, popularity
-        and reverse-position rows; the master row is their mean plus the
-        padding position row."""
-        prm = self.params
+        stacks: node features (per base node the sum of its POI, degree,
+        popularity and reverse-position rows; the master row their mean plus
+        the padding position row), the attention bias, `layers` biased
+        self-attention layers. Returns the (G, 2d) readout [master row,
+        last-visited row] and, when `keep` is set, the group's `GroupCache`."""
+        prm = {k: p.data for k, p in self.params.items()}
         rows = np.stack([p.poi_rows for p in plans])
-        x = ad.gather_rows(prm["poi_table"], rows)
-        x = x + ad.gather_rows(prm["deg_in"], self.deg_in_bucket[rows])
-        x = x + ad.gather_rows(prm["deg_out"], self.deg_out_bucket[rows])
-        x = x + ad.gather_rows(prm["pop"], self.pop_bucket[rows])
-        x = x + ad.gather_rows(prm["pos"], np.stack([p.pos_rows for p in plans]))
-        master = ad.tmean(x, axis=-2, keepdims=True) + ad.gather_rows(prm["pos"], [0])
-        return ad.concat([x, master], axis=-2)
+        pos_rows = np.stack([p.pos_rows for p in plans])
+        x = prm["poi_table"][rows]
+        x = x + prm["deg_in"][self.deg_in_bucket[rows]]
+        x = x + prm["deg_out"][self.deg_out_bucket[rows]]
+        x = x + prm["pop"][self.pop_bucket[rows]]
+        x = x + prm["pos"][pos_rows]
+        total = x.sum(axis=-2, keepdims=True, dtype=np.float64).astype(self.dtype)
+        master = total * np.asarray(1.0 / rows.shape[1], dtype=self.dtype) + prm["pos"][[0]]
+        x = np.concatenate([x, master], axis=-2)
+        bias_idx = np.stack([p.bias_idx for p in plans], axis=1)
+        bias_w = np.stack([p.bias_w for p in plans], axis=1)
+        bias = (table.reshape(-1)[bias_idx] * bias_w).sum(axis=0, dtype=np.float64)
+        bias = bias.astype(self.dtype)
+        layers = []
+        for layer in range(self.config.layers):
+            out, heads, merged = self._attend(x, bias, layer)
+            if keep:
+                layers.append((x, heads, merged))
+            x = out
+        last = np.array([p.last for p in plans])
+        readout = np.concatenate([x[:, -1], x[np.arange(len(plans)), last]], axis=1)
+        if not keep:
+            return readout, None
+        return readout, GroupCache(rows, pos_rows, last, bias_idx, bias_w, layers)
 
-    def _attention(self, x, bias, layer):
+    def _attend(self, x, bias, layer):
         """One biased self-attention layer over (G, n+1, d) features and a
-        (G, n+1, n+1) bias; heads are concatenated, then projected by wo."""
-        cfg = self.config
-        scale = 1.0 / math.sqrt(cfg.d)
-        heads = []
-        for h in range(cfg.heads):
-            q = ad.matmul(x, self.params[f"l{layer}.h{h}.wq"])
-            k = ad.matmul(x, self.params[f"l{layer}.h{h}.wk"])
-            v = ad.matmul(x, self.params[f"l{layer}.h{h}.wv"])
-            scores = ad.mul(ad.matmul(q, k.T), scale) + bias
-            if not np.all(np.isfinite(scores.data)):
+        (G, n+1, n+1) bias: per head softmax(q k^T / sqrt(d) + bias) v, the
+        heads concatenated, then projected by wo. Returns the output, each
+        head's (q, k, v, attention) and the concatenated heads."""
+        prm = self.params
+        flat = x.reshape(-1, x.shape[-1])
+        scale = np.asarray(1.0 / math.sqrt(self.config.d), dtype=self.dtype)
+        heads, outs = [], []
+        for h in range(self.config.heads):
+            q, k, v = ((flat @ prm[f"l{layer}.h{h}.{name}"].data).reshape(x.shape)
+                       for name in ("wq", "wk", "wv"))
+            scores = (q @ k.swapaxes(-1, -2)) * scale + bias
+            if not np.all(np.isfinite(scores)):
                 raise NumericError("non-finite attention scores")
-            heads.append(ad.matmul(ad.row_softmax(scores), v))
-        merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=-1)
-        return ad.matmul(merged, self.params[f"l{layer}.wo"])
+            attn = attention_softmax(scores)
+            heads.append((q, k, v, attn))
+            outs.append(attn @ v)
+        merged = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-1)
+        wo = prm[f"l{layer}.wo"].data
+        return (merged.reshape(-1, merged.shape[-1]) @ wo).reshape(x.shape), heads, merged
+
+    def _backward(self, g, table, readout, saved):
+        """Adds the gradient of s_u, `g` (B, d), to the bias table and the
+        encoder parameters. Attention runs back group by group; the
+        readout rows are assigned (a graph's master and last rows differ),
+        and each lookup table and the bias table take one scatter-add for
+        the whole call."""
+        prm, d = self.params, self.config.d
+        w_s = prm["w_s"]
+        ad.accumulate(w_s, lambda: readout.T @ g)
+        d_readout = g @ w_s.data.T
+        base, master, bias = [], [], []
+        for members, cache in saved:
+            size = cache.rows.shape[1] + 1
+            dx = np.zeros((len(members), size, d), dtype=self.dtype)
+            dx[:, -1] = d_readout[members, :d]
+            dx[np.arange(len(members)), cache.last] = d_readout[members, d:]
+            d_bias = np.zeros((len(members), size, size), dtype=self.dtype)
+            for layer in reversed(range(self.config.layers)):
+                dx = self._attend_backward(dx, d_bias, layer, *cache.layers[layer])
+            n = size - 1
+            master.append(dx[:, n])
+            base.append(dx[:, :n] + dx[:, n:] * np.asarray(1.0 / n, dtype=self.dtype))
+            bias.append((cache.bias_idx.reshape(-1), (cache.bias_w * d_bias).reshape(-1)))
+        # one scatter-add per table for the whole call, groups in order
+        rows = np.concatenate([cache.rows.reshape(-1) for _, cache in saved])
+        base = np.concatenate([b.reshape(-1, d) for b in base])
+        for name, row in (("poi_table", rows), ("deg_in", self.deg_in_bucket[rows]),
+                          ("deg_out", self.deg_out_bucket[rows]), ("pop", self.pop_bucket[rows])):
+            if prm[name].grad is not None:
+                np.add.at(prm[name].grad, row, base)
+        if prm["pos"].grad is not None:  # the masters take the padding row
+            pos_rows = [cache.pos_rows.reshape(-1) for _, cache in saved]
+            pos_rows.append(np.zeros(len(g), dtype=np.int64))
+            np.add.at(prm["pos"].grad, np.concatenate(pos_rows), np.concatenate([base] + master))
+        if table.grad is not None:
+            np.add.at(table.grad.reshape(-1), np.concatenate([i for i, _ in bias]),
+                      np.concatenate([w for _, w in bias]))
+
+    def _attend_backward(self, dout, d_bias, layer, x, heads, merged):
+        """The gradient of one attention layer's input from that of its
+        output, `dout`; adds the bias gradient to `d_bias` and the layer's
+        weight gradients to their parameters."""
+        prm = self.params
+        flat, d = x.reshape(-1, x.shape[-1]), x.shape[-1]
+        d_flat = dout.reshape(-1, d)
+        wo = prm[f"l{layer}.wo"]
+        ad.accumulate(wo, lambda: merged.reshape(-1, merged.shape[-1]).T @ d_flat)
+        d_merged = (d_flat @ wo.data.T).reshape(merged.shape)
+        scale = np.asarray(1.0 / math.sqrt(self.config.d), dtype=self.dtype)
+        dx = np.zeros_like(flat)
+        for h, (q, k, v, attn) in enumerate(heads):
+            d_head = d_merged[..., h * d:(h + 1) * d]
+            d_attn = d_head @ v.swapaxes(-1, -2)
+            d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+            d_bias += d_scores
+            d_scores *= scale
+            grads = (d_scores @ k, d_scores.swapaxes(-1, -2) @ q, attn.swapaxes(-1, -2) @ d_head)
+            for name, dz in zip(("wq", "wk", "wv"), grads):
+                w = prm[f"l{layer}.h{h}.{name}"]
+                dz = dz.reshape(-1, d)
+                ad.accumulate(w, lambda: flat.T @ dz)
+                dx += dz @ w.data.T
+        return dx.reshape(x.shape)
 
     def predict(self, s_u):
         """Catalog logits s_u @ poi_table^T of a (B, d) batch of trajectory

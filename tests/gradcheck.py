@@ -1,10 +1,8 @@
-"""Finite-difference gradient checking, and `exp`, an autodiff op that only
-the gradient tests use."""
+"""Finite-difference gradient checking."""
 
 import numpy as np
 
-from poirec import autodiff as ad
-from poirec.autodiff import NumericError, Tensor
+from poirec.autodiff import NumericError
 
 
 def grad_check(f, params, eps=1e-5):
@@ -40,16 +38,3 @@ def grad_check(f, params, eps=1e-5):
         report[name] = float(np.max(np.abs(a - numeric) / denom)) if flat.size else 0.0
     return report
 
-
-def exp(a):
-    """Elementwise e**a, with its gradient."""
-    a = ad._wrap(a)
-    out_data = np.exp(a.data)
-    out = Tensor(out_data, parents=(a,) if ad._needs(a) else ())
-
-    def backward(g):
-        a.grad += g * out_data
-
-    if out._parents:
-        out._backward = backward
-    return out

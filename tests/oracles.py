@@ -2,7 +2,9 @@
 counts and connectivity of plain graphs, the master graph and encoder plan
 built one graph at a time, the per-edge category vocabulary, the per-pair
 BFS and loop forms of the master-graph structure and of the attention bias,
-the per-graph encoder, the sorted-row correlation ranking, the catalog-loop target rank,
+the per-graph encoder and the per-op stacked encoder over plans (the
+reference of the fused encoder node), the sorted-row correlation ranking,
+the catalog-loop target rank,
 the augmentation operators, neighbour lists and target ranks keyed by
 poi_id, the clamped softmax loss chain, the per-step node2vec walks and per-update
 skip-gram, the global temporal graph and both node2vec adjacencies keyed by
@@ -22,6 +24,7 @@ from poirec.data import UNKNOWN_CATEGORY, CheckIn, DataError
 from poirec.encoder import MASTER_HOP_ROW, EncoderPlan
 from poirec.graphs import EARTH_RADIUS_KM, haversine, haversine_matrix
 from poirec.pretrain import EmbeddingTable
+import ops
 
 UNKNOWN_PAIR_INDEX = 0
 MASTER = "__master__"
@@ -389,7 +392,7 @@ def node_features(model, mgraph):
     h = h + ad.gather_rows(model.params["deg_out"], model.deg_out_bucket[idx])
     h = h + ad.gather_rows(model.params["pop"], model.pop_bucket[idx])
     h = h + ad.gather_rows(model.params["pos"], np.array(pos_idx, dtype=np.int64))
-    master = ad.tmean(h, axis=0, keepdims=True) + ad.gather_rows(model.params["pos"], [0])
+    master = ops.tmean(h, axis=0, keepdims=True) + ad.gather_rows(model.params["pos"], [0])
     return ad.concat([h, master], axis=0)
 
 
@@ -417,7 +420,7 @@ def gather_bias(model, mgraph):
         idx[3] = cat[nodes[:, None], mgraph.mid]
         idx[4] = np.where(mgraph.hops == 2, cat[mgraph.mid, nodes], idx[3])
         w[3:] = 0.5
-    return ad.gather_sum(ad.concat(tables, axis=0), idx, w)
+    return ops.gather_sum(ad.concat(tables, axis=0), idx, w)
 
 
 def attention_layer(model, x, bias, layer):
@@ -432,7 +435,7 @@ def attention_layer(model, x, bias, layer):
         scores = ad.mul(ad.matmul(q, k.T), scale) + bias
         if not np.all(np.isfinite(scores.data)):
             raise ad.NumericError("non-finite attention scores")
-        attn = ad.row_softmax(scores)
+        attn = ops.row_softmax(scores)
         heads.append(ad.matmul(attn, v))
     merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
     return ad.matmul(merged, model.params[f"l{layer}.wo"])
@@ -450,6 +453,76 @@ def encode(model, mgraph):
     last_idx = mgraph.base.nodes.index(mgraph.base.last_node)
     v_last = ad.gather_rows(x, [last_idx])
     return ad.matmul(ad.concat([v_s, v_last], axis=1), model.params["w_s"])
+
+
+# -- the encoder over plans, op by op ---------------------------------------
+# The per-op form of `GsanModel.encode_plans`, one tape node per op: the
+# fused node's forward must equal it byte for byte, and its backward this
+# tape's gradients.
+
+
+def stacked_encode(model, plans):
+    """s_u (B, d) of a list of plans in input order, one stacked forward
+    per node count, as `GsanModel.encode_plans` computes it."""
+    table = model.bias_table()
+    groups = {}
+    for i, p in enumerate(plans):
+        groups.setdefault(len(p.poi_rows), []).append(i)
+    outs = [stacked_forward(model, [plans[i] for i in members], table)
+            for members in groups.values()]
+    s_u = outs[0] if len(outs) == 1 else ad.concat(outs, axis=0)
+    order = np.concatenate(list(groups.values()))
+    if (order != np.arange(len(plans))).any():
+        s_u = ad.gather_rows(s_u, np.argsort(order))
+    return s_u
+
+
+def stacked_forward(model, plans, table):
+    """The encoder over G plans of n base nodes each, as (G, n+1, d)
+    stacks: node features, `layers` biased self-attention layers, and the
+    readout [master row, last-visited row] @ w_s. Returns (G, d)."""
+    x = stacked_features(model, plans)
+    bias = ops.gather_sum(table, np.stack([p.bias_idx for p in plans], axis=1),
+                          np.stack([p.bias_w for p in plans], axis=1))
+    for layer in range(model.config.layers):
+        x = stacked_attention(model, x, bias, layer)
+    g, (size, d) = len(plans), x.shape[-2:]
+    pick = [[i * size + size - 1, i * size + p.last] for i, p in enumerate(plans)]
+    readout = ad.gather_rows(ops.reshape(x, (g * size, d)), pick)
+    return ad.matmul(ops.reshape(readout, (g, 2 * d)), model.params["w_s"])
+
+
+def stacked_features(model, plans):
+    """(G, n+1, d): per base node the sum of its POI, degree, popularity
+    and reverse-position rows; the master row is their mean plus the
+    padding position row."""
+    prm = model.params
+    rows = np.stack([p.poi_rows for p in plans])
+    x = ad.gather_rows(prm["poi_table"], rows)
+    x = x + ad.gather_rows(prm["deg_in"], model.deg_in_bucket[rows])
+    x = x + ad.gather_rows(prm["deg_out"], model.deg_out_bucket[rows])
+    x = x + ad.gather_rows(prm["pop"], model.pop_bucket[rows])
+    x = x + ad.gather_rows(prm["pos"], np.stack([p.pos_rows for p in plans]))
+    master = ops.tmean(x, axis=-2, keepdims=True) + ad.gather_rows(prm["pos"], [0])
+    return ad.concat([x, master], axis=-2)
+
+
+def stacked_attention(model, x, bias, layer):
+    """One biased self-attention layer over (G, n+1, d) features and a
+    (G, n+1, n+1) bias; heads are concatenated, then projected by wo."""
+    cfg = model.config
+    scale = 1.0 / math.sqrt(cfg.d)
+    heads = []
+    for h in range(cfg.heads):
+        q = ad.matmul(x, model.params[f"l{layer}.h{h}.wq"])
+        k = ad.matmul(x, model.params[f"l{layer}.h{h}.wk"])
+        v = ad.matmul(x, model.params[f"l{layer}.h{h}.wv"])
+        scores = ad.mul(ad.matmul(q, k.T), scale) + bias
+        if not np.all(np.isfinite(scores.data)):
+            raise ad.NumericError("non-finite attention scores")
+        heads.append(ad.matmul(ops.row_softmax(scores), v))
+    merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=-1)
+    return ad.matmul(merged, model.params[f"l{layer}.wo"])
 
 
 # -- correlation index and ranking, one row / one POI at a time ------------

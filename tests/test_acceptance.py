@@ -16,7 +16,7 @@ from poirec.autodiff import Tensor
 from poirec.cli import main
 from poirec.config import RunConfig
 from poirec.data import Poi, catalog_rows, save_split
-from poirec.encoder import GsanModel, fit_distance_bins
+from poirec.encoder import GsanModel, attention_softmax, fit_distance_bins
 from poirec.graphs import (TrajectoryGraph, build_global_temporal,
                            build_trajectory_graph, haversine)
 from poirec.metrics import hit_rate, ndcg, rank_targets
@@ -104,7 +104,7 @@ def test_criterion_2_attention_normalization():
         bias = Tensor(rng.uniform(-50, 50, size=(n, n)))
         scores = ad.mul(ad.matmul(ad.matmul(x, wq), ad.matmul(x, wk).T),
                         1 / math.sqrt(d)) + bias
-        sums = ad.row_softmax(scores).data.sum(axis=1)
+        sums = attention_softmax(scores.data).sum(axis=1)
         worst = max(worst, float(np.abs(sums - 1.0).max()))
     ok = worst <= 1e-6
     assert verdict(2, ok, f"max row-sum deviation {worst:.2e}")

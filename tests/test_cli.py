@@ -449,7 +449,11 @@ class TestTrainEvaluate:
         ("val", lambda rec: rec.update(kind="valid"),
          "record has kind 'valid', not one of train, val, test"),
         ("val", lambda rec: rec.pop("target"), 'val record has no "target"'),
-    ], ids=["no-kind", "unknown-kind", "no-target"])
+        ("train", lambda rec: rec.pop("user"), 'train record has no "user"'),
+        ("test", lambda rec: rec.pop("checkins"), 'test record has no "checkins"'),
+        ("train", lambda rec: rec.update(checkins={}), 'train record\'s "checkins" is not a list'),
+    ], ids=["no-kind", "unknown-kind", "no-target", "no-user", "no-checkins",
+            "checkins-not-a-list"])
     def test_bad_trajectory_record_exit_3(self, data_dir, tmp_path, capsys, kind, edit,
                                           message):
         recs = [json.loads(line) for line in
@@ -462,6 +466,27 @@ class TestTrainEvaluate:
         assert code == 3
         assert (f"error: {bad / 'trajectories.jsonl'}:{at + 1}: {message}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name, line, message", [
+        ("trajectories.jsonl", '{"kind": "train",', "line is not JSON: "),
+        ("trajectories.jsonl", '["train", "u1", []]',
+         'record ["train", "u1", []] is not a JSON object'),
+        ("catalog.jsonl", "p1, food, 40.0, -74.0", "line is not JSON: "),
+        ("catalog.jsonl", '["p1", "food", 40.0]',
+         'catalog row ["p1", "food", 40.0] is not a list of the 4 fields'),
+    ], ids=["record-not-json", "record-not-an-object", "catalog-not-json",
+            "catalog-three-fields"])
+    def test_bad_split_line_exit_3(self, data_dir, tmp_path, capsys, name, line, message):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for other in ("catalog.jsonl", "trajectories.jsonl"):
+            (bad / other).write_bytes((data_dir / other).read_bytes())
+        lines = (bad / name).read_text().splitlines(keepends=True)
+        lines[1] = line + "\n"
+        (bad / name).write_text("".join(lines))
+        code = main(["build-graphs", "--data", str(bad), "--out", str(tmp_path / "g")] + TINY)
+        assert code == 3
+        assert f"error: {bad / name}:2: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["train", "test"])
     @pytest.mark.parametrize("edit, message", [

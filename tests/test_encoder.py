@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from poirec import autodiff as ad
+from poirec import encoder
 from poirec.autodiff import NumericError, Tensor
 from poirec.data import Poi, catalog_rows
-from poirec.encoder import DistanceBins, GsanModel, fit_distance_bins, stack_graphs
+from poirec.encoder import (DistanceBins, GsanModel, attention_softmax, fit_distance_bins,
+                            stack_graphs)
 from poirec.graphs import (TrajectoryGraph, build_global_temporal,
                            build_trajectory_graph, haversine)
 from gradcheck import grad_check
 from oracles import (MASTER, add_master_node, category_bias, category_pair,
                      locate_scalar, master_paths, path_pair_indices)
 import oracles
+import ops
 from conftest import (augmented_graphs, builder_plans, category_vocab, make_traj, row_coords,
                       stacks, traj_graph)
 
@@ -56,14 +59,15 @@ def encode(model, mg):
 
 
 def features(model, mg):
-    """(n+1, d) node features of one graph from the encoder forward."""
-    x = model._features([plan_of(model, mg)])
-    return ad.reshape(x, x.shape[1:])
+    """(n+1, d) node features of one graph from the per-op reference of the
+    encoder forward."""
+    x = oracles.stacked_features(model, [plan_of(model, mg)])
+    return ops.reshape(x, x.shape[1:])
 
 
 def bias_of(model, plan):
     """(n+1, n+1) attention bias of one plan."""
-    return ad.gather_sum(model.bias_table(), plan.bias_idx, plan.bias_w)
+    return ops.gather_sum(model.bias_table(), plan.bias_idx, plan.bias_w)
 
 
 def plan_bias(model, mg):
@@ -337,7 +341,7 @@ class TestAttention:
         n = len(mg.nodes)
         x = Tensor(np.ones((n, tiny_config.d)))
         bias = Tensor(np.zeros((n, n)))
-        out = model._attention(x, bias, 0)
+        out = oracles.stacked_attention(model, x, bias, 0)
         # identical features -> uniform attention -> identical outputs
         assert np.allclose(out.data, out.data[0], atol=1e-10)
 
@@ -349,7 +353,7 @@ class TestAttention:
         q = ad.matmul(x, model.params["l0.h0.wq"])
         k = ad.matmul(x, model.params["l0.h0.wk"])
         scores = ad.mul(ad.matmul(q, k.T), 1 / math.sqrt(tiny_config.d)) + bias
-        attn = ad.row_softmax(scores).data
+        attn = attention_softmax(scores.data)
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-6)
 
     def test_huge_bias_captures_column(self, tiny_config):
@@ -361,7 +365,7 @@ class TestAttention:
         q = ad.matmul(x, model.params["l0.h0.wq"])
         k = ad.matmul(x, model.params["l0.h0.wk"])
         scores = ad.mul(ad.matmul(q, k.T), 1 / math.sqrt(tiny_config.d)) + Tensor(bias)
-        attn = ad.row_softmax(scores).data
+        attn = attention_softmax(scores.data)
         assert attn[0, 3] == pytest.approx(1.0)
 
     def test_no_structural_zeros(self, tiny_config):
@@ -371,7 +375,7 @@ class TestAttention:
         q = ad.matmul(x, model.params["l0.h0.wq"])
         k = ad.matmul(x, model.params["l0.h0.wk"])
         scores = ad.mul(ad.matmul(q, k.T), 1 / math.sqrt(tiny_config.d)) + bias
-        assert (ad.row_softmax(scores).data > 0).all()
+        assert (attention_softmax(scores.data) > 0).all()
 
     def test_matches_dense_oracle(self, tiny_config):
         model, mg, _ = small_model(tiny_config, seq=("p0", "p1", "p2"))
@@ -420,7 +424,7 @@ class TestReadoutAndPrediction:
             model2.params[name].data = p.data.copy()
         feats = features(model2, mg2)
         bias = plan_bias(model2, mg2)
-        updated = model2._attention(feats, bias, 0).data
+        updated = oracles.stacked_attention(model2, feats, bias, 0).data
         assert np.allclose(x.data[0], updated[-1], atol=1e-9)
 
         w2 = np.zeros((2 * d, d))
@@ -433,7 +437,7 @@ class TestReadoutAndPrediction:
     def test_zero_s_u_gives_uniform_prediction(self, tiny_config):
         model, _, catalog = small_model(tiny_config)
         logits = model.predict(Tensor(np.zeros((1, tiny_config.d))))
-        assert np.allclose(ad.row_softmax(logits).data, 1.0 / len(catalog))
+        assert np.allclose(ops.row_softmax(logits).data, 1.0 / len(catalog))
 
     def test_aligned_one_hot_rows_saturate(self, tiny_config):
         model, _, _ = small_model(tiny_config)
@@ -443,12 +447,12 @@ class TestReadoutAndPrediction:
         model.params["poi_table"].data = table
         s_u = np.zeros((1, d))
         s_u[0, 0] = 1.0
-        probs = ad.row_softmax(model.predict(Tensor(s_u))).data
+        probs = ops.row_softmax(model.predict(Tensor(s_u))).data
         assert probs[0, 3] == pytest.approx(1.0)
 
     def test_prediction_is_distribution(self, tiny_config, rng):
         model, mg, _ = small_model(tiny_config)
-        probs = ad.row_softmax(model.predict(encode(model, mg))).data
+        probs = ops.row_softmax(model.predict(encode(model, mg))).data
         assert (probs >= 0).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -672,3 +676,113 @@ class TestPlanBuilder:
                 builder_plans(model, order)
             assert str(got.value) == str(want.value)
         assert str(got.value) == "position index 10 exceeds t_max=5"
+
+
+class TestFusedEncoder:
+    """`encode_plans` is one tape node: its forward equals the per-op
+    reference (`oracles.stacked_encode`) byte for byte, and its hand-written
+    backward that reference's tape."""
+
+    CATS = TestBiasMatrixOracle.CATS
+    # node counts 5, 3, 2, 5, 3, 5: groups of 3, 2 and 1 graphs, interleaved
+    SEQS = [["p1", "p3", "p5", "p7", "p9"], ["p3", "p4", "p5"], ["p1", "p2"],
+            ["p2", "p4", "p6", "p8", "p0", "p2"], ["p6", "p7", "p6", "p8"],
+            ["p9", "p8", "p7", "p6", "p5"]]
+    SETTINGS = [{}, {"heads": 2, "layers": 2}, {"use_category_bias": False},
+                {"heads": 2, "layers": 2, "use_category_bias": False}]
+    SETTING_IDS = ["1x1", "2heads-2layers", "no-category-bias", "2x2-no-category-bias"]
+
+    def build(self, cfg, dtype, seed=3):
+        """(model, plans) over the catalog of CATS, with degrees and visits
+        from the trajectories of SEQS and parameters scaled so that no
+        attention row is one-hot."""
+        rng = np.random.default_rng(seed)
+        catalog = [Poi(p, c, 40.0 + 0.01 * rng.random(), -74.0 + 0.01 * rng.random())
+                   for p, c in sorted(self.CATS.items())]
+        coords = {p.poi_id: (p.lat, p.lon) for p in catalog}
+        trajs = [make_traj(seq, categories=self.CATS, coords=coords) for seq in self.SEQS]
+        row = catalog_rows(catalog)
+        graphs = [build_trajectory_graph(t, row) for t in trajs]
+        gt = build_global_temporal(trajs, cfg.n_neighbors, row)
+        bins = fit_distance_bins(stacks(graphs, sorted(self.CATS), coords), cfg.m_bins)
+        model = GsanModel(catalog, gt, category_vocab(graphs[::2], self.CATS), bins, cfg,
+                          rng, dtype=dtype)
+        for p in model.params.values():
+            p.data[...] = rng.normal(scale=0.3, size=p.shape)
+        return model, builder_plans(model, graphs, coords)
+
+    def test_groups_of_one_two_and_three_graphs(self, tiny_config):
+        _, plans = self.build(tiny_config, np.float64)
+        sizes = [len(p.poi_rows) for p in plans]
+        assert sorted(sizes.count(n) for n in set(sizes)) == [1, 2, 3]
+        assert sizes != sorted(sizes)
+
+    @pytest.mark.parametrize("overrides", SETTINGS, ids=SETTING_IDS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bytes_equal_per_op_reference(self, tiny_config, overrides, dtype):
+        model, plans = self.build(tiny_config.override(**overrides), dtype)
+        got = model.encode_plans(plans).data
+        want = oracles.stacked_encode(model, plans).data
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("overrides", SETTINGS, ids=SETTING_IDS)
+    def test_backward_matches_per_op_tape(self, tiny_config, overrides):
+        model, plans = self.build(tiny_config.override(**overrides), np.float64)
+        probe = Tensor(np.random.default_rng(7).normal(size=(len(plans), tiny_config.d)))
+
+        def grads(encode):
+            for p in model.params.values():
+                p.grad = None
+            ad.tsum(ad.mul(encode(plans), probe)).backward()
+            return {k: p.grad for k, p in model.params.items()}
+
+        got, want = grads(model.encode_plans), grads(lambda ps: oracles.stacked_encode(model, ps))
+        for name, grad in want.items():
+            if grad is None:  # cat_pairs and w_r without the category bias
+                assert got[name] is None, name
+                continue
+            assert np.abs(grad).max() > 0, name
+            assert np.allclose(got[name], grad, rtol=0, atol=1e-9), name
+
+    def test_grad_check_two_layers_mixed_sizes(self, tiny_config):
+        cfg = tiny_config.override(d=4, m_bins=3, degree_buckets=2, t_max=8, heads=2, layers=2)
+        model, plans = self.build(cfg, np.float64)
+        targets = [2, 0, 4, 1, 3, 5]
+
+        def f():
+            return model.rec_loss(model.predict(model.encode_plans(plans)), targets)
+
+        report = grad_check(f, model.params)
+        assert max(report.values()) < 1e-4, report
+
+    def test_parents_are_the_bias_table_and_encoder_parameters(self, tiny_config):
+        for use_category_bias in (True, False):
+            model, plans = self.build(tiny_config.override(use_category_bias=use_category_bias),
+                                      np.float64)
+            s_u = model.encode_plans(plans)
+            table, *params = s_u._parents
+            assert table._parents  # the concatenated b_spd, b_dist (and cat_pairs @ w_r)
+            assert {id(p) for p in params} == {
+                id(p) for k, p in model.params.items()
+                if k not in ("b_spd", "b_dist", "cat_pairs", "w_r")}
+
+    def test_no_grad_result_has_no_parents(self, tiny_config, monkeypatch):
+        model, plans = self.build(tiny_config, np.float64)
+        with ad.no_grad(), monkeypatch.context() as m:
+            m.setattr(encoder, "GroupCache", lambda *a: pytest.fail("kept intermediates"))
+            s_u = model.encode_plans(plans)
+        assert s_u._parents == () and s_u._backward is None
+        assert s_u.data.tobytes() == model.encode_plans(plans).data.tobytes()
+
+    def test_non_finite_softmax_output_fatal(self):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError,
+                                                          match="non-finite softmax output"):
+            attention_softmax(np.array([[[np.inf, 0.0], [0.0, 1.0]]]))
+
+    def test_non_finite_attention_scores_fatal_in_a_later_layer(self, tiny_config):
+        model, plans = self.build(tiny_config.override(layers=2), np.float64)
+        model.params["l1.h0.wk"].data[:] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError,
+                                                          match="non-finite attention scores"):
+            model.encode_plans(plans)

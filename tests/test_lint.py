@@ -9,6 +9,7 @@ import pytest
 from poirec.config import config_keys
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "poirec"
+BENCH = PACKAGE.parent.parent / "bench"
 
 
 def unused_imports(source):
@@ -109,3 +110,38 @@ def test_no_test_only_code_in_package():
     some module of it, so a definition only the tests use lives in tests/."""
     assert unreferenced({p.name: p.read_text(encoding="utf-8")
                          for p in PACKAGE.glob("*.py")}) == []
+
+
+def unread_methods(package, readers):
+    """[(file, class, method)] of the methods defined in the classes of
+    `package` ({file name: source}) whose name no source of `readers` (a
+    list of sources) reads as an attribute, `x.method`. Dunder methods are
+    called by the language, so they count as read."""
+    read = set().union(*(attribute_reads(source) for source in readers))
+    unread = []
+    for file, source in package.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef):
+                unread += [(file, cls.name, node.name) for node in cls.body
+                           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and not (node.name.startswith("__") and node.name.endswith("__"))
+                           and node.name not in read]
+    return sorted(unread)
+
+
+def test_checker_finds_unread_methods():
+    package = {"m.py": "class A:\n    def __init__(self):\n        self.used()\n"
+                       "    def used(self):\n        pass\n    def gone(self):\n        pass\n"
+                       "    @property\n    def size(self):\n        return 1\n"
+                       "    def loaded(self):\n        pass\n"}
+    bench = "t = A()\nt.loaded()\nprint(t.size)\nt.gone = None\n"
+    assert unread_methods(package, list(package.values()) + [bench]) == [("m.py", "A", "gone")]
+
+
+def test_every_package_method_is_read():
+    """Each method of a package class is called (read as `x.method`) from the
+    package or the bench harness, so no method stays behind only for the
+    tests."""
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    bench = [p.read_text(encoding="utf-8") for p in BENCH.glob("*.py")]
+    assert unread_methods(package, list(package.values()) + bench) == []

@@ -27,7 +27,7 @@ def small_split():
 
 
 # nodes of `total_loss`'s tape for the first 8 samples of `small_trainer`
-PINNED_TAPE_NODES = 170
+PINNED_TAPE_NODES = 45
 
 
 def small_trainer(split, **overrides):
@@ -214,6 +214,21 @@ class TestTape:
         # the penalty over all 12 regularized parameters is one node plus its add
         assert len(tr.model.regularized()) == 12
         assert len(tape(loss)) == len(tape(unpenalized)) + 2 == PINNED_TAPE_NODES
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_one_encoder_node_per_batch(self, small_split, lam):
+        """The batch's plans span several node counts, and one tape node, the
+        `encode_plans` call, reads the attention weights."""
+        tr = small_trainer(small_split, lam=lam, all_prefix=True)
+        by_size = {}
+        for sample in tr.samples:
+            by_size.setdefault(len(sample.plan.poi_rows), []).append(sample)
+        batch = [sample for group in by_size.values() for sample in group[:2]][:8]
+        assert len({len(s.plan.poi_rows) for s in batch}) > 2
+        rec, ssl = tr._batch_loss(batch)
+        loss = total_loss(rec, ssl, tr.model, lam=lam, gamma=0.0)  # no penalty node
+        wq = tr.model.params["l0.h0.wq"]
+        assert sum(any(p is wq for p in t._parents) for t in tape(loss)) == 1
 
     def test_constant_leaves_end_backward_without_gradient(self, small_split):
         tr = small_trainer(small_split, lam=0.1)
