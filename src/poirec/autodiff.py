@@ -376,17 +376,3 @@ class Adam:
             step *= self.lr
             step /= denom
             p.data -= step
-
-    def state_arrays(self):
-        """Flat view of optimizer state for checkpointing."""
-        out = {}
-        for name in self.params:
-            out[f"adam.m.{name}"] = self.m[name]
-            out[f"adam.v.{name}"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays, step_count):
-        for name in self.params:
-            self.m[name] = arrays[f"adam.m.{name}"].copy()
-            self.v[name] = arrays[f"adam.v.{name}"].copy()
-        self.step_count = step_count

@@ -42,8 +42,8 @@ def save_checkpoint(path, arrays, meta=None):
 def load_checkpoint(path):
     """(arrays, meta) of a `save_checkpoint` file. Raises CheckpointError
     naming the file on a bad magic, another format version, a cut or
-    unreadable manifest, a cut tensor section (naming the tensor) and
-    trailing bytes."""
+    unreadable manifest or one whose meta is not an object, a cut tensor
+    section (naming the tensor) and trailing bytes."""
     path = Path(path)
     with path.open("rb") as fh:
         head = fh.read(12)
@@ -59,6 +59,8 @@ def load_checkpoint(path):
         try:  # a cut manifest is cut JSON
             manifest = json.loads(fh.read(blob_len).decode("utf-8"))
             meta = manifest["meta"]
+            if not isinstance(meta, dict):
+                raise TypeError("its meta is not an object")
             entries = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"]))
                        for e in manifest["tensors"]]
         except (ValueError, KeyError, TypeError) as exc:

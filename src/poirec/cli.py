@@ -15,8 +15,8 @@ import numpy as np
 from . import data as ingest
 from .augment import correlated_insertion, correlated_substitute, node_dropout
 from .autodiff import NumericError
-from .checkpoint import CheckpointError, load_checkpoint
-from .config import RunConfig, _parse_value, config_keys, load_config, save_config
+from .checkpoint import CheckpointError
+from .config import _parse_value, config_keys, load_config, save_config
 from .data import DataError
 from .graphs import (build_global_spatial, build_global_temporal,
                      build_trajectory_graph, save_spatial_graph,
@@ -128,30 +128,17 @@ def _load_pretrained(args, cfg):
             load_table(emb_dir / "fused.emb"))
 
 
-# config keys a resumed run may change; any other must equal the checkpoint's
-RESUMABLE = ("epochs", "patience")
-
-
 def cmd_train(args):
     cfg = _config_from_args(args)
     out = Path(args.out)
     ckpt = out / "checkpoint.bin"
-    resumed = load_checkpoint(ckpt) if args.resume and ckpt.is_file() else None
-    if resumed is not None:
-        saved, current = resumed[1].get("config", {}), cfg.to_dict()
-        for key in sorted((set(saved) | set(current)) - set(RESUMABLE)):
-            if saved.get(key) != current.get(key):  # no key holds None
-                raise CheckpointError(
-                    f"checkpoint {ckpt} was trained with {key}={saved.get(key)!r}, but this "
-                    f"run has {key}={current.get(key)!r}; a resumed run may change only "
-                    f"{' and '.join(RESUMABLE)}")
     split = ingest.load_split(args.data)
     spatial, temporal, fused = _load_pretrained(args, cfg)
     trainer = Trainer(split, cfg, spatial_table=spatial, temporal_table=temporal,
                       fused_table=fused)
     out.mkdir(parents=True, exist_ok=True)
-    if resumed is not None:
-        trainer.restore(*resumed, ckpt)
+    if args.resume and ckpt.is_file():
+        trainer.load(ckpt)
         print(f"resumed from epoch {trainer.epoch}")
     save_config(cfg, out / "config.txt")
 
@@ -174,25 +161,9 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _trainer_from_checkpoint(ckpt_path, data_dir):
-    arrays, meta = load_checkpoint(ckpt_path)
-    saved, known = meta.get("config", {}), config_keys()
-    for keys, kind in ((set(saved) - set(known), "an unknown"), (set(known) - set(saved), "no")):
-        if keys:
-            raise CheckpointError(f"checkpoint {ckpt_path} has {kind} config key "
-                                  f"{', '.join(map(repr, sorted(keys)))}")
-    try:
-        config = RunConfig(**saved)
-    except ValueError as exc:  # a value of the wrong type or out of range
-        raise CheckpointError(f"checkpoint {ckpt_path} has {exc}") from None
-    split = ingest.load_split(data_dir)
-    trainer = Trainer(split, config)
-    trainer.restore(arrays, meta, ckpt_path)
-    return trainer, split
-
-
 def cmd_evaluate(args):
-    trainer, split = _trainer_from_checkpoint(args.checkpoint, args.data)
+    split = ingest.load_split(args.data)
+    trainer = Trainer.from_checkpoint(args.checkpoint, split)
     pairs = split.val if args.split == "val" else split.test
     report = trainer.evaluate(pairs, split_name=args.split)
     print(report.table())

@@ -51,8 +51,7 @@ class DistanceBins:
 def fit_distance_bins(stacks, m):
     """Bin boundaries from the observed node-pair distances of the training
     split's graph stacks (see `stack_graphs`)."""
-    seen = np.concatenate([np.empty(0)] + [st.geo[~np.isnan(st.geo)] for st in stacks
-                                           if st.geo is not None])
+    seen = np.concatenate([np.empty(0)] + [st.geo[~np.isnan(st.geo)] for st in stacks])
     if not seen.size:
         return DistanceBins(0.0, 1.0, m)
     return DistanceBins(float(seen.min()), float(seen.max()), m)
@@ -87,9 +86,7 @@ class GraphStack:
     pos: np.ndarray  # (G, n) reverse position, 0 for synthetic nodes
     last: list  # (G,) index of the last-visited base node
     adj: np.ndarray  # (G, n+1, n+1) bool, direction ignored, no self-loops
-    # (G, n+1, n+1) km, NaN for the master and for missing coordinates; None
-    # when `stack_graphs` got no coordinates
-    geo: object
+    geo: np.ndarray  # (G, n+1, n+1) km, NaN for the master and for missing coordinates
 
     @property
     def hops(self):  # (G, n+1, n+1)
@@ -98,7 +95,7 @@ class GraphStack:
         return hops
 
 
-def stack_graphs(graphs, coords=None):
+def stack_graphs(graphs, coords):
     """`graphs` (TrajectoryGraphs) as one `GraphStack` per node count, in
     order of first appearance, from one Python pass over each graph's nodes
     and edges. `coords` is a (rows, 2) array of (lat, lon) degrees by
@@ -123,13 +120,10 @@ def stack_graphs(graphs, coords=None):
         adj[:, n, :n] = True  # the master row; symmetrized below
         adj |= adj.transpose(0, 2, 1)
         rows = np.array(rows, dtype=np.int64).reshape(-1, n)
-        geo = None
-        if coords is not None:
-            xy = np.full((len(members), size, 2), np.nan)  # the master's is NaN
-            xy[:, :n] = coords[rows]
-            geo = haversine_matrix(xy)
+        xy = np.full((len(members), size, 2), np.nan)  # the master's is NaN
+        xy[:, :n] = coords[rows]
         stacks.append(GraphStack(members, rows, np.array(pos, dtype=np.int64).reshape(-1, n),
-                                 last, adj, geo))
+                                 last, adj, haversine_matrix(xy)))
     return stacks
 
 
@@ -270,8 +264,7 @@ class GsanModel:
             idx[:, 0, n, :] = idx[:, 0, :, n] = MASTER_HOP_ROW
             w[:, 0] = 1.0
             # distance, interpolated between two boundaries of b_dist
-            dist = np.full(hops.shape, np.nan) if st.geo is None else st.geo
-            idx[:, 1], idx[:, 2], w[:, 1], w[:, 2] = self.bins.locate(dist)
+            idx[:, 1], idx[:, 2], w[:, 1], w[:, 2] = self.bins.locate(st.geo)
             idx[:, 1:3] += n_spd
             if cfg.use_category_bias:
                 # mean over the path edges: i -> mid -> j on a 2-hop path, else

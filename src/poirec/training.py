@@ -13,7 +13,7 @@ from . import autodiff as ad
 from .augment import CorrelationIndex, infonce, make_views
 from .autodiff import Adam, NumericError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import RngHub
+from .config import RngHub, RunConfig, config_keys
 from .data import DataError, catalog_rows
 from .encoder import (GsanModel, build_category_vocab, fit_distance_bins,
                       stack_graphs)
@@ -62,6 +62,51 @@ def total_loss(rec, ssl, model, lam, gamma):
     if gamma != 0 and reg:
         loss = loss + ad.l2_penalty(reg.values(), gamma)
     return loss
+
+
+def _is_rng_state(value):
+    """Whether `value` is a state of the bit generator of `RngHub` streams."""
+    try:
+        np.random.PCG64().state = value
+    except (TypeError, ValueError, KeyError, OverflowError):
+        return False
+    return True
+
+
+# metadata key -> (the test its value passes, what that value must be); a
+# bool is not a count
+COUNT = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
+RNG_STATE = (_is_rng_state, "a PCG64 bit generator state")
+METADATA = {
+    "config": (lambda v: isinstance(v, dict), "an object of config keys"),
+    "epoch": COUNT,
+    "adam_step": COUNT,
+    "best_hr": (lambda v: type(v) in (int, float) and -1 <= v <= 1, "a number in [-1, 1]"),
+    "bad_epochs": COUNT,
+    "aug_rng": RNG_STATE,
+    "batch_rng": RNG_STATE,
+}
+
+
+def _saved_config(meta, path):
+    """The `RunConfig` of a checkpoint's metadata `meta`. Raises CheckpointError
+    naming the file `path` on a `METADATA` key missing or failing its test, and
+    on a config key that `RunConfig` does not know, lacks or refuses the value of."""
+    for key, (valid, want) in METADATA.items():
+        if key not in meta:
+            raise CheckpointError(f"checkpoint {path} has no metadata key {key!r}")
+        if not valid(meta[key]):
+            raise CheckpointError(f"checkpoint {path} has metadata key {key!r} of value "
+                                  f"{meta[key]!r}, but it must be {want}")
+    saved, known = meta["config"], config_keys()
+    for keys, kind in ((saved.keys() - known, "an unknown"), (known.keys() - saved.keys(), "no")):
+        if keys:
+            raise CheckpointError(f"checkpoint {path} has {kind} config key "
+                                  f"{', '.join(map(repr, sorted(keys)))}")
+    try:
+        return RunConfig(**saved)
+    except ValueError as exc:  # a value of the wrong type or out of range
+        raise CheckpointError(f"checkpoint {path} has {exc}") from None
 
 
 class Trainer:
@@ -253,9 +298,15 @@ class Trainer:
 
     # -- checkpointing -----------------------------------------------------
 
-    def save(self, path):
+    def _tensors(self):
+        """{checkpoint tensor name: array} of the parameters, then the Adam moments."""
         arrays = {f"param.{k}": p.data for k, p in self.model.params.items()}
-        arrays.update(self.optimizer.state_arrays())
+        for k in self.optimizer.params:
+            arrays[f"adam.m.{k}"] = self.optimizer.m[k]
+            arrays[f"adam.v.{k}"] = self.optimizer.v[k]
+        return arrays
+
+    def save(self, path):
         meta = {
             "config": self.config.to_dict(),
             "epoch": self.epoch,
@@ -265,33 +316,46 @@ class Trainer:
             "aug_rng": self.aug_rng.bit_generator.state,
             "batch_rng": self.batch_rng.bit_generator.state,
         }
-        save_checkpoint(path, arrays, meta)
+        save_checkpoint(path, self._tensors(), meta)
+
+    @classmethod
+    def from_checkpoint(cls, path, split):
+        """The trainer of the `save`d file `path` on `split`; reads the file once."""
+        arrays, meta = load_checkpoint(path)
+        trainer = cls(split, _saved_config(meta, path))
+        trainer.restore(arrays, meta, path)
+        return trainer
 
     def load(self, path):
         """Restore the `save`d state in the file `path` (see `restore`)."""
         return self.restore(*load_checkpoint(path), path)
 
     def restore(self, arrays, meta, path):
-        """Restore a decoded checkpoint of the file `path`. Raises
-        CheckpointError, before changing anything, when a training-state key
-        is missing from the metadata, or a parameter or Adam moment is
-        missing or its shape differs from this model's (a checkpoint of other
-        data or config)."""
-        for key in ("epoch", "adam_step", "best_hr", "bad_epochs", "aug_rng", "batch_rng"):
-            if key not in meta:
-                raise CheckpointError(f"checkpoint {path} has no metadata key {key!r}")
-        want = {f"param.{k}": p.data for k, p in self.model.params.items()}
-        want.update(self.optimizer.state_arrays())
+        """Restore a decoded checkpoint of the file `path`; returns its metadata.
+        Raises CheckpointError naming the file, before any change, when
+        `_saved_config` refuses the metadata, its config differs from this run's
+        in a key but `epochs` and `patience`, or its tensors are not this model's
+        by name and shape."""
+        now = self.config.to_dict()
+        for key, was in _saved_config(meta, path).to_dict().items():
+            if key not in ("epochs", "patience") and was != now[key]:
+                raise CheckpointError(
+                    f"checkpoint {path} was trained with {key}={was!r}, but this run has "
+                    f"{key}={now[key]!r}; a resumed run may change only epochs and patience")
+        want = self._tensors()
+        for names, kind in ((arrays.keys() - want.keys(), "an unknown"),
+                            (want.keys() - arrays.keys(), "no")):
+            if names:
+                raise CheckpointError(f"checkpoint {path} has {kind} tensor "
+                                      f"{', '.join(sorted(names))}")
         for name, ref in want.items():
-            if name not in arrays:
-                raise CheckpointError(f"checkpoint {path} has no tensor {name}")
             if arrays[name].shape != ref.shape:
                 raise CheckpointError(
                     f"checkpoint tensor {name} has shape {arrays[name].shape}, but this "
                     f"model's is {ref.shape}; the checkpoint comes from other data or config")
-        for k, p in self.model.params.items():
-            p.data = arrays[f"param.{k}"].astype(p.dtype).copy()
-        self.optimizer.load_state_arrays(arrays, meta["adam_step"])
+        for name, ref in want.items():
+            ref[...] = arrays[name]
+        self.optimizer.step_count = meta["adam_step"]
         self.epoch = meta["epoch"]
         self.best_hr = meta["best_hr"]
         self.bad_epochs = meta["bad_epochs"]

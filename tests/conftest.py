@@ -69,27 +69,26 @@ def augmented_graphs(rng, count, cats=None):
 
 def row_coords(poi_ids, coords):
     """(rows, 2) (lat, lon) by catalog row from a poi_id -> (lat, lon) dict,
-    NaN where it has none; None for no dict."""
-    if coords is None:
-        return None
+    NaN where it has none (every row for no dict)."""
+    coords = coords or {}
     nan = (math.nan, math.nan)
     return np.array([coords.get(p, nan) for p in poi_ids], dtype=np.float64).reshape(-1, 2)
 
 
 def stacks(graphs, poi_ids, coords=None):
     """`stack_graphs` over a catalog of the sorted `poi_ids`, with coordinates
-    given as a poi_id -> (lat, lon) dict."""
+    given as a poi_id -> (lat, lon) dict (all NaN without one)."""
     return stack_graphs(graphs, row_coords(poi_ids, coords))
 
 
 def stacked(graphs, poi_ids, coords=None):
     """(hops, adj, geo) of each graph's master graph in input order, from one
-    `stack_graphs` call; geo is None without coordinates."""
+    `stack_graphs` call; geo is all NaN without coordinates."""
     out = [None] * len(graphs)
     for st in stacks(graphs, poi_ids, coords):
         hops = st.hops
         for k, m in enumerate(st.members):
-            out[m] = (hops[k], st.adj[k], None if st.geo is None else st.geo[k])
+            out[m] = (hops[k], st.adj[k], st.geo[k])
     return out
 
 

@@ -111,22 +111,6 @@ def all_pairs_spd(nodes, adjacency, cap):
     return spd
 
 
-def is_connected(g):
-    """Whether a trajectory graph is one component, edge direction
-    ignored; an empty graph is not."""
-    if not g.nodes:
-        return False
-    adj = adjacency_from_pairs(g.nodes, g.edges)
-    seen = {g.nodes[0]}
-    queue = deque([g.nodes[0]])
-    while queue:
-        for nb in adj[queue.popleft()]:
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return len(seen) == len(g.nodes)
-
-
 # -- master graph and encoder plan, one graph at a time --------------------
 
 

@@ -289,6 +289,15 @@ class TestTrainEvaluate:
         capsys.readouterr()
         return run / "checkpoint.bin"
 
+    @staticmethod
+    def run_on_checkpoint(command, data_dir, ckpt):
+        """Exit code of `poirec evaluate` on the checkpoint `ckpt` of
+        `trained_run`, or of resuming that run for one more epoch."""
+        if command == "evaluate":
+            return main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
+        return main(["train", "--data", str(data_dir), "--out", str(ckpt.parent),
+                     "--from-scratch", "--epochs", "2", "--lam", "0.0", "--resume"] + TINY)
+
     @pytest.mark.parametrize("command", ["evaluate", "resume"])
     def test_version_1_checkpoint_exit_3(self, data_dir, tmp_path, capsys, monkeypatch,
                                          command):
@@ -302,13 +311,7 @@ class TestTrainEvaluate:
         monkeypatch.setattr(checkpoint, "VERSION", 1)
         checkpoint.save_checkpoint(ckpt, arrays, meta)
         monkeypatch.undo()
-        if command == "evaluate":
-            code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
-        else:
-            code = main(["train", "--data", str(data_dir), "--out", str(ckpt.parent),
-                         "--from-scratch", "--epochs", "2", "--lam", "0.0", "--resume"]
-                        + TINY)
-        assert code == 3
+        assert self.run_on_checkpoint(command, data_dir, ckpt) == 3
         assert "format version 1, this build reads version 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("change, message", [
@@ -324,7 +327,7 @@ class TestTrainEvaluate:
         else:
             del meta["config"]["lam"]
         checkpoint.save_checkpoint(ckpt, arrays, meta)
-        monkeypatch.setattr(cli, "Trainer", None)  # refused before any Trainer
+        monkeypatch.setattr(training.Trainer, "__init__", None)  # refused before any Trainer
         code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
         assert code == 3
         assert f"checkpoint {ckpt} {message}" in capsys.readouterr().err
@@ -345,7 +348,7 @@ class TestTrainEvaluate:
         arrays, meta = checkpoint.load_checkpoint(ckpt)
         meta["config"][key] = value
         checkpoint.save_checkpoint(ckpt, arrays, meta)
-        monkeypatch.setattr(cli, "Trainer", None)  # refused before any Trainer
+        monkeypatch.setattr(training.Trainer, "__init__", None)  # refused before any Trainer
         code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
         assert code == 3
         assert f"checkpoint {ckpt} has config key {key!r} of type {types}" in \
@@ -357,7 +360,7 @@ class TestTrainEvaluate:
         arrays, meta = checkpoint.load_checkpoint(ckpt)
         meta["config"]["tau"] = 0
         checkpoint.save_checkpoint(ckpt, arrays, meta)
-        monkeypatch.setattr(cli, "Trainer", None)  # refused before any Trainer
+        monkeypatch.setattr(training.Trainer, "__init__", None)  # refused before any Trainer
         code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
         assert code == 3
         assert f"checkpoint {ckpt} has config key 'tau' of value 0, outside its range (0, inf)" \
@@ -381,14 +384,47 @@ class TestTrainEvaluate:
         del meta[key]
         checkpoint.save_checkpoint(ckpt, arrays, meta)
         saved = ckpt.read_bytes()
-        if command == "evaluate":
-            code = main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)])
-        else:
-            code = main(["train", "--data", str(data_dir), "--out", str(ckpt.parent),
-                         "--from-scratch", "--epochs", "2", "--lam", "0.0", "--resume"]
-                        + TINY)
-        assert code == 3
+        assert self.run_on_checkpoint(command, data_dir, ckpt) == 3
         assert f"error: checkpoint {ckpt} has no metadata key {key!r}" in \
+            capsys.readouterr().err
+        assert ckpt.read_bytes() == saved
+
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("epoch", "1", "of value '1', but it must be an integer >= 0"),
+        ("epoch", -3, "of value -3, but it must be an integer >= 0"),
+        ("adam_step", 1.5, "of value 1.5, but it must be an integer >= 0"),
+        ("adam_step", -1, "of value -1, but it must be an integer >= 0"),
+        ("bad_epochs", None, "of value None, but it must be an integer >= 0"),
+        ("bad_epochs", True, "of value True, but it must be an integer >= 0"),
+        ("best_hr", "x", "of value 'x', but it must be a number in [-1, 1]"),
+        ("batch_rng", 7, "of value 7, but it must be a PCG64 bit generator state"),
+        ("aug_rng", {}, "of value {}, but it must be a PCG64 bit generator state"),
+        ("config", [], "of value [], but it must be an object of config keys"),
+    ], ids=["epoch-str", "epoch-negative", "adam-step-float", "adam-step-negative",
+            "bad-epochs-null", "bad-epochs-bool", "best-hr-str", "batch-rng-int",
+            "aug-rng-empty", "config-list"])
+    def test_checkpoint_metadata_value_exit_3(self, data_dir, tmp_path, capsys, command,
+                                              key, value, message):
+        ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
+        arrays, meta = checkpoint.load_checkpoint(ckpt)
+        meta[key] = value
+        checkpoint.save_checkpoint(ckpt, arrays, meta)
+        saved = ckpt.read_bytes()
+        assert self.run_on_checkpoint(command, data_dir, ckpt) == 3
+        assert f"error: checkpoint {ckpt} has metadata key {key!r} {message}" in \
+            capsys.readouterr().err
+        assert ckpt.read_bytes() == saved
+
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    def test_checkpoint_unknown_tensor_exit_3(self, data_dir, tmp_path, capsys, command):
+        ckpt = self.trained_run(data_dir, tmp_path / "run", capsys)
+        arrays, meta = checkpoint.load_checkpoint(ckpt)
+        arrays["param.bogus"] = np.zeros(3, dtype=np.float32)
+        checkpoint.save_checkpoint(ckpt, arrays, meta)
+        saved = ckpt.read_bytes()
+        assert self.run_on_checkpoint(command, data_dir, ckpt) == 3
+        assert f"error: checkpoint {ckpt} has an unknown tensor param.bogus" in \
             capsys.readouterr().err
         assert ckpt.read_bytes() == saved
 
@@ -408,7 +444,6 @@ class TestTrainEvaluate:
             calls.append(path)
             return checkpoint.load_checkpoint(path)
 
-        monkeypatch.setattr(cli, "load_checkpoint", counted)
         monkeypatch.setattr(training, "load_checkpoint", counted)
         assert main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)]) == 0
         assert len(calls) == 1

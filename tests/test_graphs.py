@@ -255,10 +255,12 @@ class TestShortestPaths:
                     assert spd[(a, c)] <= spd[(a, b)] + spd[(b, c)]
 
 
-def master_graphs(graphs, ids=(), coords=None):
+def master_graphs(graphs, ids=None, coords=None):
     """[(graph, hops, adj, geo)] of each graph, from one `stack_graphs` call
-    over a catalog of the sorted `ids` with coordinates from a poi_id ->
-    (lat, lon) dict; geo is None without coordinates."""
+    over a catalog of the sorted `ids` (default: as many rows as the graphs
+    use) with coordinates from a poi_id -> (lat, lon) dict; geo is all NaN
+    without coordinates."""
+    ids = ids or range(1 + max(max(g.nodes) for g in graphs))
     return [(g, *m) for g, m in zip(graphs, stacked(graphs, sorted(ids), coords))]
 
 
@@ -324,7 +326,7 @@ class TestMasterNode:
 
     def test_no_coords_no_geo(self):
         [(_, _, _, geo)] = master_graphs([traj_graph(["a", "b"])])
-        assert geo is None
+        assert geo.shape == (3, 3) and np.isnan(geo).all()
 
     def test_stacked_haversine_has_the_bits_of_its_slices(self, rng):
         xy = np.column_stack([rng.uniform(-89, 89, 40), rng.uniform(-180, 180, 40)])

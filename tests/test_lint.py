@@ -145,3 +145,34 @@ def test_every_package_method_is_read():
     package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     bench = [p.read_text(encoding="utf-8") for p in BENCH.glob("*.py")]
     assert unread_methods(package, list(package.values()) + bench) == []
+
+
+CHECKPOINT_IO = {"load_checkpoint", "save_checkpoint"}
+
+
+def checkpoint_io_importers(sources):
+    """Sorted names of the files of `sources` ({file name: source}), other
+    than training.py, that import `load_checkpoint` or `save_checkpoint`."""
+    return sorted(file for file, source in sources.items() if file != "training.py"
+                  and any(isinstance(node, ast.ImportFrom)
+                          and CHECKPOINT_IO & {alias.name for alias in node.names}
+                          for node in ast.walk(ast.parse(source))))
+
+
+def test_checker_finds_checkpoint_io_imports():
+    sources = {
+        "training.py": "from .checkpoint import CheckpointError, load_checkpoint\n",
+        "cli.py": "from .checkpoint import CheckpointError\n",
+        "a.py": "def f():\n    from .checkpoint import save_checkpoint as save\n",
+        "b.py": "from poirec.checkpoint import load_checkpoint\n",
+        "c.py": "load_checkpoint = None\n",
+    }
+    assert checkpoint_io_importers(sources) == ["a.py", "b.py"]
+
+
+def test_only_training_reads_or_writes_checkpoints():
+    """The checkpoint contract (tensor names, metadata keys, config rules)
+    lives behind `Trainer.save`, `Trainer.load` and `Trainer.from_checkpoint`,
+    so no other module of the package decodes or encodes a checkpoint."""
+    assert checkpoint_io_importers({p.name: p.read_text(encoding="utf-8")
+                                    for p in PACKAGE.glob("*.py")}) == []

@@ -1,8 +1,10 @@
+import copy
 import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from poirec import autodiff as ad
 from poirec import checkpoint, training
@@ -129,7 +131,10 @@ class TestCheckpointFile:
         (lambda raw, at: raw + b"\0\0", "bytes after its last tensor"),
         (lambda raw, at: raw[:12] + raw[12:at].replace(b'"tensors"', b'"tensorz"') + raw[at:],
          "bad manifest"),
-    ], ids=["header", "manifest", "first-tensor", "last-tensor", "trailing", "no-tensors-key"])
+        (lambda raw, at: raw[:12] + raw[12:at].replace(b'{"epoch": 1}', b"17" + b" " * 10)
+         + raw[at:], "bad manifest: its meta is not an object"),
+    ], ids=["header", "manifest", "first-tensor", "last-tensor", "trailing", "no-tensors-key",
+            "meta-not-an-object"])
     def test_corrupt_file_names_the_file(self, tmp_path, edit, message):
         path = self.corrupt(tmp_path, edit)
         with pytest.raises(CheckpointError, match=re.escape(message)) as info:
@@ -377,6 +382,114 @@ class TestRestore:
             other.restore(arrays, meta, tmp_path / "c.ckpt")
         assert (param_bytes(other), other.aug_rng.bit_generator.state) == before
         assert other.epoch == 0 and other.optimizer.step_count == 0
+
+    @pytest.mark.parametrize("key, value", [("lam", 0.2), ("d", 16), ("use_category_bias", False)])
+    def test_load_refuses_another_config(self, small_split, tmp_path, key, value):
+        tr = small_trainer(small_split, epochs=1, lam=0.1)
+        tr.fit()
+        tr.save(tmp_path / "c.ckpt")
+        other = small_trainer(small_split, **{"epochs": 1, "lam": 0.1, key: value})
+        before = trainer_state(other)
+        was = getattr(tr.config, key)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"checkpoint {tmp_path / 'c.ckpt'} was trained with {key}={was!r}, but this "
+                f"run has {key}={value!r}; a resumed run may change only epochs and patience")):
+            other.load(tmp_path / "c.ckpt")
+        assert trainer_state(other) == before
+
+    def test_load_takes_other_epochs_and_patience(self, small_split, tmp_path):
+        tr = small_trainer(small_split, epochs=1, lam=0.1)
+        tr.fit()
+        tr.save(tmp_path / "c.ckpt")
+        other = small_trainer(small_split, epochs=5, patience=3, lam=0.1)
+        other.load(tmp_path / "c.ckpt")
+        assert trainer_state(other) == trainer_state(tr)
+        assert (other.config.epochs, other.config.patience) == (5, 3)
+
+
+def trainer_state(trainer):
+    """Everything `Trainer.restore` sets, as comparable values."""
+    opt = trainer.optimizer
+    moments = {k: (opt.m[k].tobytes(), opt.v[k].tobytes()) for k in opt.params}
+    return (param_bytes(trainer), moments,
+            opt.step_count, trainer.epoch, trainer.best_hr, trainer.bad_epochs,
+            trainer.aug_rng.bit_generator.state, trainer.batch_rng.bit_generator.state)
+
+
+# a JSON value of any type, or a negative integer
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(max_value=-1), st.floats(),
+                        st.text(max_size=3), st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def mutated(arrays, meta, data):
+    """Copies of a decoded checkpoint with one edit drawn from `data`: a
+    metadata or config key dropped, its value replaced by a `JSON_VALUES`
+    one, or a tensor added or dropped."""
+    arrays, meta = dict(arrays), copy.deepcopy(meta)
+    edit = data.draw(st.sampled_from(["drop metadata key", "drop config key", "set metadata key",
+                                      "set config key", "add tensor", "drop tensor"]))
+    if edit == "add tensor":
+        name = data.draw(st.sampled_from(["param.bogus", "adam.m.bogus", "bogus"]))
+        arrays[name] = np.zeros(3, dtype=np.float32)
+        return arrays, meta
+    owner = {"metadata": meta, "config": meta["config"], "tensor": arrays}[edit.split()[1]]
+    key = data.draw(st.sampled_from(sorted(owner)))
+    if edit.startswith("drop"):
+        del owner[key]
+    else:
+        owner[key] = data.draw(JSON_VALUES)
+    return arrays, meta
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(small_split, tmp_path_factory):
+    """(path, arrays, meta) of a checkpoint of one epoch of `small_trainer`."""
+    tr = small_trainer(small_split, epochs=1, lam=0.1)
+    tr.fit()
+    path = tmp_path_factory.mktemp("fuzz") / "c.ckpt"
+    tr.save(path)
+    return (path, *load_checkpoint(path))
+
+
+@given(data=st.data())
+def test_fuzzed_checkpoint_loads_cleanly_or_is_refused(small_split, fuzz_checkpoint, data):
+    """Through `Trainer.from_checkpoint` and `Trainer.load`, an edited
+    checkpoint either loads, giving the trainer the file's state, or is
+    refused with a CheckpointError naming the file that leaves the trainer
+    as it was. The file never changes."""
+    path, arrays, meta = fuzz_checkpoint
+    arrays, meta = mutated(arrays, meta, data)
+    save_checkpoint(path, arrays, meta)
+    saved = path.read_bytes()
+    other = small_trainer(small_split, epochs=1, lam=0.1)
+
+    def resume():
+        other.load(path)
+        return other
+
+    for load in (lambda: Trainer.from_checkpoint(path, small_split), resume):
+        before = trainer_state(other)
+        try:
+            trainer = load()
+        except CheckpointError as exc:
+            assert str(path) in str(exc)
+            assert trainer_state(other) == before
+        else:
+            # a clean load takes the whole file: saved again, it has the same
+            # tensors and training state
+            trainer.save(path.with_name("again.ckpt"))
+            again, again_meta = load_checkpoint(path.with_name("again.ckpt"))
+            assert ({k: a.tobytes() for k, a in again.items()}
+                    == {k: a.tobytes() for k, a in arrays.items()})
+            assert all(again_meta[k] == v for k, v in meta.items() if k != "config")
+            kept = {k: v for k, v in meta["config"].items() if k not in ("epochs", "patience")}
+            assert kept.items() <= again_meta["config"].items()
+            # and a state that training goes on from
+            counts = trainer.epoch, trainer.optimizer.step_count, trainer.bad_epochs
+            assert all(type(n) is int and n >= 0 for n in counts)
+            assert type(trainer.best_hr) in (int, float) and -1 <= trainer.best_hr <= 1
+        assert path.read_bytes() == saved
 
 
 class TestBatchedRanking:
