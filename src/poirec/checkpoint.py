@@ -2,6 +2,7 @@
 Round trips are bit-exact; writes are atomic (temp file + rename)."""
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -39,11 +40,28 @@ def save_checkpoint(path, arrays, meta=None):
     os.replace(tmp, path)
 
 
+def _tensor_entry(entry, seen):
+    """(name, dtype, shape) of a manifest tensor entry. Raises ValueError
+    unless the name is a string not in `seen`, the dtype a string naming a
+    bool, integer or float type and the shape a list of integers >= 0."""
+    name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+    if not isinstance(name, str):
+        raise ValueError(f"tensor name {name!r} is not a string")
+    if name in seen:
+        raise ValueError(f"tensor {name} is listed twice")
+    if not isinstance(dtype, str) or np.dtype(dtype).kind not in "biuf":
+        raise ValueError(f"tensor {name} has dtype {dtype!r}, not a bool, integer or float type")
+    if not isinstance(shape, list) or not all(type(k) is int and k >= 0 for k in shape):
+        raise ValueError(f"tensor {name} has shape {shape!r}, not a list of integers >= 0")
+    return name, np.dtype(dtype), shape
+
+
 def load_checkpoint(path):
     """(arrays, meta) of a `save_checkpoint` file. Raises CheckpointError
     naming the file on a bad magic, another format version, a cut or
-    unreadable manifest or one whose meta is not an object, a cut tensor
-    section (naming the tensor) and trailing bytes."""
+    unreadable manifest, one whose meta is not an object or one with an entry
+    `_tensor_entry` refuses, a cut tensor section (naming the tensor) and
+    trailing bytes."""
     path = Path(path)
     with path.open("rb") as fh:
         head = fh.read(12)
@@ -61,14 +79,18 @@ def load_checkpoint(path):
             meta = manifest["meta"]
             if not isinstance(meta, dict):
                 raise TypeError("its meta is not an object")
-            entries = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"]))
-                       for e in manifest["tensors"]]
+            entries = {}
+            for entry in manifest["tensors"]:
+                name, dtype, shape = _tensor_entry(entry, entries)
+                entries[name] = dtype, shape
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"checkpoint {path} has a bad manifest: {exc}") from None
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         arrays = {}
-        for name, dtype, shape in entries:
-            size = int(np.prod(shape)) * dtype.itemsize
-            buf = fh.read(size)
+        for name, (dtype, shape) in entries.items():
+            size = math.prod(shape) * dtype.itemsize
+            buf = fh.read(min(size, left))  # the shape may claim more than the file has
+            left -= len(buf)
             if len(buf) < size:
                 raise CheckpointError(f"checkpoint {path} is cut inside tensor {name} "
                                       f"({len(buf)} of {size} bytes)")

@@ -313,9 +313,9 @@ def load_split(in_dir):
     line, unless every line is JSON, each catalog line a row of its 4 fields
     whose poi_ids strictly ascend (the row order of every later stage) and
     whose coordinates are in bounds, and unless each record is an object
-    with a train, val or test "kind", a "user" and a "checkins" list, each
-    val and test record a "target", and each check-in and target is a row
-    of its 6 fields, with coordinates in bounds, naming a catalog POI."""
+    with a train, val or test "kind", a "user" and a non-empty "checkins"
+    list, each val and test record a "target", and each check-in and target
+    is a row of its 6 fields, with coordinates in bounds, naming a catalog POI."""
     src = Path(in_dir)
     cat_path = src / "catalog.jsonl"
     traj_path = src / "trajectories.jsonl"
@@ -354,6 +354,8 @@ def load_split(in_dir):
                     raise DataError(f'{traj_path}:{lineno}: {kind} record has no "{key}"')
             if not isinstance(rec["checkins"], list):
                 raise DataError(f'{traj_path}:{lineno}: {kind} record\'s "checkins" is not a list')
+            if not rec["checkins"]:
+                raise DataError(f"{traj_path}:{lineno}: {kind} record has no check-ins")
             rows = rec["checkins"] + ([rec["target"]] if "target" in rec else [])
             try:
                 checkins = [_checkin_from_row(row) for row in rows]

@@ -7,6 +7,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,22 +171,32 @@ def train_skipgram(walks, ids, dim, window=5, negatives=5, epochs=5,
     return EmbeddingTable(ids, w_in)
 
 
+class Node2vecRun(NamedTuple):
+    """What one `node2vec_embed` call did: the numbers of its log line."""
+    walk_tokens: int
+    updates: int  # skip-gram updates over all epochs
+    walks_s: float
+    skipgram_s: float
+
+    def log(self, name):
+        """Log the run as one INFO line, tagged with the graph's `name`."""
+        log.info("node2vec %s: %d walk tokens, %d skip-gram updates, "
+                 "walks %.3f s, skip-gram %.3f s", name, *self)
+
+
 def node2vec_embed(adjacency, ids, dim, walks_per_node=10, walk_len=40,
                    p=1.0, q=1.0, window=5, negatives=5, epochs=5, lr=0.025,
-                   rng=None, name="graph"):
-    """Walks + skip-gram in one call; logs the corpus size, the number of
-    skip-gram updates and the time of each part, tagged with `name`."""
+                   rng=None):
+    """Walks + skip-gram in one call; returns the table and its `Node2vecRun`."""
     rng = rng if rng is not None else np.random.default_rng(0)
     start = time.perf_counter()
     walks = random_walks(adjacency, walks_per_node, walk_len, p, q, rng)
     walked = time.perf_counter()
     table = train_skipgram(walks, ids, dim, window=window,
                            negatives=negatives, epochs=epochs, lr=lr, rng=rng)
-    log.info("node2vec %s: %d walk tokens, %d skip-gram updates, "
-             "walks %.3f s, skip-gram %.3f s", name, sum(map(len, walks)),
-             epochs * sum(_window_pairs(len(w), window) for w in walks),
-             walked - start, time.perf_counter() - walked)
-    return table
+    return table, Node2vecRun(sum(map(len, walks)),
+                              epochs * sum(_window_pairs(len(w), window) for w in walks),
+                              walked - start, time.perf_counter() - walked)
 
 
 def fuse_embeddings(spatial, temporal):

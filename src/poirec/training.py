@@ -3,7 +3,10 @@ penalty, Adam updates, validation-driven early stopping, checkpoints."""
 
 import json
 import logging
+import multiprocessing
 import time
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -335,7 +338,7 @@ class Trainer:
         Raises CheckpointError naming the file, before any change, when
         `_saved_config` refuses the metadata, its config differs from this run's
         in a key but `epochs` and `patience`, or its tensors are not this model's
-        by name and shape."""
+        by name, shape and dtype."""
         now = self.config.to_dict()
         for key, was in _saved_config(meta, path).to_dict().items():
             if key not in ("epochs", "patience") and was != now[key]:
@@ -353,6 +356,9 @@ class Trainer:
                 raise CheckpointError(
                     f"checkpoint tensor {name} has shape {arrays[name].shape}, but this "
                     f"model's is {ref.shape}; the checkpoint comes from other data or config")
+            if arrays[name].dtype != ref.dtype:
+                raise CheckpointError(f"checkpoint {path} has tensor {name} of dtype "
+                                      f"{arrays[name].dtype}, but this model's is {ref.dtype}")
         for name, ref in want.items():
             ref[...] = arrays[name]
         self.optimizer.step_count = meta["adam_step"]
@@ -364,19 +370,86 @@ class Trainer:
         return meta
 
 
+# The temporal table pretrains in a forked worker while this process does the
+# spatial one. A fork needs no import and no pickled split, and the program
+# starts no thread of its own (BLAS is pinned to one) that a fork could cut
+# off; where the platform cannot fork, the two run here in turn.
+CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _reply(job, sender):
+    """The worker's body: send (True, job()), or (False, the exception job
+    raised, its traceback as text)."""
+    try:
+        reply = (True, job())
+    except Exception as exc:
+        reply = (False, (exc, traceback.format_exc()))
+    sender.send(reply)
+    sender.close()
+
+
+@contextmanager
+def _forked(job):
+    """Start `job()` in a forked worker process. The block gets a function
+    that waits for the worker and returns what `job` returned, or raises
+    again, with its type and message, what `job` raised. No worker outlives
+    the block: one still running when the block ends, say on an error, is
+    terminated. Without `CAN_FORK`, `job` runs here before the block."""
+    if not CAN_FORK:
+        out = job()
+        yield lambda: out
+        return
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_reply, args=(job, sender))
+    worker.start()
+    sender.close()  # the worker then holds the only sender: `recv` sees its exit
+
+    def result():
+        # receive before joining: a reply larger than the pipe buffer holds
+        # the worker in `send` until it is read
+        try:
+            ok, value = receiver.recv()
+        except EOFError:
+            worker.join()
+            raise RuntimeError(f"pretraining worker exited with code {worker.exitcode} "
+                               f"before it replied") from None
+        worker.join()
+        if ok:
+            return value
+        exc, trace = value
+        raise exc from RuntimeError(f"in the pretraining worker:\n{trace}")
+
+    try:
+        yield result
+    finally:
+        if worker.is_alive():
+            worker.terminate()
+        worker.join()
+        receiver.close()
+
+
 def pretrain_tables(split, config):
     """node2vec over the two global graphs, plus the fused table; logs one
-    INFO line per graph (see `node2vec_embed`)."""
-    hub = RngHub(config.seed)
-    gt = build_global_temporal(split.train, config.n_neighbors, catalog_rows(split.catalog))
-    gs = build_global_spatial(split.catalog, config.alpha_km)
+    INFO line per graph, temporal then spatial (see `Node2vecRun`). The
+    temporal run goes to a `_forked` worker; each graph has its own rng
+    stream, so the tables equal those of running the two in turn."""
+    hub, ids = RngHub(config.seed), [p.poi_id for p in split.catalog]
     common = dict(dim=config.d, walks_per_node=config.walks_per_node,
                   walk_len=config.walk_len, p=config.n2v_p, q=config.n2v_q,
                   window=config.n2v_window, negatives=config.n2v_negatives,
                   epochs=config.n2v_epochs, lr=config.n2v_lr)
-    ids, n = gt.nodes, len(gt.nodes)
-    temporal = node2vec_embed(adjacency(*gt.neighbors.T, n), ids, name="temporal",
+
+    def temporal_job():
+        gt = build_global_temporal(split.train, config.n_neighbors, catalog_rows(split.catalog))
+        return node2vec_embed(adjacency(*gt.neighbors.T, len(ids)), ids,
                               rng=hub.stream("pretrain.temporal"), **common)
-    spatial = node2vec_embed(adjacency(*gs.edges.T, n), ids, name="spatial",
-                             rng=hub.stream("pretrain.spatial"), **common)
+
+    with _forked(temporal_job) as temporal_result:
+        gs = build_global_spatial(split.catalog, config.alpha_km)
+        spatial, spatial_run = node2vec_embed(adjacency(*gs.edges.T, len(ids)), ids,
+                                              rng=hub.stream("pretrain.spatial"), **common)
+        temporal, temporal_run = temporal_result()
+    temporal_run.log("temporal")
+    spatial_run.log("spatial")
     return spatial, temporal, fuse_embeddings(spatial, temporal)

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import zlib
 
 import numpy as np
@@ -103,6 +104,18 @@ def category_vocab(graphs, cats):
     `cats` (poi_id -> category)."""
     ids = sorted(cats)
     return build_category_vocab(stacks(graphs, ids), [cats[p] for p in ids])
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a `multiprocessing` child process running,
+    after ending it."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join()
+    assert not left, f"the test left {len(left)} process(es) running: {left}"
 
 
 @pytest.fixture

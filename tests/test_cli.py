@@ -487,8 +487,12 @@ class TestTrainEvaluate:
         ("train", lambda rec: rec.pop("user"), 'train record has no "user"'),
         ("test", lambda rec: rec.pop("checkins"), 'test record has no "checkins"'),
         ("train", lambda rec: rec.update(checkins={}), 'train record\'s "checkins" is not a list'),
+        ("train", lambda rec: rec.update(checkins=[]), "train record has no check-ins"),
+        ("val", lambda rec: rec.update(checkins=[]), "val record has no check-ins"),
+        ("test", lambda rec: rec.update(checkins=[]), "test record has no check-ins"),
     ], ids=["no-kind", "unknown-kind", "no-target", "no-user", "no-checkins",
-            "checkins-not-a-list"])
+            "checkins-not-a-list", "empty-checkins-train", "empty-checkins-val",
+            "empty-checkins-test"])
     def test_bad_trajectory_record_exit_3(self, data_dir, tmp_path, capsys, kind, edit,
                                           message):
         recs = [json.loads(line) for line in

@@ -1,13 +1,18 @@
 import logging
+import multiprocessing
+import os
+import signal
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from poirec import pretrain
+from poirec import pretrain, training
 from poirec.config import RngHub, RunConfig
-from poirec.data import Poi, catalog_rows
+from poirec.data import DataError, Poi, catalog_rows
 from poirec.graphs import build_global_spatial, build_global_temporal
 from poirec.pretrain import (EmbeddingTable, adjacency, fuse_embeddings,
                              load_table, node2vec_embed, random_walks,
@@ -61,7 +66,7 @@ def embed_by_id(adj, **kwargs):
     """{node: vector} of `node2vec_embed` over the rows of a {node: sorted
     neighbours} dict."""
     ids, rows = as_rows(adj)
-    table = node2vec_embed(rows, ids, **kwargs)
+    table, _ = node2vec_embed(rows, ids, **kwargs)
     return dict(zip(table.ids, table.vectors))
 
 
@@ -204,9 +209,9 @@ class TestSkipGram:
         names, rows = as_rows(two_cliques(3)[0])
         runs = []
         for _ in range(2):
-            table = node2vec_embed(rows, names, dim=8, walks_per_node=3,
-                                   walk_len=6, epochs=2,
-                                   rng=np.random.default_rng(99))
+            table, _ = node2vec_embed(rows, names, dim=8, walks_per_node=3,
+                                      walk_len=6, epochs=2,
+                                      rng=np.random.default_rng(99))
             runs.append(table.vectors.tobytes())
         assert runs[0] == runs[1]
 
@@ -305,6 +310,92 @@ class TestOracleEquivalence:
             assert line.startswith(
                 f"node2vec {name}: {sum(map(len, walks))} walk tokens, "
                 f"{cfg.n2v_epochs * pairs} skip-gram updates, walks ")
+
+
+class StillRunning(Exception):
+    """Not an OSError, which a wait in `multiprocessing` would swallow."""
+
+
+@contextmanager
+def within(seconds):
+    """Raise StillRunning in the block once it has run `seconds` seconds."""
+    def expire(signum, frame):
+        raise StillRunning(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+needs_fork = pytest.mark.skipif(not training.CAN_FORK, reason="the platform cannot fork")
+
+
+class TestPretrainWorker:
+    """`pretrain_tables` pretrains the temporal table in a forked worker; a
+    patched `training` name reaches the worker, as a fork inherits it."""
+
+    @staticmethod
+    def run():
+        split = markov_dataset(n_pois=15, n_traj=30, traj_len=6, seed=4)
+        cfg = RunConfig(d=4, walks_per_node=2, walk_len=5, n2v_window=2,
+                        n2v_epochs=1, n_neighbors=5)
+        with within(60):
+            return pretrain_tables(split, cfg)
+
+    @needs_fork
+    def test_worker_error_keeps_its_type_and_message(self, monkeypatch):
+        def fail(*args):
+            raise DataError(f"no temporal graph in process {os.getpid()}")
+        monkeypatch.setattr(training, "build_global_temporal", fail)
+        with pytest.raises(DataError, match="no temporal graph in process ") as info:
+            self.run()
+        assert str(info.value) != f"no temporal graph in process {os.getpid()}"
+        assert "in the pretraining worker" in str(info.value.__cause__)
+        assert ", in fail\n" in str(info.value.__cause__)
+
+    @needs_fork
+    def test_worker_exit_without_reply_names_its_code(self, monkeypatch):
+        monkeypatch.setattr(training, "build_global_temporal", lambda *args: os._exit(7))
+        with pytest.raises(RuntimeError, match="worker exited with code 7 before it replied"):
+            self.run()
+
+    @needs_fork
+    def test_error_here_ends_the_running_worker(self, monkeypatch):
+        def fail(*args):
+            raise ValueError("no spatial graph")
+        monkeypatch.setattr(training, "build_global_temporal", lambda *args: time.sleep(60))
+        monkeypatch.setattr(training, "build_global_spatial", fail)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="no spatial graph"):
+            self.run()
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_reply_larger_than_the_pipe_buffer(self):
+        with within(30), training._forked(lambda: bytes(1 << 20)) as result:
+            assert result() == bytes(1 << 20)
+
+    @needs_fork
+    def test_without_fork_runs_here_with_equal_tables(self, monkeypatch, caplog):
+        pids = []
+        build = training.build_global_temporal
+        monkeypatch.setattr(training, "build_global_temporal",
+                            lambda *args: pids.append(os.getpid()) or build(*args))
+        forked = self.run()
+        assert pids == []  # the worker appended to its own copy
+        monkeypatch.setattr(training, "CAN_FORK", False)
+        with caplog.at_level(logging.INFO, logger="poirec.pretrain"):
+            inline = self.run()
+        assert pids == [os.getpid()]
+        for a, b in zip(forked, inline):
+            assert a.ids == b.ids
+            assert a.vectors.tobytes() == b.vectors.tobytes()
+        lines = [r.getMessage() for r in caplog.records if r.name == "poirec.pretrain"]
+        assert [line.split(":")[0] for line in lines] == ["node2vec temporal", "node2vec spatial"]
 
 
 class TestSpatialAdjacency:

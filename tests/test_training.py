@@ -1,6 +1,8 @@
 import copy
 import io
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -123,6 +125,17 @@ class TestCheckpointFile:
         path.write_bytes(edit(raw, tensors_at))
         return path
 
+    @staticmethod
+    def manifest(change):
+        """An edit that applies `change` to the decoded manifest and writes it
+        back, the header's manifest length included."""
+        def edit(raw, at):
+            manifest = json.loads(raw[12:at])
+            change(manifest)
+            blob = json.dumps(manifest).encode()
+            return raw[:4] + struct.pack("<II", checkpoint.VERSION, len(blob)) + blob + raw[at:]
+        return edit
+
     @pytest.mark.parametrize("edit, message", [
         (lambda raw, at: raw[:6], "cut inside its header"),
         (lambda raw, at: raw[:at - 5], "bad manifest"),
@@ -133,8 +146,26 @@ class TestCheckpointFile:
          "bad manifest"),
         (lambda raw, at: raw[:12] + raw[12:at].replace(b'{"epoch": 1}', b"17" + b" " * 10)
          + raw[at:], "bad manifest: its meta is not an object"),
+        (manifest(lambda m: m["tensors"][0].update(dtype="object")),
+         "bad manifest: tensor w has dtype 'object', not a bool, integer or float type"),
+        (manifest(lambda m: m["tensors"][1].update(dtype=None)),
+         "bad manifest: tensor b has dtype None, not a bool, integer or float type"),
+        (manifest(lambda m: m["tensors"][0].update(shape=[-1])),
+         "bad manifest: tensor w has shape [-1], not a list of integers >= 0"),
+        (manifest(lambda m: m["tensors"][0].update(shape="ab")),
+         "bad manifest: tensor w has shape 'ab', not a list of integers >= 0"),
+        (manifest(lambda m: m["tensors"][0].update(shape=[1.5])),
+         "bad manifest: tensor w has shape [1.5], not a list of integers >= 0"),
+        (manifest(lambda m: m["tensors"][1].update(name="w")),
+         "bad manifest: tensor w is listed twice"),
+        (manifest(lambda m: m["tensors"][1].update(name=7)),
+         "bad manifest: tensor name 7 is not a string"),
+        (manifest(lambda m: m["tensors"][0].update(shape=[2 ** 40])),
+         "cut inside tensor w (56 of 4398046511104 bytes)"),
     ], ids=["header", "manifest", "first-tensor", "last-tensor", "trailing", "no-tensors-key",
-            "meta-not-an-object"])
+            "meta-not-an-object", "dtype-object", "dtype-not-a-string", "shape-negative",
+            "shape-not-a-list", "shape-not-integers", "name-repeated", "name-not-a-string",
+            "shape-beyond-the-file"])
     def test_corrupt_file_names_the_file(self, tmp_path, edit, message):
         path = self.corrupt(tmp_path, edit)
         with pytest.raises(CheckpointError, match=re.escape(message)) as info:
@@ -395,6 +426,17 @@ class TestRestore:
                 f"checkpoint {tmp_path / 'c.ckpt'} was trained with {key}={was!r}, but this "
                 f"run has {key}={value!r}; a resumed run may change only epochs and patience")):
             other.load(tmp_path / "c.ckpt")
+        assert trainer_state(other) == before
+
+    def test_load_refuses_another_dtype(self, small_split, tmp_path):
+        path = tmp_path / "c.ckpt"
+        cfg = small_trainer(small_split).config
+        Trainer(small_split, cfg, dtype=np.float64).save(path)
+        other = small_trainer(small_split)
+        before = trainer_state(other)
+        with pytest.raises(CheckpointError, match=re.escape(f"checkpoint {path} has tensor ")
+                           + r"param\.\S+ of dtype float64, but this model's is float32"):
+            other.load(path)
         assert trainer_state(other) == before
 
     def test_load_takes_other_epochs_and_patience(self, small_split, tmp_path):
