@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import ShapeError
+from .encoder import log_softmax_nll
 
 OPERATORS = ("dropout", "insertion", "substitution")
 
@@ -197,11 +197,15 @@ def make_views(g, config, index, rng):
 # -- contrastive loss ------------------------------------------------------
 
 
-def infonce(a, b, tau=1.0):
-    """Mean per-row InfoNCE over in-batch negatives.
+def infonce(a, b, tau=1.0, weight=1.0):
+    """Mean per-row InfoNCE over in-batch negatives, and `weight` times its
+    gradients: (loss, d loss / d a, d loss / d b).
 
-    a / b: (n, d) tensors whose row i are two views of the same trajectory;
-    similarity is cosine.
+    a / b: (n, d) arrays whose row i are two views of the same trajectory;
+    similarity is cosine, each row over its norm clamped at 1e-12. Every
+    operation has the order and dtype of the reference tape's
+    (`oracles.infonce`), so the bits are that tape's, except that a clamped
+    norm passes no gradient where the tape's is NaN (an all-zero row).
     """
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"batch size mismatch: {a.shape[0]} vs {b.shape[0]}")
@@ -209,10 +213,25 @@ def infonce(a, b, tau=1.0):
     if n < 2:
         raise ShapeError("infonce needs batch size >= 2 (no negatives otherwise)")
 
-    def normalize(x):
-        sq = ad.tsum(ad.mul(x, x), axis=1, keepdims=True)
-        inv = ad.power(ad.clamp_min(ad.sqrt(sq), 1e-12), -1.0)
-        return ad.mul(x, inv)
+    def unit_rows(x):
+        """(rows over their clamped norms, the inverse norms, the clamped
+        norms, where a norm was not clamped)"""
+        norm = np.sqrt((x * x).sum(axis=1, keepdims=True, dtype=np.float64).astype(x.dtype))
+        clamped = np.maximum(norm, 1e-12)
+        inv = np.power(clamped, -1.0)
+        return x * inv, inv, clamped, norm >= 1e-12
 
-    sim = ad.matmul(normalize(a), normalize(b).T)  # (n, n) cosine
-    return ad.log_softmax_nll(ad.mul(sim, 1.0 / tau), np.arange(n))
+    def unit_rows_grad(g, x, inv, clamped, kept):
+        """The gradient of x from that of its unit rows, `g`, term by term
+        the tape's chain: the power rule of clamped ** -1, the clamp's mask,
+        the square root, and x * x, each of whose operands adds a term."""
+        d_clamped = (g * x).sum(axis=1, keepdims=True) * -1.0 * np.power(clamped, -2.0)
+        d_square = d_clamped * kept / (2.0 * clamped)
+        return g * inv + d_square * x + d_square * x
+
+    (ua, *ka), (ub, *kb) = unit_rows(a), unit_rows(b)
+    inv_tau = np.asarray(1.0 / tau, dtype=a.dtype)
+    loss, d_logits = log_softmax_nll(ua @ ub.T * inv_tau, np.arange(n), weight)
+    d_sim = d_logits * inv_tau
+    d_ub = (ua.T @ d_sim).T.copy()  # C order, as on the tape: its row sums depend on it
+    return loss, unit_rows_grad(d_sim @ ub, a, *ka), unit_rows_grad(d_ub, b, *kb)

@@ -163,8 +163,10 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     split = ingest.load_split(args.data)
-    trainer = Trainer.from_checkpoint(args.checkpoint, split)
     pairs = split.val if args.split == "val" else split.test
+    if not pairs:
+        raise DataError(f"the {args.split} split of {args.data} has no pairs to evaluate")
+    trainer = Trainer.from_checkpoint(args.checkpoint, split)
     report = trainer.evaluate(pairs, split_name=args.split)
     print(report.table())
     print(json.dumps(report.to_dict(), sort_keys=True))
@@ -178,13 +180,15 @@ def cmd_sweep(args):
     if args.param not in SWEEPABLE:
         raise DataError(f"cannot sweep {args.param!r}; choose one of {sorted(SWEEPABLE)}")
     cfg = _config_from_args(args)
+    field = config_keys()[args.param]
+    # every value is parsed and range-checked before the first run
+    runs = [cfg.override(**{args.param: _parse_value(field, raw)})
+            for raw in args.values.split(",")]
     split = ingest.load_split(args.data)
     spatial, temporal, fused = _load_pretrained(args, cfg)
-    field = config_keys()[args.param]
     rows = []
-    for raw in args.values.split(","):
-        value = _parse_value(field, raw)
-        run_cfg = cfg.override(**{args.param: value})
+    for run_cfg in runs:
+        value = getattr(run_cfg, args.param)
         trainer = Trainer(split, run_cfg, spatial_table=spatial,
                           temporal_table=temporal, fused_table=fused)
         trainer.fit()

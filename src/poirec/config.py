@@ -100,23 +100,26 @@ FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def _parse_value(field, raw):
+    """The value of the config key `field` written as `raw`; raises
+    ValueError naming the key."""
     if field.type is bool or isinstance(field.default, bool):
         word = raw.strip().lower()
         if word not in TRUE_WORDS + FALSE_WORDS:
             raise ValueError(f"bad boolean {raw!r} for {field.name}; "
                              f"use one of {TRUE_WORDS + FALSE_WORDS}")
         return word in TRUE_WORDS
-    if isinstance(field.default, int):
-        return int(raw)
-    if isinstance(field.default, float):
-        return float(raw)
-    return raw
+    kind = type(field.default)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"bad {kind.__name__} {raw!r} for {field.name}") from None
 
 
 def load_config(path=None, overrides=None):
     """Build a RunConfig from an optional key=value file plus overrides.
-    Unknown keys and keys the file sets twice are fatal (the errors list the
-    valid keys, or name both lines)."""
+    A file line without `=`, with an unknown key, with a value the key's
+    type refuses, or with a key set before is fatal; the error names the
+    file and line (and lists the valid keys, or names both lines)."""
     known = config_keys()
     values, set_on = {}, {}
     if path is not None:
@@ -125,16 +128,21 @@ def load_config(path=None, overrides=None):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}:"
             if "=" not in line:
-                raise ValueError(f"bad config line (want key=value): {line!r}")
+                raise ValueError(f"{where} bad config line (want key=value): {line!r}")
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in known:
-                raise ValueError(f"unknown config key {key!r}; valid keys: {sorted(known)}")
+                raise ValueError(f"{where} unknown config key {key!r}; "
+                                 f"valid keys: {sorted(known)}")
             if key in set_on:
-                raise ValueError(f"{path}:{lineno}: config key {key!r} is set twice, "
+                raise ValueError(f"{where} config key {key!r} is set twice, "
                                  f"on lines {set_on[key]} and {lineno}")
             set_on[key] = lineno
-            values[key] = _parse_value(known[key], raw)
+            try:
+                values[key] = _parse_value(known[key], raw)
+            except ValueError as exc:
+                raise ValueError(f"{where} {exc}") from None
     for key, val in (overrides or {}).items():
         if val is None:
             continue

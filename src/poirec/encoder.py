@@ -2,17 +2,16 @@
 category attention biases, master-node readout, and the prediction head.
 
 `stack_graphs` stacks trajectory graphs by node count, `GsanModel.plan_stacks`
-turns the stacks into `EncoderPlan`s, and `GsanModel.encode_plans` runs any
-number of plans through one stacked forward per node count, as one autodiff
-node with a hand-written backward."""
+turns the stacks into `EncoderPlan`s, `GsanModel.encode_plans` runs any
+number of plans through one stacked forward per node count, and
+`GsanModel.backward` is that pass's hand-written gradient."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import NumericError, Tensor
+from .autodiff import NumericError, ShapeError, Tensor
 from .graphs import haversine_matrix
 
 UNKNOWN_PAIR_INDEX = 0
@@ -140,8 +139,8 @@ def attention_softmax(scores):
 
 @dataclass
 class GroupCache:
-    """What the backward of a recorded `GsanModel.encode_plans` call reads
-    of one group of G plans with n base nodes each."""
+    """What `GsanModel.backward` reads of one group of G plans with n base
+    nodes each in a kept `GsanModel.encode_plans` pass."""
 
     rows: np.ndarray  # (G, n) poi_table rows
     pos_rows: np.ndarray  # (G, n) `pos` rows
@@ -182,12 +181,11 @@ class GsanModel:
         buckets = config.degree_buckets + 1
 
         def init(shape, scale):
-            return Tensor(rng.normal(0.0, scale, size=shape).astype(dtype),
-                          requires_grad=True)
+            return Tensor(rng.normal(0.0, scale, size=shape).astype(dtype))
 
         params = {}
         if poi_init is not None:
-            params["poi_table"] = Tensor(poi_init.vectors.astype(dtype), requires_grad=True)
+            params["poi_table"] = Tensor(poi_init.vectors.astype(dtype))
         else:
             params["poi_table"] = init((n_pois, d), 0.1)
         params["deg_in"] = init((buckets, d), 0.02)
@@ -199,10 +197,8 @@ class GsanModel:
                 for name in ("wq", "wk", "wv"):
                     params[f"l{layer}.h{h}.{name}"] = init((d, d), 1.0 / math.sqrt(d))
             params[f"l{layer}.wo"] = init((config.heads * d, d), 1.0 / math.sqrt(d))
-        params["b_spd"] = Tensor(np.zeros((MASTER_HOP_ROW + 1, 1), dtype=dtype),
-                                 requires_grad=True)
-        params["b_dist"] = Tensor(np.zeros((config.m_bins + 2, 1), dtype=dtype),
-                                  requires_grad=True)
+        params["b_spd"] = Tensor(np.zeros((MASTER_HOP_ROW + 1, 1), dtype=dtype))
+        params["b_dist"] = Tensor(np.zeros((config.m_bins + 2, 1), dtype=dtype))
         params["cat_pairs"] = init((len(cat_vocab) + 1, d), 0.02)
         params["w_r"] = init((d, 1), 0.02)
         params["w_s"] = init((2 * d, d), 1.0 / math.sqrt(2 * d))
@@ -251,7 +247,7 @@ class GsanModel:
         # interpolated distance bins and the mean category-pair score along
         # the canonical shortest path, each pair's bias a weighted sum of
         # entries of `bias_table()`
-        n_spd = self.params["b_spd"].shape[0]
+        n_spd = len(self.params["b_spd"].data)
         terms = 5 if cfg.use_category_bias else 3
         plans = [None] * sum(len(st.members) for st in stacks)
         for st in stacks:
@@ -272,7 +268,7 @@ class GsanModel:
                 # is the lowest-index common neighbour; the master is last, so
                 # it is picked only when no base node qualifies, and its edges
                 # take the UNKNOWN row.
-                offset = n_spd + self.params["b_dist"].shape[0]
+                offset = n_spd + len(self.params["b_dist"].data)
                 cat = self._category_index(st) + offset
                 idx[:, 3] = idx[:, 4] = np.where(hops == 2, offset + UNKNOWN_PAIR_INDEX, cat)
                 base = st.adj[:, :n, :n]
@@ -303,23 +299,21 @@ class GsanModel:
         """The (rows, 1) column that plan bias indices point into: the hop
         slots of b_spd, the boundaries of b_dist, then (with the category
         bias) one score cat_pairs @ w_r per category-pair row."""
-        tables = [self.params["b_spd"], self.params["b_dist"]]
+        prm = self.params
+        tables = [prm["b_spd"].data, prm["b_dist"].data]
         if self.config.use_category_bias:
-            tables.append(ad.matmul(self.params["cat_pairs"], self.params["w_r"]))
-        return ad.concat(tables, axis=0)
+            tables.append(prm["cat_pairs"].data @ prm["w_r"].data)
+        return np.concatenate(tables)
 
-    def encode_plans(self, plans):
+    def encode_plans(self, plans, keep=False):
         """Trajectory representations s_u of a list of plans, one (B, d) row
         per plan in input order. Plans with the same node count run as one
         stacked forward (`_encode_group`), so nothing is padded or masked.
-        The call is one tape node whose parents are `bias_table()` and the
-        encoder parameters, with the hand-written backward of
-        `_backward`; only a recorded call keeps the forward's intermediates."""
+        With `keep` it returns (s_u, what `backward` reads of the pass); a
+        pass without it, as for ranking, keeps no intermediates."""
         if not plans:
             raise ValueError("encode_plans needs at least one plan")
         table = self.bias_table()
-        parents = (table,) + tuple(p for k, p in self.params.items() if k not in BIAS_PARAMS)
-        keep = ad.needs_grad(*parents)
         groups = {}
         for i, p in enumerate(plans):
             groups.setdefault(len(p.poi_rows), []).append(i)
@@ -328,16 +322,12 @@ class GsanModel:
         readout = np.empty((len(plans), 2 * d), dtype=self.dtype) if keep else None
         saved = []
         for members in groups.values():
-            out, cache = self._encode_group([plans[i] for i in members], table.data, keep)
+            out, cache = self._encode_group([plans[i] for i in members], table, keep)
             s_u[members] = out @ self.params["w_s"].data
             if keep:
                 readout[members] = out
                 saved.append((members, cache))
-
-        def backward(g):
-            self._backward(g, table, readout, saved)
-
-        return ad.result(s_u, parents, backward)
+        return (s_u, (table, readout, saved)) if keep else s_u
 
     def _encode_group(self, plans, table, keep):
         """The encoder over G plans of n base nodes each, as (G, n+1, d)
@@ -395,54 +385,64 @@ class GsanModel:
         wo = prm[f"l{layer}.wo"].data
         return (merged.reshape(-1, merged.shape[-1]) @ wo).reshape(x.shape), heads, merged
 
-    def _backward(self, g, table, readout, saved):
-        """Adds the gradient of s_u, `g` (B, d), to the bias table and the
-        encoder parameters. Attention runs back group by group; the
-        readout rows are assigned (a graph's master and last rows differ),
-        and each lookup table and the bias table take one scatter-add for
-        the whole call."""
+    def backward(self, g, cache, poi_grad):
+        """The gradients {name: array} of the parameters a kept
+        `encode_plans` pass reads, from `g` (B, d), the gradient of its s_u,
+        and its `cache`. The POI rows' gradients are added into `poi_grad`,
+        a (P, d) array, which is returned as poi_table's. Attention runs back
+        group by group; the readout rows are assigned (a graph's master and
+        last rows differ), and each lookup table and the bias table take one
+        scatter-add for the whole pass. The bias table's gradient then goes
+        to b_spd, b_dist and, with the category bias, through cat_pairs @ w_r."""
         prm, d = self.params, self.config.d
-        w_s = prm["w_s"]
-        ad.accumulate(w_s, lambda: readout.T @ g)
-        d_readout = g @ w_s.data.T
+        table, readout, saved = cache
+        grads = {k: poi_grad if k == "poi_table" else np.zeros_like(p.data)
+                 for k, p in prm.items() if k not in BIAS_PARAMS}
+        grads["w_s"] += readout.T @ g
+        d_readout = g @ prm["w_s"].data.T
         base, master, bias = [], [], []
-        for members, cache in saved:
-            size = cache.rows.shape[1] + 1
+        for members, group in saved:
+            size = group.rows.shape[1] + 1
             dx = np.zeros((len(members), size, d), dtype=self.dtype)
             dx[:, -1] = d_readout[members, :d]
-            dx[np.arange(len(members)), cache.last] = d_readout[members, d:]
+            dx[np.arange(len(members)), group.last] = d_readout[members, d:]
             d_bias = np.zeros((len(members), size, size), dtype=self.dtype)
             for layer in reversed(range(self.config.layers)):
-                dx = self._attend_backward(dx, d_bias, layer, *cache.layers[layer])
+                dx = self._attend_backward(dx, d_bias, layer, *group.layers[layer], grads)
             n = size - 1
             master.append(dx[:, n])
             base.append(dx[:, :n] + dx[:, n:] * np.asarray(1.0 / n, dtype=self.dtype))
-            bias.append((cache.bias_idx.reshape(-1), (cache.bias_w * d_bias).reshape(-1)))
-        # one scatter-add per table for the whole call, groups in order
-        rows = np.concatenate([cache.rows.reshape(-1) for _, cache in saved])
+            bias.append((group.bias_idx.reshape(-1), (group.bias_w * d_bias).reshape(-1)))
+        # one scatter-add per table for the whole pass, groups in order
+        rows = np.concatenate([group.rows.reshape(-1) for _, group in saved])
         base = np.concatenate([b.reshape(-1, d) for b in base])
         for name, row in (("poi_table", rows), ("deg_in", self.deg_in_bucket[rows]),
                           ("deg_out", self.deg_out_bucket[rows]), ("pop", self.pop_bucket[rows])):
-            if prm[name].grad is not None:
-                np.add.at(prm[name].grad, row, base)
-        if prm["pos"].grad is not None:  # the masters take the padding row
-            pos_rows = [cache.pos_rows.reshape(-1) for _, cache in saved]
-            pos_rows.append(np.zeros(len(g), dtype=np.int64))
-            np.add.at(prm["pos"].grad, np.concatenate(pos_rows), np.concatenate([base] + master))
-        if table.grad is not None:
-            np.add.at(table.grad.reshape(-1), np.concatenate([i for i, _ in bias]),
-                      np.concatenate([w for _, w in bias]))
+            np.add.at(grads[name], row, base)
+        # the masters take the padding row of pos
+        pos_rows = [group.pos_rows.reshape(-1) for _, group in saved]
+        pos_rows.append(np.zeros(len(g), dtype=np.int64))
+        np.add.at(grads["pos"], np.concatenate(pos_rows), np.concatenate([base] + master))
+        d_table = np.zeros_like(table)
+        np.add.at(d_table.reshape(-1), np.concatenate([i for i, _ in bias]),
+                  np.concatenate([w for _, w in bias]))
+        n_spd = len(prm["b_spd"].data)
+        grads["b_spd"], grads["b_dist"], d_cat = np.split(
+            d_table, [n_spd, n_spd + len(prm["b_dist"].data)])
+        if self.config.use_category_bias:
+            grads["cat_pairs"] = d_cat @ prm["w_r"].data.T
+            grads["w_r"] = prm["cat_pairs"].data.T @ d_cat
+        return grads
 
-    def _attend_backward(self, dout, d_bias, layer, x, heads, merged):
+    def _attend_backward(self, dout, d_bias, layer, x, heads, merged, grads):
         """The gradient of one attention layer's input from that of its
         output, `dout`; adds the bias gradient to `d_bias` and the layer's
-        weight gradients to their parameters."""
+        weight gradients to theirs in `grads`."""
         prm = self.params
         flat, d = x.reshape(-1, x.shape[-1]), x.shape[-1]
         d_flat = dout.reshape(-1, d)
-        wo = prm[f"l{layer}.wo"]
-        ad.accumulate(wo, lambda: merged.reshape(-1, merged.shape[-1]).T @ d_flat)
-        d_merged = (d_flat @ wo.data.T).reshape(merged.shape)
+        grads[f"l{layer}.wo"] += merged.reshape(-1, merged.shape[-1]).T @ d_flat
+        d_merged = (d_flat @ prm[f"l{layer}.wo"].data.T).reshape(merged.shape)
         scale = np.asarray(1.0 / math.sqrt(self.config.d), dtype=self.dtype)
         dx = np.zeros_like(flat)
         for h, (q, k, v, attn) in enumerate(heads):
@@ -451,23 +451,42 @@ class GsanModel:
             d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
             d_bias += d_scores
             d_scores *= scale
-            grads = (d_scores @ k, d_scores.swapaxes(-1, -2) @ q, attn.swapaxes(-1, -2) @ d_head)
-            for name, dz in zip(("wq", "wk", "wv"), grads):
-                w = prm[f"l{layer}.h{h}.{name}"]
+            grads_in = (d_scores @ k, d_scores.swapaxes(-1, -2) @ q,
+                        attn.swapaxes(-1, -2) @ d_head)
+            for name, dz in zip(("wq", "wk", "wv"), grads_in):
+                key = f"l{layer}.h{h}.{name}"
                 dz = dz.reshape(-1, d)
-                ad.accumulate(w, lambda: flat.T @ dz)
-                dx += dz @ w.data.T
+                grads[key] += flat.T @ dz
+                dx += dz @ prm[key].data.T
         return dx.reshape(x.shape)
 
     def predict(self, s_u):
         """Catalog logits s_u @ poi_table^T of a (B, d) batch of trajectory
         representations; the softmax of a row is its POI distribution."""
-        logits = ad.matmul(s_u, self.params["poi_table"].T)
-        if not np.all(np.isfinite(logits.data)):
+        logits = s_u @ self.params["poi_table"].data.T
+        if not np.all(np.isfinite(logits)):
             raise NumericError("non-finite catalog logits")
         return logits
 
-    def rec_loss(self, logits, target_rows):
-        """Mean catalog cross-entropy of a (B, P) logit matrix against the
-        target catalog rows."""
-        return ad.log_softmax_nll(logits, target_rows)
+
+def log_softmax_nll(logits, targets, weight=1.0):
+    """Mean over rows of -log softmax(logits)[i, targets[i]] for a (B, C)
+    logit matrix, and `weight` times its gradient, (softmax - onehot) / B,
+    both in the logits' dtype. The row max is subtracted before
+    exponentiating, so the loss and its gradient stay finite and non-zero
+    however far a target trails the best logit."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if logits.ndim != 2 or targets.ndim != 1 or logits.shape[0] != targets.shape[0]:
+        raise ShapeError(
+            f"log_softmax_nll shape mismatch: logits {logits.shape}, targets {targets.shape}")
+    rows = np.arange(targets.shape[0])
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, dtype=np.float64)
+    nll = np.log(total) - shifted[rows, targets]
+    grad = e / total[:, None]
+    grad[rows, targets] -= 1.0
+    # the weight is rounded to the logits' dtype before it is divided by B
+    scale = np.asarray(weight, dtype=logits.dtype) / targets.shape[0]
+    return (np.asarray(nll.mean(), dtype=logits.dtype),
+            (grad * scale).astype(logits.dtype, copy=False))

@@ -12,14 +12,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .augment import CorrelationIndex, infonce, make_views
 from .autodiff import Adam, NumericError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RngHub, RunConfig, config_keys
 from .data import DataError, catalog_rows
 from .encoder import (GsanModel, build_category_vocab, fit_distance_bins,
-                      stack_graphs)
+                      log_softmax_nll, stack_graphs)
 from .graphs import (build_global_spatial, build_global_temporal,
                      build_trajectory_graph)
 from .metrics import rank_targets, report_from_ranks
@@ -54,17 +53,64 @@ class TrainSample:
     target: int  # catalog row
 
 
-def total_loss(rec, ssl, model, lam, gamma):
-    """L = L_rec + lambda * L_ssl + gamma * ||theta||^2 (bias scalars
-    excluded from the penalty). The penalty is one tape node over every
-    regularized parameter, also one the encoder does not use."""
-    loss = rec
-    if ssl is not None and lam != 0:
-        loss = loss + ad.mul(ssl, lam)
-    reg = model.regularized()
-    if gamma != 0 and reg:
-        loss = loss + ad.l2_penalty(reg.values(), gamma)
-    return loss
+class BatchLoss:
+    """The objective of one batch, L = L_rec + lam * L_ssl + gamma * ||theta||^2
+    (bias scalars excluded from the penalty), from one kept `encode_plans`
+    pass over `plans`: the samples of `targets` (catalog rows), then, for the
+    contrastive term, view a and view b of each. `rec`, `ssl` (0 without
+    views) and `total` are scalars of the model dtype; `backward` sets the
+    gradients."""
+
+    def __init__(self, model, plans, targets, lam, tau, gamma):
+        n, dtype = len(targets), model.dtype
+        self.model, self.n, self.gamma = model, n, gamma
+        self.s_u, self.cache = model.encode_plans(plans, keep=True)
+        self.rec, self.d_logits = log_softmax_nll(model.predict(self.s_u[:n]), targets)
+        total = self.rec
+        self.views = len(plans) > n
+        self.ssl = 0.0
+        if self.views:
+            self.ssl, self.d_a, self.d_b = infonce(self.s_u[n:2 * n], self.s_u[2 * n:],
+                                                   tau=tau, weight=lam)
+            total = total + self.ssl * np.asarray(lam, dtype=dtype)
+        # the penalty covers every regularized parameter, also one the
+        # encoder does not read; it is summed in 64 bits
+        self.reg = model.regularized() if gamma != 0 else {}
+        if self.reg:
+            squares = sum(float(np.square(p.data, dtype=np.float64).sum())
+                          for p in self.reg.values())
+            total = total + np.asarray(gamma * squares, dtype=dtype)
+        self.total = total
+
+    def backward(self):
+        """Set `.grad` of every parameter: its gradient of `total`, or None
+        where no term reaches it. The gradient of s_u goes into
+        `GsanModel.backward`. poi_table also takes the logits' gradient and,
+        like every regularized parameter, the penalty's 2 * gamma * theta.
+        Every operation has the order and dtype of the reference tape's
+        (`oracles.total_loss` over the ops of `tests/ops.py`), so a run's
+        bits are that tape's."""
+        model, n = self.model, self.n
+        s_u, prm = self.s_u, model.params
+        d_s = np.empty_like(s_u)
+        d_s[:n] = self.d_logits @ prm["poi_table"].data
+        d_logit_poi = (s_u[:n].T @ self.d_logits).T
+        poi_grad = np.zeros_like(prm["poi_table"].data)
+        # the reference tape's order of poi_table's terms: with views the
+        # logits' term comes before the encoder's scatter, without after it;
+        # the scatter adds into repeated rows, so the order shows in the bits
+        if self.views:
+            d_s[n:2 * n], d_s[2 * n:] = self.d_a, self.d_b
+            poi_grad += d_logit_poi
+        grads = model.backward(d_s, self.cache, poi_grad)
+        if not self.views:
+            poi_grad += d_logit_poi
+        scale = 2.0 * self.gamma * np.ones((), dtype=model.dtype)  # rounded to the dtype
+        for name, p in self.reg.items():
+            penalty = scale * p.data
+            grads[name] = grads[name] + penalty if name in grads else penalty
+        for name, p in prm.items():
+            p.grad = grads.get(name)
 
 
 def _is_rng_state(value):
@@ -200,22 +246,17 @@ class Trainer:
     # -- training ----------------------------------------------------------
 
     def _batch_loss(self, batch):
-        """Catalog and contrastive losses of one batch from one
-        `encode_plans` call. Its rows are the B samples, then, with the
-        contrastive term, view a and view b of each sample."""
+        """The `BatchLoss` of one batch. With the contrastive term (lam != 0
+        and two samples or more), each sample's two views are drawn and
+        planned here."""
         cfg = self.config
         plans = [sample.plan for sample in batch]
-        contrast = cfg.lam != 0 and len(batch) >= 2
-        if contrast:
+        if cfg.lam != 0 and len(batch) >= 2:
             pairs = [make_views(sample.graph, cfg, self.corr_index, self.aug_rng)
                      for sample in batch]
             plans += self._plans([p.view_a for p in pairs] + [p.view_b for p in pairs])
-        s_u = self.model.encode_plans(plans)
-        n = len(batch)
-        rows = [ad.gather_rows(s_u, np.arange(lo, lo + n)) for lo in range(0, len(plans), n)]
-        rec = self.model.rec_loss(self.model.predict(rows[0]), [sample.target for sample in batch])
-        ssl = infonce(rows[1], rows[2], tau=cfg.tau) if contrast else None
-        return rec, ssl
+        return BatchLoss(self.model, plans, [sample.target for sample in batch],
+                         cfg.lam, cfg.tau, cfg.gamma)
 
     def train_epoch(self):
         cfg = self.config
@@ -224,18 +265,16 @@ class Trainer:
         rec_sum, ssl_sum, total_sum, n_batches = 0.0, 0.0, 0.0, 0
         for lo in range(0, len(order), cfg.batch_size):
             batch = [self.samples[i] for i in order[lo:lo + cfg.batch_size]]
-            rec, ssl = self._batch_loss(batch)
-            loss = total_loss(rec, ssl, self.model, cfg.lam, cfg.gamma)
-            if not np.isfinite(loss.data).all():
+            loss = self._batch_loss(batch)
+            if not np.isfinite(loss.total):
                 raise NumericError(
                     f"non-finite loss at epoch {self.epoch}, batch {n_batches}: "
                     f"targets={[self.model.poi_ids[s.target] for s in batch]}")
-            self.optimizer.zero_grad()
             loss.backward()
             self.optimizer.step()
-            rec_sum += rec.item()
-            ssl_sum += ssl.item() if ssl is not None else 0.0
-            total_sum += loss.item()
+            rec_sum += float(loss.rec)
+            ssl_sum += float(loss.ssl)
+            total_sum += float(loss.total)
             n_batches += 1
         self.epoch += 1
         if self.split.val and self._val is None:
@@ -291,9 +330,7 @@ class Trainer:
         plans, targets = pairs if isinstance(pairs, PlannedPairs) else self.plan_pairs(pairs)
         if not plans:
             return []
-        with ad.no_grad():
-            logits = self.model.predict(self.model.encode_plans(plans)).data
-        return rank_targets(logits, targets)
+        return rank_targets(self.model.predict(self.model.encode_plans(plans)), targets)
 
     def evaluate(self, pairs, split_name="test", ks=(1, 5, 10, 20)):
         """The metrics of `rank_pairs(pairs)`."""

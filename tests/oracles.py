@@ -3,14 +3,15 @@ counts and connectivity of plain graphs, the master graph and encoder plan
 built one graph at a time, the per-edge category vocabulary, the per-pair
 BFS and loop forms of the master-graph structure and of the attention bias,
 the per-graph encoder and the per-op stacked encoder over plans (the
-reference of the fused encoder node), the sorted-row correlation ranking,
+reference of the fused encoder pass), the InfoNCE and the whole training
+objective on the reference tape, the sorted-row correlation ranking,
 the catalog-loop target rank,
 the augmentation operators, neighbour lists and target ranks keyed by
 poi_id, the clamped softmax loss chain, the per-step node2vec walks and per-update
 skip-gram, the global temporal graph and both node2vec adjacencies keyed by
 poi_id, the scalar spatial-graph scan, the check-in line parsers with one
 `strptime` per line and exactly the format's fields, the textbook Adam
-step, plus small autodiff compositions used only by tests."""
+step, plus small compositions of the reference ops of `ops.py`."""
 
 import math
 from collections import deque
@@ -19,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from poirec import autodiff as ad
+from poirec.autodiff import NumericError
 from poirec.data import UNKNOWN_CATEGORY, CheckIn, DataError
 from poirec.encoder import MASTER_HOP_ROW, EncoderPlan
 from poirec.graphs import EARTH_RADIUS_KM, haversine, haversine_matrix
@@ -49,19 +50,46 @@ def adam_step(opt):
         v += (1 - opt.beta2) * g * g
         m_hat = m / (1 - opt.beta1**t)
         v_hat = v / (1 - opt.beta2**t)
-        p.data -= (opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)).astype(p.dtype)
+        p.data -= (opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)).astype(p.data.dtype)
 
 
 def l2_norm(a):
     """Euclidean norm of all entries, as a scalar tensor."""
-    return ad.sqrt(ad.tsum(ad.mul(a, a)))
+    return ops.sqrt(ops.tsum(ops.mul(a, a)))
 
 
 def cosine_similarity(a, b, eps=1e-12):
     """Cosine similarity between two same-shape tensors (flattened)."""
-    num = ad.tsum(ad.mul(a, b))
-    den = ad.mul(ad.clamp_min(l2_norm(a), eps), ad.clamp_min(l2_norm(b), eps))
+    num = ops.tsum(ops.mul(a, b))
+    den = ops.mul(ops.clamp_min(l2_norm(a), eps), ops.clamp_min(l2_norm(b), eps))
     return num / den
+
+
+def infonce(a, b, tau=1.0):
+    """The InfoNCE of `augment.infonce` as the tape of reference ops it was
+    built from: normalize each row (its norm clamped at 1e-12), cosine
+    similarities over tau, then the log-softmax NLL of the diagonal."""
+
+    def normalize(x):
+        sq = ops.tsum(ops.mul(x, x), axis=1, keepdims=True)
+        inv = ops.power(ops.clamp_min(ops.sqrt(sq), 1e-12), -1.0)
+        return ops.mul(x, inv)
+
+    sim = ops.matmul(normalize(a), normalize(b).T)
+    return ops.log_softmax_nll(ops.mul(sim, 1.0 / tau), np.arange(a.shape[0]))
+
+
+def total_loss(rec, ssl, model, lam, gamma):
+    """The objective of `training.BatchLoss` on the tape: rec + lam * ssl
+    (without views, `ssl` is None) + gamma * the squares of every
+    regularized parameter, as one penalty node."""
+    loss = rec
+    if ssl is not None and lam != 0:
+        loss = loss + ops.mul(ssl, lam)
+    reg = model.regularized()
+    if gamma != 0 and reg:
+        loss = loss + ops.l2_penalty(reg.values(), gamma)
+    return loss
 
 
 def softmax_nll(logits, targets, floor=1e-12):
@@ -180,10 +208,10 @@ def plan(model, mgraph):
     poi_rows = np.array(g.nodes, dtype=np.int64)
     pos = [0 if step == 0 else g.seq_len - step + 1 for step in g.last_step]
     if max(pos) > cfg.t_max:
-        raise ad.NumericError(f"position index {max(pos)} exceeds t_max={cfg.t_max}")
+        raise NumericError(f"position index {max(pos)} exceeds t_max={cfg.t_max}")
     size = len(mgraph.nodes)
     n = size - 1
-    n_spd = model.params["b_spd"].shape[0]
+    n_spd = model.params["b_spd"].data.shape[0]
     terms = 5 if cfg.use_category_bias else 3
     idx = np.empty((terms, size, size), dtype=np.int32)
     w = np.empty((terms, size, size), dtype=model.dtype)
@@ -195,7 +223,7 @@ def plan(model, mgraph):
     idx[1:3] += n_spd
     if cfg.use_category_bias:
         cat = (category_index(model, mgraph, poi_rows)
-               + (n_spd + model.params["b_dist"].shape[0]))
+               + (n_spd + model.params["b_dist"].data.shape[0]))
         nodes = np.arange(size)
         idx[3] = cat[nodes[:, None], mgraph.mid]
         idx[4] = np.where(mgraph.hops == 2, cat[mgraph.mid, nodes], idx[3])
@@ -368,16 +396,16 @@ def node_features(model, mgraph):
         else:
             rev = g.seq_len - step + 1
             if rev > model.config.t_max:
-                raise ad.NumericError(
+                raise NumericError(
                     f"position index {rev} exceeds t_max={model.config.t_max}")
             pos_idx.append(rev)
-    h = ad.gather_rows(model.params["poi_table"], idx)
-    h = h + ad.gather_rows(model.params["deg_in"], model.deg_in_bucket[idx])
-    h = h + ad.gather_rows(model.params["deg_out"], model.deg_out_bucket[idx])
-    h = h + ad.gather_rows(model.params["pop"], model.pop_bucket[idx])
-    h = h + ad.gather_rows(model.params["pos"], np.array(pos_idx, dtype=np.int64))
-    master = ops.tmean(h, axis=0, keepdims=True) + ad.gather_rows(model.params["pos"], [0])
-    return ad.concat([h, master], axis=0)
+    h = ops.gather_rows(model.params["poi_table"], idx)
+    h = h + ops.gather_rows(model.params["deg_in"], model.deg_in_bucket[idx])
+    h = h + ops.gather_rows(model.params["deg_out"], model.deg_out_bucket[idx])
+    h = h + ops.gather_rows(model.params["pop"], model.pop_bucket[idx])
+    h = h + ops.gather_rows(model.params["pos"], np.array(pos_idx, dtype=np.int64))
+    master = ops.tmean(h, axis=0, keepdims=True) + ops.gather_rows(model.params["pos"], [0])
+    return ops.concat([h, master], axis=0)
 
 
 def gather_bias(model, mgraph):
@@ -388,23 +416,24 @@ def gather_bias(model, mgraph):
     size = len(mgraph.nodes)
     n = size - 1
     tables = [model.params["b_spd"], model.params["b_dist"]]
+    n_spd, n_dist = (len(t.data) for t in tables)
     terms = 5 if cfg.use_category_bias else 3
     idx = np.empty((terms, size, size), dtype=np.int64)
     w = np.empty((terms, size, size))
     idx[0] = mgraph.hops
-    idx[0, n, :] = idx[0, :, n] = tables[0].shape[0] - 1
+    idx[0, n, :] = idx[0, :, n] = n_spd - 1
     w[0] = 1.0
     dist = np.full((size, size), np.nan) if mgraph.geo is None else mgraph.geo
     idx[1], idx[2], w[1], w[2] = model.bins.locate(dist)
-    idx[1:3] += tables[0].shape[0]
+    idx[1:3] += n_spd
     if cfg.use_category_bias:
-        cat = category_index(model, mgraph, mgraph.base.nodes) + (tables[0].shape[0] + tables[1].shape[0])
-        tables.append(ad.matmul(model.params["cat_pairs"], model.params["w_r"]))
+        cat = category_index(model, mgraph, mgraph.base.nodes) + (n_spd + n_dist)
+        tables.append(ops.matmul(model.params["cat_pairs"], model.params["w_r"]))
         nodes = np.arange(size)
         idx[3] = cat[nodes[:, None], mgraph.mid]
         idx[4] = np.where(mgraph.hops == 2, cat[mgraph.mid, nodes], idx[3])
         w[3:] = 0.5
-    return ops.gather_sum(ad.concat(tables, axis=0), idx, w)
+    return ops.gather_sum(ops.concat(tables, axis=0), idx, w)
 
 
 def attention_layer(model, x, bias, layer):
@@ -413,16 +442,16 @@ def attention_layer(model, x, bias, layer):
     scale = 1.0 / math.sqrt(cfg.d)
     heads = []
     for h in range(cfg.heads):
-        q = ad.matmul(x, model.params[f"l{layer}.h{h}.wq"])
-        k = ad.matmul(x, model.params[f"l{layer}.h{h}.wk"])
-        v = ad.matmul(x, model.params[f"l{layer}.h{h}.wv"])
-        scores = ad.mul(ad.matmul(q, k.T), scale) + bias
+        q = ops.matmul(x, model.params[f"l{layer}.h{h}.wq"])
+        k = ops.matmul(x, model.params[f"l{layer}.h{h}.wk"])
+        v = ops.matmul(x, model.params[f"l{layer}.h{h}.wv"])
+        scores = ops.mul(ops.matmul(q, k.T), scale) + bias
         if not np.all(np.isfinite(scores.data)):
-            raise ad.NumericError("non-finite attention scores")
+            raise NumericError("non-finite attention scores")
         attn = ops.row_softmax(scores)
-        heads.append(ad.matmul(attn, v))
-    merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
-    return ad.matmul(merged, model.params[f"l{layer}.wo"])
+        heads.append(ops.matmul(attn, v))
+    merged = heads[0] if len(heads) == 1 else ops.concat(heads, axis=1)
+    return ops.matmul(merged, model.params[f"l{layer}.wo"])
 
 
 def encode(model, mgraph):
@@ -433,31 +462,41 @@ def encode(model, mgraph):
     for layer in range(model.config.layers):
         x = attention_layer(model, x, bias, layer)
     n = len(mgraph.nodes)
-    v_s = ad.gather_rows(x, [n - 1])
+    v_s = ops.gather_rows(x, [n - 1])
     last_idx = mgraph.base.nodes.index(mgraph.base.last_node)
-    v_last = ad.gather_rows(x, [last_idx])
-    return ad.matmul(ad.concat([v_s, v_last], axis=1), model.params["w_s"])
+    v_last = ops.gather_rows(x, [last_idx])
+    return ops.matmul(ops.concat([v_s, v_last], axis=1), model.params["w_s"])
 
 
 # -- the encoder over plans, op by op ---------------------------------------
 # The per-op form of `GsanModel.encode_plans`, one tape node per op: the
-# fused node's forward must equal it byte for byte, and its backward this
+# fused pass's forward must equal it byte for byte, and its backward this
 # tape's gradients.
+
+
+def bias_table(model):
+    """`GsanModel.bias_table` on the tape: b_spd, b_dist and (with the
+    category bias) cat_pairs @ w_r, concatenated."""
+    prm = model.params
+    tables = [prm["b_spd"], prm["b_dist"]]
+    if model.config.use_category_bias:
+        tables.append(ops.matmul(prm["cat_pairs"], prm["w_r"]))
+    return ops.concat(tables, axis=0)
 
 
 def stacked_encode(model, plans):
     """s_u (B, d) of a list of plans in input order, one stacked forward
     per node count, as `GsanModel.encode_plans` computes it."""
-    table = model.bias_table()
+    table = bias_table(model)
     groups = {}
     for i, p in enumerate(plans):
         groups.setdefault(len(p.poi_rows), []).append(i)
     outs = [stacked_forward(model, [plans[i] for i in members], table)
             for members in groups.values()]
-    s_u = outs[0] if len(outs) == 1 else ad.concat(outs, axis=0)
+    s_u = outs[0] if len(outs) == 1 else ops.concat(outs, axis=0)
     order = np.concatenate(list(groups.values()))
     if (order != np.arange(len(plans))).any():
-        s_u = ad.gather_rows(s_u, np.argsort(order))
+        s_u = ops.gather_rows(s_u, np.argsort(order))
     return s_u
 
 
@@ -472,8 +511,8 @@ def stacked_forward(model, plans, table):
         x = stacked_attention(model, x, bias, layer)
     g, (size, d) = len(plans), x.shape[-2:]
     pick = [[i * size + size - 1, i * size + p.last] for i, p in enumerate(plans)]
-    readout = ad.gather_rows(ops.reshape(x, (g * size, d)), pick)
-    return ad.matmul(ops.reshape(readout, (g, 2 * d)), model.params["w_s"])
+    readout = ops.gather_rows(ops.reshape(x, (g * size, d)), pick)
+    return ops.matmul(ops.reshape(readout, (g, 2 * d)), model.params["w_s"])
 
 
 def stacked_features(model, plans):
@@ -482,13 +521,13 @@ def stacked_features(model, plans):
     padding position row."""
     prm = model.params
     rows = np.stack([p.poi_rows for p in plans])
-    x = ad.gather_rows(prm["poi_table"], rows)
-    x = x + ad.gather_rows(prm["deg_in"], model.deg_in_bucket[rows])
-    x = x + ad.gather_rows(prm["deg_out"], model.deg_out_bucket[rows])
-    x = x + ad.gather_rows(prm["pop"], model.pop_bucket[rows])
-    x = x + ad.gather_rows(prm["pos"], np.stack([p.pos_rows for p in plans]))
-    master = ops.tmean(x, axis=-2, keepdims=True) + ad.gather_rows(prm["pos"], [0])
-    return ad.concat([x, master], axis=-2)
+    x = ops.gather_rows(prm["poi_table"], rows)
+    x = x + ops.gather_rows(prm["deg_in"], model.deg_in_bucket[rows])
+    x = x + ops.gather_rows(prm["deg_out"], model.deg_out_bucket[rows])
+    x = x + ops.gather_rows(prm["pop"], model.pop_bucket[rows])
+    x = x + ops.gather_rows(prm["pos"], np.stack([p.pos_rows for p in plans]))
+    master = ops.tmean(x, axis=-2, keepdims=True) + ops.gather_rows(prm["pos"], [0])
+    return ops.concat([x, master], axis=-2)
 
 
 def stacked_attention(model, x, bias, layer):
@@ -498,15 +537,15 @@ def stacked_attention(model, x, bias, layer):
     scale = 1.0 / math.sqrt(cfg.d)
     heads = []
     for h in range(cfg.heads):
-        q = ad.matmul(x, model.params[f"l{layer}.h{h}.wq"])
-        k = ad.matmul(x, model.params[f"l{layer}.h{h}.wk"])
-        v = ad.matmul(x, model.params[f"l{layer}.h{h}.wv"])
-        scores = ad.mul(ad.matmul(q, k.T), scale) + bias
+        q = ops.matmul(x, model.params[f"l{layer}.h{h}.wq"])
+        k = ops.matmul(x, model.params[f"l{layer}.h{h}.wk"])
+        v = ops.matmul(x, model.params[f"l{layer}.h{h}.wv"])
+        scores = ops.mul(ops.matmul(q, k.T), scale) + bias
         if not np.all(np.isfinite(scores.data)):
-            raise ad.NumericError("non-finite attention scores")
-        heads.append(ad.matmul(ops.row_softmax(scores), v))
-    merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=-1)
-    return ad.matmul(merged, model.params[f"l{layer}.wo"])
+            raise NumericError("non-finite attention scores")
+        heads.append(ops.matmul(ops.row_softmax(scores), v))
+    merged = heads[0] if len(heads) == 1 else ops.concat(heads, axis=-1)
+    return ops.matmul(merged, model.params[f"l{layer}.wo"])
 
 
 # -- correlation index and ranking, one row / one POI at a time ------------

@@ -5,12 +5,13 @@ from hypothesis import given, strategies as st
 from poirec.augment import (CorrelationIndex, auto_insert_count,
                             correlated_insertion, correlated_substitute,
                             infonce, make_views, node_dropout)
-from poirec.autodiff import ShapeError, Tensor
+from poirec.autodiff import ShapeError
 from poirec.config import RunConfig
 from poirec.graphs import build_trajectory_graph
 from poirec.pretrain import EmbeddingTable
 from conftest import augmented_graphs, category_vocab, make_traj, rows_of
 import oracles
+import ops
 from oracles import id_graph
 
 CATS = {p: f"cat_{p}" for p in
@@ -370,68 +371,96 @@ class TestOperatorsMatchIdReference:
                                               RunConfig(beta=0.4, k_insert=0))
 
 
+def nce(a, b, tau=1.0):
+    """The InfoNCE loss of `a` and `b` as a float."""
+    return float(infonce(a, b, tau=tau)[0])
+
+
 class TestInfoNCE:
     def test_identical_orthogonal_pairs(self):
         # rows of I: positives have cosine 1, negatives 0
-        a = Tensor(np.eye(3))
-        loss = infonce(a, a, tau=1.0)
+        a = np.eye(3)
         expected = -np.log(np.e / (np.e + 2.0))
-        assert loss.item() == pytest.approx(expected, abs=1e-6)
+        assert nce(a, a, tau=1.0) == pytest.approx(expected, abs=1e-6)
 
     def test_two_pair_closed_form(self):
-        a = Tensor(np.eye(2))
-        loss = infonce(a, a)
-        assert loss.item() == pytest.approx(-np.log(np.e / (np.e + 1.0)), abs=1e-6)
+        a = np.eye(2)
+        assert nce(a, a) == pytest.approx(-np.log(np.e / (np.e + 1.0)), abs=1e-6)
 
     def test_uninformative_views_give_log_batch(self):
-        same = Tensor(np.ones((4, 4)))
-        loss = infonce(same, same)
-        assert loss.item() == pytest.approx(np.log(4), abs=1e-6)
+        same = np.ones((4, 4))
+        assert nce(same, same) == pytest.approx(np.log(4), abs=1e-6)
 
     def test_better_alignment_lowers_loss(self, rng):
-        base = Tensor(rng.normal(size=(4, 8)))
-        noisy = Tensor(base.data + rng.normal(scale=2.0, size=(4, 8)))
-        aligned = infonce(base, Tensor(base.data.copy()))
-        misaligned = infonce(base, noisy)
-        assert aligned.item() < misaligned.item()
+        base = rng.normal(size=(4, 8))
+        noisy = base + rng.normal(scale=2.0, size=(4, 8))
+        assert nce(base, base.copy()) < nce(base, noisy)
 
     def test_temperature_sharpens(self):
-        a = Tensor(np.eye(3))
-        sharp = infonce(a, a, tau=0.1)
-        soft = infonce(a, a, tau=10.0)
-        assert sharp.item() < soft.item()
+        a = np.eye(3)
+        assert nce(a, a, tau=0.1) < nce(a, a, tau=10.0)
 
     def test_scale_invariance_of_cosine(self, rng):
-        a = Tensor(rng.normal(size=(3, 5)))
-        b = Tensor(rng.normal(size=(3, 5)))
-        scaled = Tensor(7.0 * b.data)
-        assert infonce(a, b).item() == pytest.approx(infonce(a, scaled).item(),
-                                                     abs=1e-6)
+        a = rng.normal(size=(3, 5))
+        b = rng.normal(size=(3, 5))
+        assert nce(a, b) == pytest.approx(nce(a, 7.0 * b), abs=1e-6)
 
     def test_small_batch_fatal(self):
-        one = Tensor(np.ones((1, 3)))
+        one = np.ones((1, 3))
         with pytest.raises(ShapeError, match="batch"):
             infonce(one, one)
         with pytest.raises(ShapeError, match="mismatch"):
-            infonce(Tensor(np.ones((2, 3))), one)
+            infonce(np.ones((2, 3)), one)
 
     def test_gradient_flows_to_inputs(self):
-        a = Tensor(np.eye(3) + 0.1, requires_grad=True)
-        b = Tensor(np.eye(3) + 0.1, requires_grad=True)
-        loss = infonce(a, b)
-        loss.backward()
-        assert all(t.grad is not None and np.isfinite(t.grad).all() for t in (a, b))
-        assert np.abs(a.grad).max() > 0 and np.abs(b.grad).max() > 0
+        a = np.eye(3) + 0.1
+        _, d_a, d_b = infonce(a, a.copy())
+        assert all(np.isfinite(g).all() and np.abs(g).max() > 0 for g in (d_a, d_b))
 
     def test_hard_positive_keeps_gradient_at_small_tau(self):
         # each positive has cosine 0.4 and its negative cosine 1.0: at
         # tau = 0.02 the positive trails by a logit gap of 30, where a loss
         # clamped at probability 1e-12 reads 27.63 with an all-zero gradient
         far = np.array([0.4, np.sqrt(0.84)])
-        a = Tensor(np.vstack([np.eye(1, 2)[0], far]), requires_grad=True)
-        b = Tensor(np.vstack([far, np.eye(1, 2)[0]]), requires_grad=True)
-        loss = infonce(a, b, tau=0.02)
-        loss.backward()
-        assert loss.item() == pytest.approx(30.0, abs=1e-9)
-        for t in (a, b):
-            assert (np.abs(t.grad).max(axis=1) > 1.0).all()
+        a = np.vstack([np.eye(1, 2)[0], far])
+        b = np.vstack([far, np.eye(1, 2)[0]])
+        loss, *grads = infonce(a, b, tau=0.02)
+        assert float(loss) == pytest.approx(30.0, abs=1e-9)
+        for g in grads:
+            assert (np.abs(g).max(axis=1) > 1.0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tau, weight", [(1.0, 1.0), (0.3, 0.1), (2.0, 0.7)])
+    def test_bytes_equal_reference_tape(self, rng, dtype, tau, weight):
+        """Loss and weighted gradients equal, byte for byte, those of the
+        reference tape with `weight` as the upstream gradient."""
+        a, b = (rng.normal(size=(5, 6)).astype(dtype) for _ in range(2))
+        loss, d_a, d_b = infonce(a, b, tau=tau, weight=weight)
+        ta, tb = (ops.Tensor(x, requires_grad=True) for x in (a, b))
+        ops.mul(oracles.infonce(ta, tb, tau=tau), weight).backward()
+        assert loss.tobytes() == oracles.infonce(ta, tb, tau=tau).data.tobytes()
+        for got, want in ((d_a, ta.grad), (d_b, tb.grad)):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+    def test_grad_check(self, rng):
+        a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        _, d_a, d_b = infonce(a, b, tau=0.5, weight=2.0)
+        for x, got in ((a, d_a), (b, d_b)):
+            numeric = np.zeros_like(x)
+            for i in np.ndindex(x.shape):
+                orig = x[i]
+                x[i] = orig + 1e-6
+                hi = nce(a, b, tau=0.5)
+                x[i] = orig - 1e-6
+                lo = nce(a, b, tau=0.5)
+                x[i] = orig
+                numeric[i] = 2.0 * (hi - lo) / 2e-6
+            assert np.allclose(got, numeric, rtol=0, atol=1e-6)
+
+    def test_zero_row_keeps_a_finite_gradient(self):
+        """A row of norm 0 is clamped: it passes the gradient of x / 1e-12
+        and none through its norm (the tape's was NaN)."""
+        a = np.array([[0.0, 0.0], [1.0, 0.5]])
+        b = np.array([[0.3, 1.0], [1.0, 0.0]])
+        loss, d_a, d_b = infonce(a, b)
+        assert np.isfinite(float(loss)) and np.isfinite(d_a).all() and np.isfinite(d_b).all()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from poirec import autodiff as ad
-from poirec.autodiff import Adam, ShapeError, Tensor
+from poirec.autodiff import Adam, ShapeError
 import oracles
 import ops
+from ops import Tensor
 from gradcheck import grad_check
 
 
@@ -36,22 +36,22 @@ class TestForwardValues:
 
     def test_matmul_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 4\)"):
-            ad.matmul(randt((3, 4)), randt((3, 4)))
+            ops.matmul(randt((3, 4)), randt((3, 4)))
 
     def test_cross_entropy_uniform(self):
-        loss = ad.log_softmax_nll(Tensor(np.zeros((1, 100))), [7])
+        loss = ops.log_softmax_nll(Tensor(np.zeros((1, 100))), [7])
         assert loss.item() == pytest.approx(np.log(100))
 
     def test_reductions_accumulate_in_64_bit(self):
         x = Tensor(np.full(10_000, 0.1, dtype=np.float32))
-        assert ad.tsum(x).item() == pytest.approx(1000.0, rel=1e-6)
+        assert ops.tsum(x).item() == pytest.approx(1000.0, rel=1e-6)
 
 
 class TestGradients:
     def test_square_at_three(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
-        report = grad_check(lambda: ad.tsum(ad.mul(x, x)), {"x": x}, eps=1e-6)
-        y = ad.tsum(ad.mul(x, x))
+        report = grad_check(lambda: ops.tsum(ops.mul(x, x)), {"x": x}, eps=1e-6)
+        y = ops.tsum(ops.mul(x, x))
         y.backward()
         assert x.grad[0] == pytest.approx(6.0)
         assert report["x"] < 1e-6
@@ -59,39 +59,39 @@ class TestGradients:
     def test_matmul_against_finite_differences(self):
         a = randt((3, 4), seed=0)
         b = randt((4, 2), seed=1)
-        report = grad_check(lambda: ad.tsum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
+        report = grad_check(lambda: ops.tsum(ops.mul(ops.matmul(a, b), ops.matmul(a, b))),
                                {"a": a, "b": b})
         assert max(report.values()) < 1e-4
 
     def test_softmax_first_entry(self):
         x = randt((1, 5), seed=2)
         first = Tensor(np.eye(1, 5))
-        report = grad_check(lambda: ad.tsum(ad.mul(ops.row_softmax(x), first)),
+        report = grad_check(lambda: ops.tsum(ops.mul(ops.row_softmax(x), first)),
                                {"x": x})
         assert report["x"] < 1e-4
 
     def test_fan_out_sums_adjoints(self):
         # diamond: y = f(x) used by two branches whose sum is the output
         x = Tensor(np.array([2.0]), requires_grad=True)
-        h = ad.mul(x, x)
-        out = ad.tsum(ad.add(ad.mul(h, 3.0), ad.mul(h, 5.0)))
+        h = ops.mul(x, x)
+        out = ops.tsum(ops.add(ops.mul(h, 3.0), ops.mul(h, 5.0)))
         out.backward()
         assert x.grad[0] == pytest.approx(8 * 2 * 2.0)  # d/dx 8x^2 = 16x
 
     @pytest.mark.parametrize("op", [
         lambda t: ops.exp(t),
-        lambda t: ad.log_softmax_nll(t, [0, 2, 1, 2]),
-        lambda t: ad.sqrt(ad.add(ad.mul(t, t), 1.0)),
+        lambda t: ops.log_softmax_nll(t, [0, 2, 1, 2]),
+        lambda t: ops.sqrt(ops.add(ops.mul(t, t), 1.0)),
         lambda t: ops.row_softmax(t),
         lambda t: ops.tmean(t, axis=0, keepdims=True),
-        lambda t: ad.concat([t, t], axis=1),
+        lambda t: ops.concat([t, t], axis=1),
         lambda t: ops.reshape(t, (1, -1)),
         lambda t: t.T,
     ])
     def test_each_op_passes_grad_check(self, op):
         t = randt((4, 3), seed=7, scale=0.5)
         weights = Tensor(np.random.default_rng(9).normal(size=op(t).shape))
-        report = grad_check(lambda: ad.tsum(ad.mul(op(t), weights)), {"t": t})
+        report = grad_check(lambda: ops.tsum(ops.mul(op(t), weights)), {"t": t})
         assert report["t"] < 1e-4
 
     def test_gather_scatter_pick_grads(self):
@@ -100,9 +100,9 @@ class TestGradients:
         picked[[1, 3], [0, 2]] = 1.0
 
         def f():
-            g = ad.gather_rows(table, [0, 2, 2, 4])
+            g = ops.gather_rows(table, [0, 2, 2, 4])
             s = ops.gather_sum(g, [[0, 1, 2], [9, 10, 11]], np.full((2, 3), 0.5))
-            return ad.tsum(ad.mul(s, s)) + ad.tsum(ad.mul(table, picked))
+            return ops.tsum(ops.mul(s, s)) + ops.tsum(ops.mul(table, picked))
 
         report = grad_check(f, {"table": table})
         assert report["table"] < 1e-4
@@ -116,7 +116,7 @@ class TestGradients:
 
         probe = Tensor(np.random.default_rng(11).normal(size=expected.shape))
         report = grad_check(
-            lambda: ad.tsum(ad.mul(ops.gather_sum(table, idx, w), probe)), {"table": table})
+            lambda: ops.tsum(ops.mul(ops.gather_sum(table, idx, w), probe)), {"table": table})
         assert report["table"] < 1e-4
 
     def test_cosine_and_infonce_style_grads(self):
@@ -135,22 +135,22 @@ GATHER_W = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])
 
 # (operand shape of the constant c, op applied to the parameter x (4, 3) and c)
 CONSTANT_OPERAND_CASES = {
-    "add": ((4, 3), lambda x, c: ad.add(c, x)),
-    "add-broadcast": ((1, 3), lambda x, c: ad.add(x, c)),
-    "mul": ((4, 3), lambda x, c: ad.mul(c, x)),
-    "mul-scalar": ((), lambda x, c: ad.mul(x, c)),
-    "matmul-right": ((3, 2), lambda x, c: ad.matmul(x, c)),
-    "matmul-left": ((2, 4), lambda x, c: ad.matmul(c, x)),
-    "matmul-stacked": ((2, 5, 4), lambda x, c: ad.matmul(c, x)),
-    "concat": ((2, 3), lambda x, c: ad.concat([c, x, c], axis=0)),
-    "gather_rows": ((5, 3), lambda x, c: ad.add(ad.gather_rows(c, [0, 4, 4, 1]),
-                                                 ad.gather_rows(x, [1, 1, 3, 0]))),
-    "gather_sum": ((4, 3), lambda x, c: ad.mul(ops.gather_sum(c, GATHER_IDX, GATHER_W),
+    "add": ((4, 3), lambda x, c: ops.add(c, x)),
+    "add-broadcast": ((1, 3), lambda x, c: ops.add(x, c)),
+    "mul": ((4, 3), lambda x, c: ops.mul(c, x)),
+    "mul-scalar": ((), lambda x, c: ops.mul(x, c)),
+    "matmul-right": ((3, 2), lambda x, c: ops.matmul(x, c)),
+    "matmul-left": ((2, 4), lambda x, c: ops.matmul(c, x)),
+    "matmul-stacked": ((2, 5, 4), lambda x, c: ops.matmul(c, x)),
+    "concat": ((2, 3), lambda x, c: ops.concat([c, x, c], axis=0)),
+    "gather_rows": ((5, 3), lambda x, c: ops.add(ops.gather_rows(c, [0, 4, 4, 1]),
+                                                 ops.gather_rows(x, [1, 1, 3, 0]))),
+    "gather_sum": ((4, 3), lambda x, c: ops.mul(ops.gather_sum(c, GATHER_IDX, GATHER_W),
                                                ops.gather_sum(x, GATHER_IDX, GATHER_W))),
-    "tsum": ((4, 3), lambda x, c: ad.add(ad.tsum(c, axis=0), ad.tsum(x, axis=0))),
-    "row_softmax": ((4, 3), lambda x, c: ad.mul(ops.row_softmax(c), x)),
-    "log_softmax_nll": ((4, 3), lambda x, c: ad.add(ad.log_softmax_nll(c, [0, 2, 1, 2]),
-                                                    ad.log_softmax_nll(x, [1, 0, 0, 2]))),
+    "tsum": ((4, 3), lambda x, c: ops.add(ops.tsum(c, axis=0), ops.tsum(x, axis=0))),
+    "row_softmax": ((4, 3), lambda x, c: ops.mul(ops.row_softmax(c), x)),
+    "log_softmax_nll": ((4, 3), lambda x, c: ops.add(ops.log_softmax_nll(c, [0, 2, 1, 2]),
+                                                    ops.log_softmax_nll(x, [1, 0, 0, 2]))),
 }
 
 
@@ -162,7 +162,7 @@ class TestConstantOperands:
         probe = Tensor(np.random.default_rng(2).normal(size=op(randt((4, 3)), Tensor(c_data)).shape))
 
         def loss(x, c):
-            return ad.tsum(ad.mul(op(x, c), probe))
+            return ops.tsum(ops.mul(op(x, c), probe))
 
         x, c = randt((4, 3), seed=3), Tensor(c_data)
         loss(x, c).backward()
@@ -184,7 +184,7 @@ class TestL2Penalty:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_one_node_with_gradient_two_gamma_theta(self, dtype):
         params, gamma = self.params(dtype), 1e-3
-        out = ad.l2_penalty(params, gamma)
+        out = ops.l2_penalty(params, gamma)
         assert out.dtype == dtype and out._parents == tuple(params)
         squares = sum(float((p.data.astype(np.float64) ** 2).sum()) for p in params)
         assert out.item() == pytest.approx(gamma * squares, rel=1e-12 if dtype == np.float64
@@ -195,20 +195,20 @@ class TestL2Penalty:
 
     def test_against_finite_differences(self):
         params = self.params(np.float64)
-        report = grad_check(lambda: ad.mul(ad.l2_penalty(params, 0.3), 2.5),
+        report = grad_check(lambda: ops.mul(ops.l2_penalty(params, 0.3), 2.5),
                             {str(i): p for i, p in enumerate(params)})
         assert max(report.values()) < 1e-4
 
     def test_records_no_graph_under_no_grad(self):
-        with ad.no_grad():
-            assert ad.l2_penalty(self.params(np.float64), 0.5)._parents == ()
+        with ops.no_grad():
+            assert ops.l2_penalty(self.params(np.float64), 0.5)._parents == ()
 
 
 class TestStackedMatmul:
     @pytest.mark.parametrize("b_shape", [(4, 2), (3, 4, 2)], ids=["shared", "per-item"])
     def test_each_item_is_its_2d_product(self, b_shape):
         a, b = randt((3, 5, 4), seed=0), randt(b_shape, seed=1)
-        out = ad.matmul(a, b).data
+        out = ops.matmul(a, b).data
         for i in range(3):
             b_i = b.data if b.data.ndim == 2 else b.data[i]
             assert np.allclose(out[i], a.data[i] @ b_i, rtol=0, atol=1e-12)
@@ -217,7 +217,7 @@ class TestStackedMatmul:
     def test_against_finite_differences(self, b_shape):
         a, b = randt((3, 5, 4), seed=2), randt(b_shape, seed=3)
         probe = Tensor(np.random.default_rng(4).normal(size=(3, 5, 2)))
-        report = grad_check(lambda: ad.tsum(ad.mul(ad.matmul(a, b), probe)),
+        report = grad_check(lambda: ops.tsum(ops.mul(ops.matmul(a, b), probe)),
                                {"a": a, "b": b})
         assert max(report.values()) < 1e-4
 
@@ -225,7 +225,7 @@ class TestStackedMatmul:
         a = randt((2, 3, 4), seed=5)
         assert np.array_equal(a.T.data, np.swapaxes(a.data, 1, 2))
         probe = Tensor(np.random.default_rng(6).normal(size=(2, 4, 3)))
-        report = grad_check(lambda: ad.tsum(ad.mul(a.T, probe)), {"a": a})
+        report = grad_check(lambda: ops.tsum(ops.mul(a.T, probe)), {"a": a})
         assert report["a"] < 1e-4
 
     @pytest.mark.parametrize("a_shape,b_shape", [
@@ -234,50 +234,50 @@ class TestStackedMatmul:
     ])
     def test_shape_errors(self, a_shape, b_shape):
         with pytest.raises(ShapeError, match="matmul shape mismatch"):
-            ad.matmul(randt(a_shape), randt(b_shape))
+            ops.matmul(randt(a_shape), randt(b_shape))
 
 
 class TestNoGrad:
     def test_records_no_graph(self):
         a, b = randt((2, 3, 4), seed=0), randt((4, 2), seed=1)
-        with ad.no_grad():
-            out = ad.tsum(ops.row_softmax(ad.matmul(a, b)))
+        with ops.no_grad():
+            out = ops.tsum(ops.row_softmax(ops.matmul(a, b)))
         assert out._parents == () and out._backward is None
         assert not out.requires_grad
         # the same ops outside the block record their parents again
-        assert ad.tsum(ad.matmul(a, b))._parents
+        assert ops.tsum(ops.matmul(a, b))._parents
 
     def test_values_equal_recorded_ops(self):
         a, b = randt((2, 3, 4), seed=2), randt((2, 4, 3), seed=3)
-        with ad.no_grad():
-            quiet = ops.row_softmax(ad.matmul(a, b)).data
-        assert np.array_equal(quiet, ops.row_softmax(ad.matmul(a, b)).data)
+        with ops.no_grad():
+            quiet = ops.row_softmax(ops.matmul(a, b)).data
+        assert np.array_equal(quiet, ops.row_softmax(ops.matmul(a, b)).data)
 
     def test_mode_restored_after_an_error(self):
         a = randt((2, 2))
         with pytest.raises(ShapeError):
-            with ad.no_grad():
-                ad.matmul(a, randt((3, 3)))
-        assert ad.mul(a, 2.0)._parents
+            with ops.no_grad():
+                ops.matmul(a, randt((3, 3)))
+        assert ops.mul(a, 2.0)._parents
 
     def test_nested_blocks_restore_the_outer_mode(self):
         a = randt((2, 2))
-        with ad.no_grad():
-            with ad.no_grad():
+        with ops.no_grad():
+            with ops.no_grad():
                 pass
-            assert ad.mul(a, 2.0)._parents == ()
-        assert ad.mul(a, 2.0)._parents
+            assert ops.mul(a, 2.0)._parents == ()
+        assert ops.mul(a, 2.0)._parents
 
 
 class TestLogSoftmaxNll:
     def test_grad_check_float64(self):
         x = randt((4, 6), seed=12, scale=2.0)
-        report = grad_check(lambda: ad.log_softmax_nll(x, [0, 5, 2, 5]), {"x": x})
+        report = grad_check(lambda: ops.log_softmax_nll(x, [0, 5, 2, 5]), {"x": x})
         assert report["x"] < 1e-4
 
     def test_gradient_is_softmax_minus_onehot_over_batch(self):
         x = randt((3, 4), seed=13)
-        ad.log_softmax_nll(x, [1, 0, 3]).backward()
+        ops.log_softmax_nll(x, [1, 0, 3]).backward()
         expected = ops.row_softmax(Tensor(x.data)).data - np.eye(4)[[1, 0, 3]]
         assert np.allclose(x.grad, expected / 3, atol=1e-12)
 
@@ -286,7 +286,7 @@ class TestLogSoftmaxNll:
         logits = np.random.default_rng(14).normal(0, 3, size=(6, 9)).astype(dtype)
         targets = [0, 8, 3, 3, 5, 1]
         tol = 1e-12 if dtype == np.float64 else 1e-5
-        loss = ad.log_softmax_nll(Tensor(logits), targets)
+        loss = ops.log_softmax_nll(Tensor(logits), targets)
         assert loss.dtype == dtype
         assert loss.item() == pytest.approx(oracles.softmax_nll(logits, targets), abs=tol)
 
@@ -294,7 +294,7 @@ class TestLogSoftmaxNll:
         # the target trails the best logit by 30: softmax gives e^-30, below
         # the old 1e-12 probability floor, which passed a zero gradient
         x = Tensor(np.array([[30.0, 0.0, 0.0]]), requires_grad=True)
-        loss = ad.log_softmax_nll(x, [1])
+        loss = ops.log_softmax_nll(x, [1])
         loss.backward()
         assert oracles.softmax_nll(x.data, [1]) == pytest.approx(-np.log(1e-12))
         assert loss.item() == pytest.approx(30.0, abs=1e-9)
@@ -303,11 +303,11 @@ class TestLogSoftmaxNll:
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError, match="log_softmax_nll"):
-            ad.log_softmax_nll(randt((5,)), [0])
+            ops.log_softmax_nll(randt((5,)), [0])
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3,\)"):
-            ad.log_softmax_nll(randt((2, 3)), [0, 1, 2])
+            ops.log_softmax_nll(randt((2, 3)), [0, 1, 2])
         with pytest.raises(ShapeError):
-            ad.log_softmax_nll(randt((2, 3)), [[0], [1]])
+            ops.log_softmax_nll(randt((2, 3)), [[0], [1]])
 
 
 class TestAdam:

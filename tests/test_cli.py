@@ -448,6 +448,21 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--data", str(data_dir), "--checkpoint", str(ckpt)]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("split_name", ["val", "test"])
+    def test_evaluate_on_an_empty_split_exit_3(self, tmp_path, capsys, monkeypatch,
+                                               split_name):
+        split = markov_dataset(n_pois=12, n_traj=25, traj_len=5, seed=2)
+        setattr(split, split_name, [])
+        save_split(split, tmp_path / "data")
+        # refused before the checkpoint is read or any trainer is built
+        monkeypatch.setattr(training.Trainer, "from_checkpoint",
+                            lambda *a: pytest.fail("built a trainer"))
+        code = main(["evaluate", "--data", str(tmp_path / "data"), "--checkpoint",
+                     str(tmp_path / "run" / "checkpoint.bin"), "--split", split_name])
+        assert code == 3
+        assert (f"error: the {split_name} split of {tmp_path / 'data'} has no pairs to "
+                f"evaluate" in capsys.readouterr().err)
+
     @pytest.mark.parametrize("change, message", [
         ("drop", "record names POI 'p000', which is not in the catalog"),
         ("repeat", "catalog.jsonl:2: POI 'p000' is listed twice"),
@@ -564,6 +579,22 @@ class TestTrainEvaluate:
         assert (f"error: {cfg}:4: config key 'd' is set twice, on lines 1 and 4"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("d = 8\nlam 0.1\n", 2, "bad config line (want key=value): 'lam 0.1'"),
+        ("d = 8\n\ndimension = 8\n", 3, "unknown config key 'dimension'; valid keys: ["),
+        ("# width\nd = eight\n", 2, "bad int 'eight' for d"),
+        ("lam = 0.1\ngamma = 1e-3x\n", 2, "bad float '1e-3x' for gamma"),
+        ("all_prefix = ture\n", 1, "bad boolean 'ture' for all_prefix"),
+    ], ids=["no-equals", "unknown-key", "bad-int", "bad-float", "bad-bool"])
+    def test_config_line_error_names_file_and_line(self, data_dir, tmp_path, capsys, text,
+                                                   lineno, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        code = main(["build-graphs", "--data", str(data_dir), "--out", str(tmp_path / "g"),
+                     "--config", str(cfg)])
+        assert code == 3
+        assert f"error: {cfg}:{lineno}: {message}" in capsys.readouterr().err
+
     def test_train_from_scratch_flag(self, data_dir, tmp_path):
         run = tmp_path / "scratch"
         code = main(["train", "--data", str(data_dir), "--out", str(run),
@@ -663,6 +694,18 @@ class TestSweepAndDebug:
                      "--data", str(data_dir)])
         assert code == 3
         assert "cannot sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, message", [
+        ("8,abc", "bad int 'abc' for d"),
+        ("8,0", "config key 'd' of value 0, outside its range [1, inf)"),
+    ], ids=["not-an-int", "out-of-range"])
+    def test_bad_sweep_value_refused_before_any_run(self, data_dir, capsys, values, message):
+        code = main(["sweep", "--param", "d", "--values", values, "--data", str(data_dir),
+                     "--from-scratch", "--epochs", "1"] + TINY)
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert "d=8:" not in out
+        assert f"error: {message}" in err
 
     def test_sweep_over_lambda(self, data_dir, capsys):
         code = main(["sweep", "--param", "lam", "--values", "0.0,0.1",

@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from poirec import autodiff as ad
 from poirec import encoder
-from poirec.autodiff import NumericError, Tensor
+from poirec.autodiff import NumericError, ShapeError
 from poirec.data import Poi, catalog_rows
 from poirec.encoder import (DistanceBins, GsanModel, attention_softmax, fit_distance_bins,
-                            stack_graphs)
+                            log_softmax_nll, stack_graphs)
 from poirec.graphs import (TrajectoryGraph, build_global_temporal,
                            build_trajectory_graph, haversine)
+from poirec.training import BatchLoss
 from gradcheck import grad_check
 from oracles import (MASTER, add_master_node, category_bias, category_pair,
                      locate_scalar, master_paths, path_pair_indices)
 import oracles
 import ops
+from ops import Tensor
 from conftest import (augmented_graphs, builder_plans, category_vocab, make_traj, row_coords,
                       stacks, traj_graph)
 
@@ -56,6 +57,12 @@ def plan_of(model, mg):
 def encode(model, mg):
     """s_u (1, d) of one graph through the encoder forward."""
     return model.encode_plans([plan_of(model, mg)])
+
+
+def rec_loss(model, plans, targets):
+    """The catalog loss of `plans` against the catalog rows `targets`: a
+    `BatchLoss` without views and penalty."""
+    return BatchLoss(model, plans, targets, lam=0.0, tau=1.0, gamma=0.0)
 
 
 def features(model, mg):
@@ -287,7 +294,7 @@ class TestCategoryIndex:
     def test_hop_rows(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
         hop_idx = plan_of(model, mg).bias_idx[0]
-        assert model.params["b_spd"].shape == (4, 1)
+        assert model.params["b_spd"].data.shape == (4, 1)
         assert (hop_idx[:-1, :-1] == mg.hops[:-1, :-1]).all()
         assert (hop_idx[-1] == 3).all() and (hop_idx[:, -1] == 3).all()
 
@@ -350,9 +357,9 @@ class TestAttention:
         x = features(model, mg)
         n = len(mg.nodes)
         bias = Tensor(rng.uniform(-50, 50, size=(n, n)))
-        q = ad.matmul(x, model.params["l0.h0.wq"])
-        k = ad.matmul(x, model.params["l0.h0.wk"])
-        scores = ad.mul(ad.matmul(q, k.T), 1 / math.sqrt(tiny_config.d)) + bias
+        q = ops.matmul(x, model.params["l0.h0.wq"])
+        k = ops.matmul(x, model.params["l0.h0.wk"])
+        scores = ops.mul(ops.matmul(q, k.T), 1 / math.sqrt(tiny_config.d)) + bias
         attn = attention_softmax(scores.data)
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-6)
 
@@ -362,9 +369,9 @@ class TestAttention:
         bias = np.zeros((n, n))
         bias[0, 3] = 1e9
         x = features(model, mg)
-        q = ad.matmul(x, model.params["l0.h0.wq"])
-        k = ad.matmul(x, model.params["l0.h0.wk"])
-        scores = ad.mul(ad.matmul(q, k.T), 1 / math.sqrt(tiny_config.d)) + Tensor(bias)
+        q = ops.matmul(x, model.params["l0.h0.wq"])
+        k = ops.matmul(x, model.params["l0.h0.wk"])
+        scores = ops.mul(ops.matmul(q, k.T), 1 / math.sqrt(tiny_config.d)) + Tensor(bias)
         attn = attention_softmax(scores.data)
         assert attn[0, 3] == pytest.approx(1.0)
 
@@ -372,15 +379,15 @@ class TestAttention:
         model, mg, _ = small_model(tiny_config)
         x = features(model, mg)
         bias = plan_bias(model, mg)
-        q = ad.matmul(x, model.params["l0.h0.wq"])
-        k = ad.matmul(x, model.params["l0.h0.wk"])
-        scores = ad.mul(ad.matmul(q, k.T), 1 / math.sqrt(tiny_config.d)) + bias
+        q = ops.matmul(x, model.params["l0.h0.wq"])
+        k = ops.matmul(x, model.params["l0.h0.wk"])
+        scores = ops.mul(ops.matmul(q, k.T), 1 / math.sqrt(tiny_config.d)) + bias
         assert (attention_softmax(scores.data) > 0).all()
 
     def test_matches_dense_oracle(self, tiny_config):
         model, mg, _ = small_model(tiny_config, seq=("p0", "p1", "p2"))
         cfg = tiny_config
-        s_u = encode(model, mg).data
+        s_u = encode(model, mg)
 
         # independent dense-matrix oracle over the full biased-attention eq.
         P = model.params["poi_table"].data
@@ -425,18 +432,18 @@ class TestReadoutAndPrediction:
         feats = features(model2, mg2)
         bias = plan_bias(model2, mg2)
         updated = oracles.stacked_attention(model2, feats, bias, 0).data
-        assert np.allclose(x.data[0], updated[-1], atol=1e-9)
+        assert np.allclose(x[0], updated[-1], atol=1e-9)
 
         w2 = np.zeros((2 * d, d))
         w2[d:, :] = np.eye(d)
         model.params["w_s"].data = w2
         x2 = encode(model, mg)
         last = mg.base.nodes.index(mg.base.last_node)
-        assert np.allclose(x2.data[0], updated[last], atol=1e-9)
+        assert np.allclose(x2[0], updated[last], atol=1e-9)
 
     def test_zero_s_u_gives_uniform_prediction(self, tiny_config):
         model, _, catalog = small_model(tiny_config)
-        logits = model.predict(Tensor(np.zeros((1, tiny_config.d))))
+        logits = model.predict(np.zeros((1, tiny_config.d)))
         assert np.allclose(ops.row_softmax(logits).data, 1.0 / len(catalog))
 
     def test_aligned_one_hot_rows_saturate(self, tiny_config):
@@ -447,7 +454,7 @@ class TestReadoutAndPrediction:
         model.params["poi_table"].data = table
         s_u = np.zeros((1, d))
         s_u[0, 0] = 1.0
-        probs = ops.row_softmax(model.predict(Tensor(s_u))).data
+        probs = ops.row_softmax(model.predict(s_u)).data
         assert probs[0, 3] == pytest.approx(1.0)
 
     def test_prediction_is_distribution(self, tiny_config, rng):
@@ -458,7 +465,7 @@ class TestReadoutAndPrediction:
 
     def test_scaling_s_u_preserves_ranking(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
-        s_u = encode(model, mg).data
+        s_u = encode(model, mg)
         logits1 = (s_u @ model.params["poi_table"].data.T)[0]
         logits2 = (3.0 * s_u @ model.params["poi_table"].data.T)[0]
         assert list(np.argsort(-logits1)) == list(np.argsort(-logits2))
@@ -468,15 +475,15 @@ class TestReadoutAndPrediction:
         # logits whose softmax is one-hot on p2, and uniform logits
         sure = np.zeros((1, 6))
         sure[0, 2] = 100.0  # p2 is catalog row 2
-        loss = model.rec_loss(Tensor(sure), [2])
-        assert loss.item() == pytest.approx(0.0, abs=1e-9)
+        loss, _ = log_softmax_nll(sure, [2])
+        assert float(loss) == pytest.approx(0.0, abs=1e-9)
 
         uniform = np.zeros((1, 6))
-        loss_u = model.rec_loss(Tensor(uniform), [0])
-        assert loss_u.item() == pytest.approx(np.log(6))
+        loss_u, _ = log_softmax_nll(uniform, [0])
+        assert float(loss_u) == pytest.approx(np.log(6))
 
-        both = model.rec_loss(Tensor(np.concatenate([sure, uniform])), [2, 0])
-        assert both.item() == pytest.approx(np.log(6) / 2)
+        both, _ = log_softmax_nll(np.concatenate([sure, uniform]), [2, 0])
+        assert float(both) == pytest.approx(np.log(6) / 2)
 
     def test_rec_loss_hard_target_keeps_gradient(self, tiny_config):
         # p0 trails the best POI by a logit gap of 30; a loss clamped at
@@ -486,13 +493,31 @@ class TestReadoutAndPrediction:
         table = np.zeros((6, d))
         table[3, 0] = 30.0  # p3 is catalog row 3
         model.params["poi_table"].data = table
-        s_u = Tensor(np.eye(1, d), requires_grad=True)
-        loss = model.rec_loss(model.predict(s_u), [0])
-        loss.backward()
-        assert loss.item() == pytest.approx(30.0, abs=1e-9)
-        assert s_u.grad[0, 0] == pytest.approx(30.0, abs=1e-9)
-        grad = model.params["poi_table"].grad
-        assert grad[3, 0] == pytest.approx(1.0, abs=1e-9)
+        s_u = np.eye(1, d)
+        loss, d_logits = log_softmax_nll(model.predict(s_u), [0])
+        assert float(loss) == pytest.approx(30.0, abs=1e-9)
+        assert (d_logits @ table)[0, 0] == pytest.approx(30.0, abs=1e-9)  # of s_u
+        assert (d_logits.T @ s_u)[3, 0] == pytest.approx(1.0, abs=1e-9)  # of poi_table
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight", [1.0, 0.1, 3.0])
+    def test_log_softmax_nll_bytes_equal_reference_tape(self, dtype, weight):
+        """Loss and weighted gradient equal, byte for byte, those of the
+        reference op with `weight` as the upstream gradient."""
+        logits = np.random.default_rng(9).normal(0, 3, size=(5, 7)).astype(dtype)
+        targets = [0, 6, 2, 2, 4]
+        loss, grad = log_softmax_nll(logits, targets, weight)
+        ref = Tensor(logits, requires_grad=True)
+        out = ops.log_softmax_nll(ref, targets)
+        ops.mul(out, weight).backward()
+        assert (loss.dtype, loss.tobytes()) == (out.data.dtype, out.data.tobytes())
+        assert (grad.dtype, grad.tobytes()) == (ref.grad.dtype, ref.grad.tobytes())
+
+    def test_log_softmax_nll_shape_errors(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3,\)"):
+            log_softmax_nll(np.zeros((2, 3)), [0, 1, 2])
+        with pytest.raises(ShapeError):
+            log_softmax_nll(np.zeros(3), [0])
 
 
 class TestGradients:
@@ -501,8 +526,7 @@ class TestGradients:
         model, mg, _ = small_model(cfg, seq=("p0", "p1", "p2", "p0"), n_pois=4)
 
         def f():
-            s_u = encode(model, mg)
-            return model.rec_loss(model.predict(s_u), [2])
+            return rec_loss(model, [plan_of(model, mg)], [2])
 
         report = grad_check(f, model.params)
         assert max(report.values()) < 1e-4, report
@@ -522,8 +546,7 @@ class TestEncodePlans:
             p.data *= 0.3  # keep the attention rows away from one-hot
         sizes = [len(mg.nodes) for mg in mgraphs]
         assert len(set(sizes)) > 3 and sizes != sorted(sizes)
-        s_u = model.encode_plans(builder_plans(model, [mg.base for mg in mgraphs],
-                                               coords)).data
+        s_u = model.encode_plans(builder_plans(model, [mg.base for mg in mgraphs], coords))
         expected = np.vstack([oracles.encode(model, mg).data for mg in mgraphs])
         assert s_u.shape == (len(mgraphs), cfg.d)
         assert np.allclose(s_u, expected, rtol=0, atol=1e-9)
@@ -533,7 +556,7 @@ class TestEncodePlans:
         for p in model.params.values():
             p.data *= 0.3
         order = rng.permutation(len(mgraphs))
-        s_u = model.encode_plans(builder_plans(model, [mgraphs[i].base for i in order])).data
+        s_u = model.encode_plans(builder_plans(model, [mgraphs[i].base for i in order]))
         for row, i in zip(s_u, order):
             assert np.allclose(row, oracles.encode(model, mgraphs[i]).data[0],
                                rtol=0, atol=1e-9)
@@ -552,7 +575,7 @@ class TestEncodePlans:
         targets = [2, 0, 4, 1, 3]  # catalog rows of p2, p0, p4, p1, p3
 
         def f():
-            return model.rec_loss(model.predict(model.encode_plans(plans)), targets)
+            return rec_loss(model, plans, targets)
 
         report = grad_check(f, model.params)
         assert max(report.values()) < 1e-4, report
@@ -560,11 +583,10 @@ class TestEncodePlans:
     def test_plan_holds_no_parameters(self, tiny_config):
         model, mg, _ = small_model(tiny_config)
         plan = plan_of(model, mg)
-        before = model.encode_plans([plan]).data.copy()
+        before = model.encode_plans([plan]).copy()
         model.params["poi_table"].data += 1.0
-        assert not np.allclose(model.encode_plans([plan]).data, before)
-        assert np.allclose(model.encode_plans([plan]).data, encode(model, mg).data,
-                           rtol=0, atol=0)
+        assert not np.allclose(model.encode_plans([plan]), before)
+        assert np.array_equal(model.encode_plans([plan]), encode(model, mg))
         assert plan.bias_idx.dtype == np.int32
         assert plan.bias_w.dtype == model.dtype
         assert plan.poi_rows.tolist() == mg.base.nodes
@@ -679,9 +701,9 @@ class TestPlanBuilder:
 
 
 class TestFusedEncoder:
-    """`encode_plans` is one tape node: its forward equals the per-op
-    reference (`oracles.stacked_encode`) byte for byte, and its hand-written
-    backward that reference's tape."""
+    """`encode_plans` is one pass: its forward equals the per-op reference
+    (`oracles.stacked_encode`) byte for byte, and its hand-written backward
+    that reference's tape."""
 
     CATS = TestBiasMatrixOracle.CATS
     # node counts 5, 3, 2, 5, 3, 5: groups of 3, 2 and 1 graphs, interleaved
@@ -708,7 +730,7 @@ class TestFusedEncoder:
         model = GsanModel(catalog, gt, category_vocab(graphs[::2], self.CATS), bins, cfg,
                           rng, dtype=dtype)
         for p in model.params.values():
-            p.data[...] = rng.normal(scale=0.3, size=p.shape)
+            p.data[...] = rng.normal(scale=0.3, size=p.data.shape)
         return model, builder_plans(model, graphs, coords)
 
     def test_groups_of_one_two_and_three_graphs(self, tiny_config):
@@ -721,7 +743,7 @@ class TestFusedEncoder:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_bytes_equal_per_op_reference(self, tiny_config, overrides, dtype):
         model, plans = self.build(tiny_config.override(**overrides), dtype)
-        got = model.encode_plans(plans).data
+        got = model.encode_plans(plans)
         want = oracles.stacked_encode(model, plans).data
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
@@ -729,18 +751,14 @@ class TestFusedEncoder:
     @pytest.mark.parametrize("overrides", SETTINGS, ids=SETTING_IDS)
     def test_backward_matches_per_op_tape(self, tiny_config, overrides):
         model, plans = self.build(tiny_config.override(**overrides), np.float64)
-        probe = Tensor(np.random.default_rng(7).normal(size=(len(plans), tiny_config.d)))
-
-        def grads(encode):
-            for p in model.params.values():
-                p.grad = None
-            ad.tsum(ad.mul(encode(plans), probe)).backward()
-            return {k: p.grad for k, p in model.params.items()}
-
-        got, want = grads(model.encode_plans), grads(lambda ps: oracles.stacked_encode(model, ps))
-        for name, grad in want.items():
+        probe = np.random.default_rng(7).normal(size=(len(plans), tiny_config.d))
+        _, cache = model.encode_plans(plans, keep=True)
+        got = model.backward(probe, cache, np.zeros_like(model.params["poi_table"].data))
+        ops.tsum(ops.mul(oracles.stacked_encode(model, plans), probe)).backward()
+        for name, p in model.params.items():
+            grad = p.grad
             if grad is None:  # cat_pairs and w_r without the category bias
-                assert got[name] is None, name
+                assert name not in got, name
                 continue
             assert np.abs(grad).max() > 0, name
             assert np.allclose(got[name], grad, rtol=0, atol=1e-9), name
@@ -751,29 +769,33 @@ class TestFusedEncoder:
         targets = [2, 0, 4, 1, 3, 5]
 
         def f():
-            return model.rec_loss(model.predict(model.encode_plans(plans)), targets)
+            return rec_loss(model, plans, targets)
 
         report = grad_check(f, model.params)
         assert max(report.values()) < 1e-4, report
 
     def test_parents_are_the_bias_table_and_encoder_parameters(self, tiny_config):
+        """The pass reads the encoder parameters and, through the bias
+        table, b_spd, b_dist and, with the category bias, cat_pairs and w_r:
+        `backward` gives a gradient to each of these and to no other."""
         for use_category_bias in (True, False):
             model, plans = self.build(tiny_config.override(use_category_bias=use_category_bias),
                                       np.float64)
-            s_u = model.encode_plans(plans)
-            table, *params = s_u._parents
-            assert table._parents  # the concatenated b_spd, b_dist (and cat_pairs @ w_r)
-            assert {id(p) for p in params} == {
-                id(p) for k, p in model.params.items()
-                if k not in ("b_spd", "b_dist", "cat_pairs", "w_r")}
+            s_u, cache = model.encode_plans(plans, keep=True)
+            poi_grad = np.zeros_like(model.params["poi_table"].data)
+            grads = model.backward(np.ones_like(s_u), cache, poi_grad)
+            unread = set() if use_category_bias else {"cat_pairs", "w_r"}
+            assert set(grads) == set(model.params) - unread
+            assert grads["poi_table"] is poi_grad
+            assert all(grads[k].shape == model.params[k].data.shape for k in grads)
 
-    def test_no_grad_result_has_no_parents(self, tiny_config, monkeypatch):
+    def test_unkept_pass_keeps_no_intermediates(self, tiny_config, monkeypatch):
         model, plans = self.build(tiny_config, np.float64)
-        with ad.no_grad(), monkeypatch.context() as m:
+        with monkeypatch.context() as m:
             m.setattr(encoder, "GroupCache", lambda *a: pytest.fail("kept intermediates"))
             s_u = model.encode_plans(plans)
-        assert s_u._parents == () and s_u._backward is None
-        assert s_u.data.tobytes() == model.encode_plans(plans).data.tobytes()
+        kept, _ = model.encode_plans(plans, keep=True)
+        assert s_u.tobytes() == kept.tobytes()
 
     def test_non_finite_softmax_output_fatal(self):
         with np.errstate(invalid="ignore"), pytest.raises(NumericError,

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from poirec import autodiff as ad
 from poirec import checkpoint, training
-from poirec.augment import infonce, make_views
-from poirec.autodiff import NumericError, Tensor
+from poirec.augment import make_views
+from poirec.autodiff import NumericError
 from poirec.checkpoint import (CheckpointError, load_checkpoint,
                                save_checkpoint)
 from poirec.config import RngHub, RunConfig, load_config, save_config
@@ -19,8 +18,9 @@ from poirec.data import DataError, catalog_rows
 from poirec.encoder import GsanModel
 from poirec.graphs import build_trajectory_graph
 from poirec.pretrain import EmbeddingTable
-from poirec.training import Trainer, pretrain_tables, total_loss
+from poirec.training import BatchLoss, Trainer, pretrain_tables
 import oracles
+import ops
 from oracles import add_master_node
 from synth import markov_dataset
 
@@ -28,10 +28,6 @@ from synth import markov_dataset
 @pytest.fixture(scope="module")
 def small_split():
     return markov_dataset(n_pois=12, n_traj=30, traj_len=6, seed=1)
-
-
-# nodes of `total_loss`'s tape for the first 8 samples of `small_trainer`
-PINNED_TAPE_NODES = 45
 
 
 def small_trainer(split, **overrides):
@@ -187,27 +183,31 @@ class TestCheckpointFile:
         assert leftovers == []
 
 
+def regularized_squares(model):
+    return sum(float((p.data.astype(np.float64) ** 2).sum())
+               for p in model.regularized().values())
+
+
 class TestTotalLoss:
     def test_weighted_sum_arithmetic(self, small_split):
-        tr = small_trainer(small_split, gamma=0.0)
-        rec = Tensor(np.array(2.0))
-        ssl = Tensor(np.array(0.5))
-        loss = total_loss(rec, ssl, tr.model, lam=0.1, gamma=0.0)
-        assert loss.item() == pytest.approx(2.05)
+        cfg = small_trainer(small_split).config.override(lam=0.1, gamma=1e-4)
+        tr = Trainer(small_split, cfg, dtype=np.float64)
+        loss = tr._batch_loss(tr.samples[:8])
+        assert loss.ssl > 0
+        assert loss.total == pytest.approx(
+            loss.rec + 0.1 * loss.ssl + 1e-4 * regularized_squares(tr.model), rel=1e-12)
 
     def test_lambda_zero_drops_ssl(self, small_split):
-        tr = small_trainer(small_split)
-        rec = Tensor(np.array(1.5))
-        loss = total_loss(rec, Tensor(np.array(99.0)), tr.model, lam=0.0, gamma=0.0)
-        assert loss.item() == pytest.approx(1.5)
+        tr = small_trainer(small_split, lam=0.0, gamma=0.0)
+        loss = tr._batch_loss(tr.samples[:8])
+        assert loss.ssl == 0.0 and loss.total == loss.rec
 
     def test_gamma_term_matches_manual_l2(self, small_split):
-        tr = small_trainer(small_split)
-        rec = Tensor(np.array(0.0))
-        loss = total_loss(rec, None, tr.model, lam=0.0, gamma=1e-3)
-        manual = sum(float((p.data.astype(np.float64) ** 2).sum())
-                     for p in tr.model.regularized().values())
-        assert loss.item() == pytest.approx(1e-3 * manual, rel=1e-5)
+        cfg = small_trainer(small_split).config.override(lam=0.0, gamma=1e-3)
+        tr = Trainer(small_split, cfg, dtype=np.float64)
+        loss = tr._batch_loss(tr.samples[:8])
+        assert loss.total - loss.rec == pytest.approx(1e-3 * regularized_squares(tr.model),
+                                                      rel=1e-9)
 
     def test_bias_scalars_not_regularized(self, small_split):
         tr = small_trainer(small_split)
@@ -216,64 +216,29 @@ class TestTotalLoss:
         assert "poi_table" in reg
 
     def test_l2_gradient_reaches_every_regularized_parameter(self, small_split):
-        # with the category bias off the encoder never reads cat_pairs and
-        # w_r, but the penalty still pulls them toward 0
-        cfg = small_trainer(small_split).config.override(use_category_bias=False)
+        """The penalty adds 2 * gamma * theta to the gradient of each
+        regularized parameter. With the category bias off the encoder never
+        reads cat_pairs and w_r: without the penalty they get no gradient,
+        with it they get the penalty's alone."""
+        cfg = small_trainer(small_split).config.override(use_category_bias=False, lam=0.0)
         tr, gamma = Trainer(small_split, cfg, dtype=np.float64), 1e-3
+        batch = tr.samples[:8]
+
+        def grads(gamma):
+            BatchLoss(tr.model, [s.plan for s in batch], [s.target for s in batch],
+                      0.0, 1.0, gamma).backward()
+            return {k: p.grad for k, p in tr.model.params.items()}
+
+        plain, penalized = grads(0.0), grads(gamma)
         reg = tr.model.regularized()
-        total_loss(Tensor(np.array(0.0)), None, tr.model, lam=0.0, gamma=gamma).backward()
-        for p in reg.values():
-            assert np.array_equal(p.grad, 2 * gamma * p.data)
-        rec, _ = tr._batch_loss(tr.samples[:8])
-        total_loss(rec, None, tr.model, lam=0.0, gamma=gamma).backward()
-        for name in ("cat_pairs", "w_r"):
-            assert np.array_equal(reg[name].grad, 2 * gamma * reg[name].data)
-
-
-def tape(loss):
-    """Every tensor `loss` was computed from, itself included."""
-    seen, stack = {}, [loss]
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen[id(t)] = t
-            stack.extend(t._parents)
-    return list(seen.values())
-
-
-class TestTape:
-    def test_fixed_batch_has_pinned_node_count(self, small_split):
-        tr = small_trainer(small_split, lam=0.1, gamma=1e-4)
-        rec, ssl = tr._batch_loss(tr.samples[:8])
-        loss = total_loss(rec, ssl, tr.model, lam=0.1, gamma=1e-4)
-        unpenalized = total_loss(rec, ssl, tr.model, lam=0.1, gamma=0.0)
-        # the penalty over all 12 regularized parameters is one node plus its add
-        assert len(tr.model.regularized()) == 12
-        assert len(tape(loss)) == len(tape(unpenalized)) + 2 == PINNED_TAPE_NODES
-
-    @pytest.mark.parametrize("lam", [0.0, 0.1])
-    def test_one_encoder_node_per_batch(self, small_split, lam):
-        """The batch's plans span several node counts, and one tape node, the
-        `encode_plans` call, reads the attention weights."""
-        tr = small_trainer(small_split, lam=lam, all_prefix=True)
-        by_size = {}
-        for sample in tr.samples:
-            by_size.setdefault(len(sample.plan.poi_rows), []).append(sample)
-        batch = [sample for group in by_size.values() for sample in group[:2]][:8]
-        assert len({len(s.plan.poi_rows) for s in batch}) > 2
-        rec, ssl = tr._batch_loss(batch)
-        loss = total_loss(rec, ssl, tr.model, lam=lam, gamma=0.0)  # no penalty node
-        wq = tr.model.params["l0.h0.wq"]
-        assert sum(any(p is wq for p in t._parents) for t in tape(loss)) == 1
-
-    def test_constant_leaves_end_backward_without_gradient(self, small_split):
-        tr = small_trainer(small_split, lam=0.1)
-        rec, ssl = tr._batch_loss(tr.samples[:8])
-        loss = total_loss(rec, ssl, tr.model, lam=0.1, gamma=1e-4)
-        loss.backward()
-        constants = [t for t in tape(loss) if not (t.requires_grad or t._parents)]
-        assert constants and all(t.grad is None for t in constants)
-        assert all(t.grad is not None for t in tape(loss) if t.requires_grad or t._parents)
+        assert len(reg) == 12 and plain["cat_pairs"] is None and plain["w_r"] is None
+        for name, p in tr.model.params.items():
+            if name not in reg:
+                assert np.array_equal(penalized[name], plain[name]), name
+            elif plain[name] is None:
+                assert np.array_equal(penalized[name], 2 * gamma * p.data), name
+            else:
+                assert np.array_equal(penalized[name], plain[name] + 2 * gamma * p.data), name
 
 
 class TestTrainingLoop:
@@ -348,6 +313,21 @@ class TestTrainingLoop:
         tr.model.params["poi_table"].data[0, 0] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
             tr.train_epoch()
+
+    def test_nonfinite_loss_names_the_batch_targets(self, small_split):
+        # finite logits, but a penalty beyond float32: cat_pairs is not read
+        # by the encoder without the category bias, and 1e30 squared overflows
+        tr = small_trainer(small_split, epochs=1, use_category_bias=False)
+        tr.model.params["cat_pairs"].data[0, 0] = 1e30
+        before = param_bytes(tr)
+        rng = np.random.default_rng()
+        rng.bit_generator.state = tr.batch_rng.bit_generator.state
+        first = [tr.samples[i] for i in rng.permutation(len(tr.samples))[:8]]
+        ids = [tr.model.poi_ids[s.target] for s in first]
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=re.escape(
+                f"non-finite loss at epoch 0, batch 0: targets={ids}")):
+            tr.train_epoch()
+        assert param_bytes(tr) == before
 
     def test_nonfinite_logits_fail_ranking(self, small_split):
         tr = small_trainer(small_split, epochs=1)
@@ -551,28 +531,29 @@ class TestBatchedRanking:
         want = []
         for prefix, target in pairs:
             mg = add_master_node(build_trajectory_graph(prefix, row), coords)
-            logits = tr.model.predict(oracles.encode(tr.model, mg)).data[0]
+            logits = tr.model.predict(oracles.encode(tr.model, mg).data)[0]
             want.append(oracles.rank_target(logits, tr.model.poi_ids, target.poi_id))
         assert tr.rank_pairs(pairs) == want
         assert len(set(len(p.checkins) for p, _ in pairs)) > 1
 
     def test_ranking_records_no_graph(self, small_split, monkeypatch):
+        """Ranking is one encoder pass that keeps no intermediates."""
         tr = small_trainer(small_split)
         seen = []
-        predict = GsanModel.predict
-        monkeypatch.setattr(GsanModel, "predict",
-                            lambda self, s_u: seen.append(s_u) or predict(self, s_u))
+        encode_plans = GsanModel.encode_plans
+        monkeypatch.setattr(GsanModel, "encode_plans",
+                            lambda self, plans, keep=False: seen.append((len(plans), keep))
+                            or encode_plans(self, plans, keep))
         tr.rank_pairs(small_split.test)
-        assert len(seen) == 1 and seen[0]._parents == ()
-        assert seen[0].shape == (len(small_split.test), tr.config.d)
+        assert seen == [(len(small_split.test), False)]
 
     @pytest.mark.parametrize("overrides", [{"lam": 0.1}, {"lam": 0.5, "heads": 2},
                                            {"all_prefix": True, "use_category_bias": False}])
     def test_fit_equals_per_graph_oracle_encoder(self, small_split, monkeypatch, overrides):
-        """In float64, every batch of a 2-epoch fit has the rec and ssl
-        losses, and the parameter gradients of each, of encoding every
-        sample and view alone through `oracles.encode`, with the views drawn
-        from a copy of the augmentation rng."""
+        """In float64, every batch of a 2-epoch fit has the rec, ssl and
+        total losses, and the parameter gradients of the total, of encoding
+        every sample and view alone through `oracles.encode` on the reference
+        tape, with the views drawn from a copy of the augmentation rng."""
         cfg = small_trainer(small_split).config.override(**overrides)
         tr = Trainer(small_split, cfg, dtype=np.float64)
         batch_loss = Trainer._batch_loss
@@ -581,14 +562,15 @@ class TestBatchedRanking:
         def checked_batch_loss(self, batch):
             rng = np.random.default_rng()
             rng.bit_generator.state = self.aug_rng.bit_generator.state
-            want = oracle_batch_loss(self, batch, rng)
+            rec, ssl = oracle_batch_loss(self, batch, rng)
+            want = oracles.total_loss(rec, ssl, self.model, cfg.lam, cfg.gamma)
             got = batch_loss(self, batch)
             assert rng.bit_generator.state == self.aug_rng.bit_generator.state
-            for g, w in zip(got, want):
-                assert abs(g.item() - w.item()) <= 1e-9
-                got_grads, want_grads = loss_grads(self.model, g), loss_grads(self.model, w)
-                for name, grad in got_grads.items():
-                    assert np.allclose(grad, want_grads[name], rtol=0, atol=1e-9), name
+            for g, w in ((got.rec, rec), (got.ssl, ssl), (got.total, want)):
+                assert abs(g - w.item()) <= 1e-9
+            got_grads, want_grads = loss_grads(self.model, got), loss_grads(self.model, want)
+            for name, grad in got_grads.items():
+                assert np.allclose(grad, want_grads[name], rtol=0, atol=1e-9), name
             checked.append(len(batch))
             return got
 
@@ -598,16 +580,22 @@ class TestBatchedRanking:
 
     @pytest.mark.parametrize("lam, views", [(0.0, 0), (0.1, 2)])
     def test_batch_is_one_encode_plans_call(self, small_split, monkeypatch, lam, views):
-        """A batch of B samples encodes B plans at lam=0 and, with both
-        views of each sample, 3B plans otherwise, all in one call."""
-        tr = small_trainer(small_split, lam=lam)
-        sizes = []
+        """A batch of B samples of several node counts encodes B plans at
+        lam=0 and, with both views of each sample, 3B plans otherwise, all in
+        one call that keeps its intermediates for the backward."""
+        tr = small_trainer(small_split, lam=lam, all_prefix=True)
+        by_size = {}
+        for sample in tr.samples:
+            by_size.setdefault(len(sample.plan.poi_rows), []).append(sample)
+        batch = [sample for group in by_size.values() for sample in group[:2]][:8]
+        assert len({len(s.plan.poi_rows) for s in batch}) > 2
+        calls = []
         encode_plans = GsanModel.encode_plans
         monkeypatch.setattr(GsanModel, "encode_plans",
-                            lambda self, plans: sizes.append(len(plans))
-                            or encode_plans(self, plans))
-        tr._batch_loss(tr.samples[:8])
-        assert sizes == [8 * (1 + views)]
+                            lambda self, plans, keep=False: calls.append((len(plans), keep))
+                            or encode_plans(self, plans, keep))
+        tr._batch_loss(batch).backward()
+        assert calls == [(len(batch) * (1 + views), True)]
 
 
 def loss_grads(model, loss):
@@ -620,19 +608,21 @@ def loss_grads(model, loss):
 
 
 def oracle_batch_loss(trainer, batch, rng):
-    """(rec, ssl) of `batch` with each sample and each view encoded alone by
-    `oracles.encode`, the views drawn from `rng` in training's order."""
+    """(rec, ssl) of `batch` on the reference tape, with each sample and each
+    view encoded alone by `oracles.encode`, the views drawn from `rng` in
+    training's order."""
     cfg, model = trainer.config, trainer.model
     coords = catalog_coords(trainer.split)
-    s_u = ad.concat([oracles.encode(model, add_master_node(s.graph, coords)) for s in batch],
-                    axis=0)
-    rec = model.rec_loss(model.predict(s_u), [s.target for s in batch])
+    s_u = ops.concat([oracles.encode(model, add_master_node(s.graph, coords)) for s in batch],
+                     axis=0)
+    logits = ops.matmul(s_u, ops.transpose(model.params["poi_table"]))
+    rec = ops.log_softmax_nll(logits, [s.target for s in batch])
     za, zb = [], []
     for sample in batch:
         pair = make_views(sample.graph, cfg, trainer.corr_index, rng)
         za.append(oracles.encode(model, add_master_node(pair.view_a, coords)))
         zb.append(oracles.encode(model, add_master_node(pair.view_b, coords)))
-    return rec, infonce(ad.concat(za, axis=0), ad.concat(zb, axis=0), tau=cfg.tau)
+    return rec, oracles.infonce(ops.concat(za, axis=0), ops.concat(zb, axis=0), tau=cfg.tau)
 
 
 class TestCheckpointResume:
