@@ -241,6 +241,38 @@ class TestTotalLoss:
                 assert np.array_equal(penalized[name], plain[name] + 2 * gamma * p.data), name
 
 
+def mixed_size_batch(trainer):
+    """Up to 8 of `trainer`'s samples, at most 2 per node count."""
+    by_size = {}
+    for sample in trainer.samples:
+        by_size.setdefault(len(sample.plan.poi_rows), []).append(sample)
+    return [sample for group in by_size.values() for sample in group[:2]][:8]
+
+
+class TestTape:
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_one_encoder_node_per_batch(self, small_split, monkeypatch, lam):
+        """The batch's plans span several node counts, and one
+        `GsanModel.backward` call, over every node-count group of the pass,
+        gives the attention weights their gradient."""
+        tr = small_trainer(small_split, lam=lam, all_prefix=True)
+        batch = mixed_size_batch(tr)
+        sizes = {len(s.plan.poi_rows) for s in batch}
+        assert len(sizes) > 2
+        calls = []
+        backward = GsanModel.backward
+        monkeypatch.setattr(GsanModel, "backward",
+                            lambda self, g, cache, poi_grad: calls.append(cache)
+                            or backward(self, g, cache, poi_grad))
+        tr._batch_loss(batch).backward()
+        assert len(calls) == 1
+        _, readout, saved = calls[0]
+        assert len(readout) == len(batch) * (1 if lam == 0 else 3)
+        assert {group.rows.shape[1] for _, group in saved} >= sizes
+        wq = tr.model.params["l0.h0.wq"]
+        assert wq.grad is not None and np.any(wq.grad != 0)
+
+
 class TestTrainingLoop:
     def test_loss_decreases(self, small_split):
         tr = small_trainer(small_split, epochs=4, lam=0.0, lr=0.01)
@@ -580,15 +612,11 @@ class TestBatchedRanking:
 
     @pytest.mark.parametrize("lam, views", [(0.0, 0), (0.1, 2)])
     def test_batch_is_one_encode_plans_call(self, small_split, monkeypatch, lam, views):
-        """A batch of B samples of several node counts encodes B plans at
-        lam=0 and, with both views of each sample, 3B plans otherwise, all in
-        one call that keeps its intermediates for the backward."""
-        tr = small_trainer(small_split, lam=lam, all_prefix=True)
-        by_size = {}
-        for sample in tr.samples:
-            by_size.setdefault(len(sample.plan.poi_rows), []).append(sample)
-        batch = [sample for group in by_size.values() for sample in group[:2]][:8]
-        assert len({len(s.plan.poi_rows) for s in batch}) > 2
+        """A batch of B samples encodes B plans at lam=0 and, with both views
+        of each sample, 3B plans otherwise, all in one call that keeps its
+        intermediates for the backward."""
+        tr = small_trainer(small_split, lam=lam)
+        batch = tr.samples[:8]
         calls = []
         encode_plans = GsanModel.encode_plans
         monkeypatch.setattr(GsanModel, "encode_plans",
