@@ -61,10 +61,22 @@ class Trajectory:
 
 @dataclass
 class DatasetSplit:
-    train: list = field(default_factory=list)  # Trajectory
-    val: list = field(default_factory=list)  # (prefix Trajectory, target CheckIn)
-    test: list = field(default_factory=list)
-    catalog: list = field(default_factory=list)  # Poi, strictly ascending by poi_id
+    """The sessions and the catalog. `train`, `val` and `test` are derived
+    from the sessions, in order, by `leave_one_out`."""
+    sessions: list  # Trajectory
+    catalog: list  # Poi, strictly ascending by poi_id
+    train: list = field(init=False, repr=False, compare=False)  # Trajectory
+    val: list = field(init=False, repr=False, compare=False)  # (prefix Trajectory, target CheckIn)
+    test: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.train, self.val, self.test = [], [], []
+        for session in self.sessions:
+            train, val, test = leave_one_out(session)
+            self.train.append(train)
+            if val is not None:
+                self.val.append(val)
+                self.test.append(test)
 
 
 def catalog_rows(catalog):
@@ -250,32 +262,12 @@ def make_split(checkins, min_user_visits=10, min_poi_users=10, gap_seconds=24 * 
     by_user = {}
     for c in kept:
         by_user.setdefault(c.user_id, []).append(c)
-    split = DatasetSplit(catalog=build_catalog(kept))
-    for user in sorted(by_user):
-        for traj in split_sessions(by_user[user], gap_seconds):
-            traj = truncate_recent(traj, t_max)
-            train, val, test = leave_one_out(traj)
-            if len(train) >= 1:
-                split.train.append(train)
-            if val is not None:
-                split.val.append(val)
-            if test is not None:
-                split.test.append(test)
-    return split
+    sessions = [truncate_recent(traj, t_max) for user in sorted(by_user)
+                for traj in split_sessions(by_user[user], gap_seconds)]
+    return DatasetSplit(sessions, build_catalog(kept))
 
 
 # -- serialization ---------------------------------------------------------
-
-
-def _checkin_to_row(c):
-    return [c.user_id, c.poi_id, c.category_id, c.timestamp, c.lat, c.lon]
-
-
-def _checkin_from_row(row):
-    if not isinstance(row, list) or len(row) != 6:
-        raise DataError(f"check-in row {json.dumps(row)} is not a list of the 6 fields "
-                        f"user, POI, category, timestamp, latitude, longitude")
-    return CheckIn(row[0], row[1], row[2], float(row[3]), float(row[4]), float(row[5]))
 
 
 def _json_line(path, lineno, line):
@@ -287,84 +279,91 @@ def _json_line(path, lineno, line):
         raise DataError(f"{path}:{lineno}: line is not JSON: {exc}") from None
 
 
+def _check_ids(poi_id, category):
+    for what, value in (("poi_id", poi_id), ("category", category)):
+        if not isinstance(value, str):
+            raise DataError(f"{what} {json.dumps(value)} is not a string")
+
+
 def save_split(split, out_dir):
-    """Write a DatasetSplit as newline-delimited JSON records, one trajectory
-    (or eval pair) per line. Deterministic byte-for-byte."""
+    """Write a DatasetSplit as newline-delimited JSON: one catalog row per
+    POI, and one record per session. Deterministic byte-for-byte."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "catalog.jsonl").open("w", encoding="utf-8") as fh:
         for p in split.catalog:
             fh.write(json.dumps([p.poi_id, p.category_id, p.lat, p.lon]) + "\n")
     with (out / "trajectories.jsonl").open("w", encoding="utf-8") as fh:
-        for traj in split.train:
-            rec = {"kind": "train", "user": traj.user_id,
-                   "checkins": [_checkin_to_row(c) for c in traj.checkins]}
-            fh.write(json.dumps(rec) + "\n")
-        for kind, pairs in (("val", split.val), ("test", split.test)):
-            for prefix, target in pairs:
-                rec = {"kind": kind, "user": prefix.user_id,
-                       "checkins": [_checkin_to_row(c) for c in prefix.checkins],
-                       "target": _checkin_to_row(target)}
-                fh.write(json.dumps(rec) + "\n")
+        for session in split.sessions:
+            rows = [[c.poi_id, c.category_id, c.timestamp, c.lat, c.lon]
+                    for c in session.checkins]
+            fh.write(json.dumps({"user": session.user_id, "checkins": rows}) + "\n")
 
 
 def load_split(in_dir):
     """Read a `save_split` directory. Raises DataError, naming the file and
     line, unless every line is JSON, each catalog line a row of its 4 fields
-    whose poi_ids strictly ascend (the row order of every later stage) and
-    whose coordinates are in bounds, and unless each record is an object
-    with a train, val or test "kind", a "user" and a non-empty "checkins"
-    list, each val and test record a "target", and each check-in and target
-    is a row of its 6 fields, with coordinates in bounds, naming a catalog POI."""
+    with string ids, whose poi_ids strictly ascend (the row order of every
+    later stage) and whose coordinates are in bounds, and unless each record
+    is an object of exactly a string "user" and a non-empty "checkins" list,
+    each check-in a row of its 5 fields with string ids, with coordinates in
+    bounds, naming a catalog POI."""
     src = Path(in_dir)
     cat_path = src / "catalog.jsonl"
     traj_path = src / "trajectories.jsonl"
     if not cat_path.is_file() or not traj_path.is_file():
         raise DataError(f"processed dataset not found under {src}")
-    split = DatasetSplit()
+    catalog = []
     with cat_path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             row = _json_line(cat_path, lineno, line)
-            if not isinstance(row, list) or len(row) != 4:
-                raise DataError(f"{cat_path}:{lineno}: catalog row {line.strip()} is not a "
-                                f"list of the 4 fields poi_id, category, latitude, longitude")
-            poi_id, cat, lat, lon = row
-            if split.catalog and poi_id <= (prev := split.catalog[-1].poi_id):
-                why = "is listed twice" if poi_id == prev else f"follows {prev!r}"
-                raise DataError(f"{cat_path}:{lineno}: POI {poi_id!r} {why}; catalog "
-                                f"poi_ids must be strictly ascending")
             try:
-                split.catalog.append(Poi(poi_id, cat, float(lat), float(lon)))
-            except (TypeError, ValueError) as exc:  # DataError, or a field of the wrong type
+                if not isinstance(row, list) or len(row) != 4:
+                    raise DataError(f"catalog row {line.strip()} is not a list of the 4 "
+                                    f"fields poi_id, category, latitude, longitude")
+                poi_id, cat, lat, lon = row
+                _check_ids(poi_id, cat)
+                if catalog and poi_id <= (prev := catalog[-1].poi_id):
+                    why = "is listed twice" if poi_id == prev else f"follows {prev!r}"
+                    raise DataError(f"POI {poi_id!r} {why}; catalog poi_ids must be "
+                                    f"strictly ascending")
+                catalog.append(Poi(poi_id, cat, float(lat), float(lon)))
+            except (TypeError, ValueError, OverflowError) as exc:  # DataError included
                 raise DataError(f"{cat_path}:{lineno}: {exc}") from None
-    known = {p.poi_id for p in split.catalog}
-    kinds = {"train": split.train, "val": split.val, "test": split.test}
+    known = {p.poi_id for p in catalog}
+    sessions = []
     with traj_path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             rec = _json_line(traj_path, lineno, line)
-            if not isinstance(rec, dict):
-                raise DataError(f"{traj_path}:{lineno}: record {line.strip()} is not a "
-                                f"JSON object")
-            kind = rec.get("kind")
-            if kind not in kinds:
-                what = f"kind {kind!r}, not one of {', '.join(kinds)}" if "kind" in rec else 'no "kind"'
-                raise DataError(f"{traj_path}:{lineno}: record has {what}")
-            for key in ("user", "checkins") + (() if kind == "train" else ("target",)):
-                if key not in rec:
-                    raise DataError(f'{traj_path}:{lineno}: {kind} record has no "{key}"')
-            if not isinstance(rec["checkins"], list):
-                raise DataError(f'{traj_path}:{lineno}: {kind} record\'s "checkins" is not a list')
-            if not rec["checkins"]:
-                raise DataError(f"{traj_path}:{lineno}: {kind} record has no check-ins")
-            rows = rec["checkins"] + ([rec["target"]] if "target" in rec else [])
             try:
-                checkins = [_checkin_from_row(row) for row in rows]
-            except (TypeError, ValueError) as exc:  # DataError, or a field of the wrong type
+                sessions.append(_session_from_record(rec, line, known))
+            except (TypeError, ValueError, OverflowError) as exc:  # DataError included
                 raise DataError(f"{traj_path}:{lineno}: {exc}") from None
-            missing = sorted({c.poi_id for c in checkins} - known)
-            if missing:
-                raise DataError(f"{traj_path}:{lineno}: {kind} record names POI "
-                                f"{missing[0]!r}, which is not in the catalog")
-            traj = Trajectory(rec["user"], checkins[:len(rec["checkins"])])
-            kinds[kind].append(traj if kind == "train" else (traj, checkins[-1]))
-    return split
+    return DatasetSplit(sessions, catalog)
+
+
+def _session_from_record(rec, line, known):
+    if not isinstance(rec, dict):
+        raise DataError(f"record {line.strip()} is not a JSON object")
+    if rec.keys() != {"user", "checkins"}:
+        keys = ", ".join(json.dumps(k) for k in sorted(rec)) or "no keys"
+        raise DataError(f'record has {keys}, not exactly "user" and "checkins"; a split '
+                        f"of another format must be made again with `poirec preprocess`")
+    user, rows = rec["user"], rec["checkins"]
+    if not isinstance(user, str):
+        raise DataError(f'record\'s "user" {json.dumps(user)} is not a string')
+    if not isinstance(rows, list):
+        raise DataError('record\'s "checkins" is not a list')
+    if not rows:
+        raise DataError("record has no check-ins")
+    checkins = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 5:
+            raise DataError(f"check-in row {json.dumps(row)} is not a list of the 5 fields "
+                            f"POI, category, timestamp, latitude, longitude")
+        poi_id, cat, ts, lat, lon = row
+        _check_ids(poi_id, cat)
+        if poi_id not in known:
+            raise DataError(f"record names POI {poi_id!r}, which is not in the catalog")
+        checkins.append(CheckIn(user, poi_id, cat, float(ts), float(lat), float(lon)))
+    return Trajectory(user, checkins)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from poirec.data import CheckIn, DatasetSplit, Poi, Trajectory, leave_one_out
+from poirec.data import CheckIn, DatasetSplit, Poi, Trajectory
 
 CATEGORIES = ("food", "shop", "park", "museum", "transport")
 
@@ -35,7 +35,7 @@ def markov_dataset(n_pois=50, n_traj=500, traj_len=8, seed=0, noise=0.0):
     coords = {p.poi_id: (p.lat, p.lon) for p in catalog}
     successor = rng.permutation(n_pois)  # deterministic Markov transition
 
-    split = DatasetSplit(catalog=catalog)
+    sessions = []
     for t in range(n_traj):
         cur = int(rng.integers(n_pois))
         seq = [cur]
@@ -50,10 +50,5 @@ def markov_dataset(n_pois=50, n_traj=500, traj_len=8, seed=0, noise=0.0):
                     coords[ids[p]][0], coords[ids[p]][1])
             for i, p in enumerate(seq)
         ]
-        train, val, test = leave_one_out(Trajectory(f"u{t:04d}", checkins))
-        split.train.append(train)
-        if val is not None:
-            split.val.append(val)
-        if test is not None:
-            split.test.append(test)
-    return split
+        sessions.append(Trajectory(f"u{t:04d}", checkins))
+    return DatasetSplit(sessions, catalog)

@@ -102,7 +102,7 @@ class TestPreprocess:
     @staticmethod
     def preprocess(tmp_path, capsys, *flags):
         """Preprocess the 12-user log (one 12-check-in session per user) with
-        `flags`; returns the summary line and the longest record length."""
+        `flags`; returns the summary line and the longest session's length."""
         raw = tmp_path / "raw.tsv"
         write_raw_log(raw)
         out = tmp_path / "out"
@@ -111,7 +111,7 @@ class TestPreprocess:
                      "--out", str(out)] + [str(f) for f in flags]) == 0
         summary = capsys.readouterr().out.splitlines()[-1]
         records = [json.loads(l) for l in (out / "trajectories.jsonl").read_text().splitlines()]
-        return summary, max(len(r["checkins"]) + ("target" in r) for r in records)
+        return summary, max(len(r["checkins"]) for r in records)
 
     def test_config_file_and_gap_hours_flag(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -451,9 +451,8 @@ class TestTrainEvaluate:
     @pytest.mark.parametrize("split_name", ["val", "test"])
     def test_evaluate_on_an_empty_split_exit_3(self, tmp_path, capsys, monkeypatch,
                                                split_name):
-        split = markov_dataset(n_pois=12, n_traj=25, traj_len=5, seed=2)
-        setattr(split, split_name, [])
-        save_split(split, tmp_path / "data")
+        # sessions of 2 check-ins: train only, no val or test pairs
+        save_split(markov_dataset(n_pois=12, n_traj=25, traj_len=2, seed=2), tmp_path / "data")
         # refused before the checkpoint is read or any trainer is built
         monkeypatch.setattr(training.Trainer, "from_checkpoint",
                             lambda *a: pytest.fail("built a trainer"))
@@ -494,37 +493,49 @@ class TestTrainEvaluate:
         (out / name).write_text("".join(lines))
         return out
 
-    @pytest.mark.parametrize("kind, edit, message", [
-        ("train", lambda rec: rec.pop("kind"), 'record has no "kind"'),
-        ("val", lambda rec: rec.update(kind="valid"),
-         "record has kind 'valid', not one of train, val, test"),
-        ("val", lambda rec: rec.pop("target"), 'val record has no "target"'),
-        ("train", lambda rec: rec.pop("user"), 'train record has no "user"'),
-        ("test", lambda rec: rec.pop("checkins"), 'test record has no "checkins"'),
-        ("train", lambda rec: rec.update(checkins={}), 'train record\'s "checkins" is not a list'),
-        ("train", lambda rec: rec.update(checkins=[]), "train record has no check-ins"),
-        ("val", lambda rec: rec.update(checkins=[]), "val record has no check-ins"),
-        ("test", lambda rec: rec.update(checkins=[]), "test record has no check-ins"),
-    ], ids=["no-kind", "unknown-kind", "no-target", "no-user", "no-checkins",
-            "checkins-not-a-list", "empty-checkins-train", "empty-checkins-val",
-            "empty-checkins-test"])
-    def test_bad_trajectory_record_exit_3(self, data_dir, tmp_path, capsys, kind, edit,
-                                          message):
-        recs = [json.loads(line) for line in
-                (data_dir / "trajectories.jsonl").read_text().splitlines()]
-        at = next(i for i, rec in enumerate(recs) if rec["kind"] == kind)
-        edit(recs[at])
-        bad = self.edited_split(data_dir, tmp_path / "bad", "trajectories.jsonl", at, recs[at])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: rec.update(kind="train"), 'record has "checkins", "kind", "user", not '
+         'exactly "user" and "checkins"; a split of another format must be made again '
+         'with `poirec preprocess`'),
+        (lambda rec: rec.pop("user"), 'record has "checkins", not exactly "user" and'),
+        (lambda rec: rec.pop("checkins"), 'record has "user", not exactly "user" and'),
+        (lambda rec: rec.update(user=7), 'record\'s "user" 7 is not a string'),
+        (lambda rec: rec.update(checkins={}), 'record\'s "checkins" is not a list'),
+        (lambda rec: rec.update(checkins=[]), "record has no check-ins"),
+    ], ids=["extra-key", "no-user", "no-checkins", "user-not-a-string",
+            "checkins-not-a-list", "empty-checkins"])
+    def test_bad_trajectory_record_exit_3(self, data_dir, tmp_path, capsys, edit, message):
+        rec = json.loads((data_dir / "trajectories.jsonl").read_text().splitlines()[2])
+        edit(rec)
+        bad = self.edited_split(data_dir, tmp_path / "bad", "trajectories.jsonl", 2, rec)
         code = main(["train", "--data", str(bad), "--out", str(tmp_path / "run"),
                      "--from-scratch", "--epochs", "1"] + TINY)
         assert code == 3
-        assert (f"error: {bad / 'trajectories.jsonl'}:{at + 1}: {message}"
-                in capsys.readouterr().err)
+        assert f"error: {bad / 'trajectories.jsonl'}:3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_old_format_split_exit_3(self, data_dir, tmp_path, capsys, command):
+        # the format that wrote each session as a train record and a val and a
+        # test record, each check-in row naming its user
+        rec = json.loads((data_dir / "trajectories.jsonl").read_text().splitlines()[0])
+        user, rows = rec["user"], [[rec["user"]] + row for row in rec["checkins"]]
+        old = [{"kind": "train", "user": user, "checkins": rows[:-2]},
+               {"kind": "val", "user": user, "checkins": rows[:-2], "target": rows[-2]},
+               {"kind": "test", "user": user, "checkins": rows[:-1], "target": rows[-1]}]
+        bad = tmp_path / "old"
+        bad.mkdir()
+        (bad / "catalog.jsonl").write_bytes((data_dir / "catalog.jsonl").read_bytes())
+        (bad / "trajectories.jsonl").write_text("".join(json.dumps(r) + "\n" for r in old))
+        flags = (["--out", str(tmp_path / "run"), "--from-scratch", "--epochs", "1"] + TINY
+                 if command == "train" else ["--checkpoint", str(tmp_path / "none.bin")])
+        assert main([command, "--data", str(bad)] + flags) == 3
+        assert (f"error: {bad / 'trajectories.jsonl'}:1: record has \"checkins\", \"kind\", "
+                f"\"user\", not exactly \"user\" and \"checkins\"; a split of another format "
+                f"must be made again with `poirec preprocess`" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("name, line, message", [
-        ("trajectories.jsonl", '{"kind": "train",', "line is not JSON: "),
-        ("trajectories.jsonl", '["train", "u1", []]',
-         'record ["train", "u1", []] is not a JSON object'),
+        ("trajectories.jsonl", '{"user": "u1",', "line is not JSON: "),
+        ("trajectories.jsonl", '["u1", []]', 'record ["u1", []] is not a JSON object'),
         ("catalog.jsonl", "p1, food, 40.0, -74.0", "line is not JSON: "),
         ("catalog.jsonl", '["p1", "food", 40.0]',
          'catalog row ["p1", "food", 40.0] is not a list of the 4 fields'),
@@ -542,23 +553,40 @@ class TestTrainEvaluate:
         assert code == 3
         assert f"error: {bad / name}:2: {message}" in capsys.readouterr().err
 
+    # the first check-in of a session, in its train part, or the last, its test target
     @pytest.mark.parametrize("kind", ["train", "test"])
     @pytest.mark.parametrize("edit, message", [
-        (lambda row: row[:5], "check-in row [{row}] is not a list of the 6 fields"),
-        (lambda row: row[:4] + [123.0] + row[5:], "coordinates out of bounds: (123.0, "),
-    ], ids=["row-one-field-short", "latitude-out-of-bounds"])
+        (lambda row: row[:4], "check-in row [{row}] is not a list of the 5 fields"),
+        (lambda row: row[:3] + [123.0] + row[4:], "coordinates out of bounds: (123.0, "),
+        (lambda row: [[row[0]]] + row[1:], "poi_id [{poi}] is not a string"),
+        (lambda row: row[:1] + [[row[1]]] + row[2:], "category [{cat}] is not a string"),
+    ], ids=["row-one-field-short", "latitude-out-of-bounds", "poi-id-a-list",
+            "category-a-list"])
     def test_bad_checkin_row_exit_3(self, data_dir, tmp_path, capsys, kind, edit, message):
-        recs = [json.loads(line) for line in
-                (data_dir / "trajectories.jsonl").read_text().splitlines()]
-        at = next(i for i, rec in enumerate(recs) if rec["kind"] == kind)
-        row = recs[at]["checkins"][-1]
-        recs[at]["checkins"][-1] = edit(row)
-        bad = self.edited_split(data_dir, tmp_path / "bad", "trajectories.jsonl", at, recs[at])
+        rec = json.loads((data_dir / "trajectories.jsonl").read_text().splitlines()[2])
+        at = 0 if kind == "train" else -1
+        row = rec["checkins"][at]
+        rec["checkins"][at] = edit(row)
+        bad = self.edited_split(data_dir, tmp_path / "bad", "trajectories.jsonl", 2, rec)
         code = main(["train", "--data", str(bad), "--out", str(tmp_path / "run"),
                      "--from-scratch", "--epochs", "1"] + TINY)
         assert code == 3
-        message = message.format(row=", ".join(map(json.dumps, row[:5])))
-        assert (f"error: {bad / 'trajectories.jsonl'}:{at + 1}: {message}"
+        message = message.format(row=", ".join(map(json.dumps, row[:4])),
+                                 poi=json.dumps(row[0]), cat=json.dumps(row[1]))
+        assert (f"error: {bad / 'trajectories.jsonl'}:3: {message}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda poi: [5] + poi[1:], "poi_id 5 is not a string"),
+        (lambda poi: poi[:1] + [[poi[1]]] + poi[2:], "category [{cat}] is not a string"),
+    ], ids=["poi-id-an-integer", "category-a-list"])
+    def test_catalog_id_not_a_string_exit_3(self, data_dir, tmp_path, capsys, edit, message):
+        poi = json.loads((data_dir / "catalog.jsonl").read_text().splitlines()[1])
+        bad = self.edited_split(data_dir, tmp_path / "bad", "catalog.jsonl", 1, edit(poi))
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "run"),
+                     "--from-scratch", "--epochs", "1"] + TINY)
+        assert code == 3
+        assert (f"error: {bad / 'catalog.jsonl'}:2: {message.format(cat=json.dumps(poi[1]))}"
                 in capsys.readouterr().err)
 
     def test_catalog_latitude_out_of_bounds_exit_3(self, data_dir, tmp_path, capsys):

@@ -1,14 +1,17 @@
+import functools
 import json
+import tempfile
 from datetime import datetime
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from poirec.data import (CheckIn, DatasetSplit, DataError, Poi, Trajectory,
                          build_catalog, filter_inactive, leave_one_out,
                          load_split, make_split, parse_checkins, save_split,
                          split_sessions, truncate_recent)
-from conftest import make_traj
+from conftest import catalog_of, make_traj
 import oracles
 
 FSQ_LINE = ("470\t49bbd6c0f964a520f4531fe3\t4bf58dd8d48988d127951735"
@@ -388,13 +391,31 @@ class TestRoundTrip:
             for j in range(12):
                 cs.append(ci(f"u{u}", f"p{j}", u * 5000.0 + j * 10, cat=f"c{j % 3}",
                              lat=1.0 * j, lon=-2.0 * j))
+        cs += [ci("u0", f"p{j}", 1e6 + j * 10) for j in range(2)]  # a train-only session
         split = make_split(cs, t_max=100)
         save_split(split, tmp_path / "out")
         loaded = load_split(tmp_path / "out")
-        assert [p.poi_id for p in loaded.catalog] == [p.poi_id for p in split.catalog]
-        assert [t.poi_ids() for t in loaded.train] == [t.poi_ids() for t in split.train]
-        assert [(p.poi_ids(), t.poi_id) for p, t in loaded.test] == \
-               [(p.poi_ids(), t.poi_id) for p, t in split.test]
+        assert loaded == split
+        assert (loaded.train, loaded.val, loaded.test, loaded.catalog) == \
+               (split.train, split.val, split.test, split.catalog)
+        assert len(split.train) == len(split.val) + 1
+
+    def test_split_is_leave_one_out_of_each_session(self):
+        sessions = [make_traj(list("abcde")), make_traj(list("ab"), user="u2"),
+                    make_traj(list("cab"), user="u3")]
+        split = DatasetSplit(sessions, catalog_of(sessions))
+        parts = [leave_one_out(s) for s in sessions]
+        assert split.train == [train for train, _, _ in parts]
+        assert split.val == [val for _, val, _ in parts if val is not None]
+        assert split.test == [test for _, _, test in parts if test is not None]
+
+    def test_one_record_per_session(self, tmp_path):
+        cs = [ci(f"u{u}", f"p{j}", u * 5000.0 + j * 10) for u in range(12) for j in range(12)]
+        split = make_split(cs)
+        save_split(split, tmp_path)
+        recs = [json.loads(line) for line in (tmp_path / "trajectories.jsonl").open()]
+        assert [(r["user"], [row[0] for row in r["checkins"]]) for r in recs] == \
+               [(s.user_id, s.poi_ids()) for s in split.sessions]
 
     def test_deterministic_bytes(self, tmp_path):
         cs = [ci(f"u{u}", f"p{j}", u * 999.0 + j) for u in range(11) for j in range(11)]
@@ -414,23 +435,100 @@ class TestRoundTrip:
         (["b", "a"], "catalog.jsonl:2: POI 'a' follows 'b'"),
     ], ids=["out-of-order", "repeated", "descending"])
     def test_load_rejects_catalog_not_strictly_ascending(self, tmp_path, order, message):
-        save_split(DatasetSplit(catalog=[Poi(p, "c", 0.0, 0.0) for p in order]), tmp_path)
+        save_split(DatasetSplit([], [Poi(p, "c", 0.0, 0.0) for p in order]), tmp_path)
         with pytest.raises(DataError, match=f"{message}; catalog poi_ids must be strictly "
                                             f"ascending"):
             load_split(tmp_path)
 
-    @pytest.mark.parametrize("kind, field", [("train", "checkins"), ("val", "checkins"),
-                                             ("test", "checkins"), ("val", "target"),
+    # the check-in of a session's train part, the one that becomes its val
+    # target, and the one that becomes its test target
+    @pytest.mark.parametrize("kind, field", [("train", "checkins"), ("val", "target"),
                                              ("test", "target")])
     def test_load_rejects_poi_missing_from_catalog(self, tmp_path, kind, field):
         cs = [ci(f"u{u}", f"p{j}", u * 5000.0 + j * 10) for u in range(12) for j in range(12)]
         save_split(make_split(cs), tmp_path)
         path = tmp_path / "trajectories.jsonl"
         recs = [json.loads(line) for line in path.read_text().splitlines()]
-        lineno = next(i for i, r in enumerate(recs, 1) if r["kind"] == kind)
-        rec = recs[lineno - 1]
-        (rec["target"] if field == "target" else rec["checkins"][-1])[1] = "zz"
+        recs[3]["checkins"][{"train": 0, "val": -2, "test": -1}[kind]][0] = "zz"
         path.write_text("".join(json.dumps(r) + "\n" for r in recs))
-        with pytest.raises(DataError, match=f"trajectories.jsonl:{lineno}: {kind} record "
-                                            f"names POI 'zz', which is not in the catalog"):
+        with pytest.raises(DataError, match="trajectories.jsonl:4: record names POI 'zz', "
+                                            "which is not in the catalog"):
             load_split(tmp_path)
+
+
+JSON_VALUES = (None, True, 0, 1.5, "x", [], {})
+
+
+def _json_paths(value, at=()):
+    """The path (keys and indices) of every part of a JSON value, its own () first."""
+    yield at
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, part in items:
+        yield from _json_paths(part, at + (key,))
+
+
+def _mutate_line(data, line):
+    """`line` with one key of its JSON value dropped or one value replaced by
+    one of another JSON type; unchanged if it is not JSON."""
+    try:
+        holder = [json.loads(line)]  # so that the whole value has a parent too
+    except ValueError:
+        return line
+    paths = [(0,) + path for path in _json_paths(holder[0])]
+    drop = data.draw(st.booleans()) and len(paths) > 1
+    *at, last = data.draw(st.sampled_from(paths[1:] if drop else paths))
+    parent = holder
+    for key in at:
+        parent = parent[key]
+    if drop:
+        del parent[last]
+    else:
+        parent[last] = data.draw(st.sampled_from(
+            [v for v in JSON_VALUES if type(v) is not type(parent[last])]))
+    return json.dumps(holder[0]) + "\n"
+
+
+@functools.cache
+def _valid_split_files():
+    """name -> text of a small valid split: sessions of 1 to 6 check-ins."""
+    cs = [ci(f"u{u}", f"p{(u + j) % 5}", u * 1e6 + j * 3600 + (j >= 2 + u) * 2e5,
+             cat=f"c{j % 2}", lat=0.5 * u, lon=-0.5 * j) for u in range(3) for j in range(7)]
+    with tempfile.TemporaryDirectory() as d:
+        save_split(make_split(cs, min_user_visits=1, min_poi_users=1), d)
+        return {name: (Path(d) / name).read_text()
+                for name in ("catalog.jsonl", "trajectories.jsonl")}
+
+
+class TestLoadFuzz:
+    @settings(max_examples=500)
+    @given(st.data())
+    def test_valid_split_or_data_error_naming_the_file(self, data):
+        files = dict(_valid_split_files())
+        for _ in range(data.draw(st.integers(1, 2))):
+            name = data.draw(st.sampled_from(sorted(files)))
+            text = files[name]
+            lines = text.splitlines(keepends=True)
+            op = data.draw(st.sampled_from(["mutate", "cut", "duplicate", "swap"]))
+            if op == "cut":
+                files[name] = text[:data.draw(st.integers(0, len(text)))]
+                continue
+            if not lines:
+                continue
+            i, j = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            if op == "mutate":
+                lines[i] = _mutate_line(data, lines[i])
+            elif op == "duplicate":
+                lines.insert(j, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            files[name] = "".join(lines)
+        with tempfile.TemporaryDirectory() as d:
+            for name, text in files.items():
+                (Path(d) / name).write_text(text)
+            try:
+                split = load_split(d)
+            except DataError as exc:
+                assert str(exc).startswith(tuple(f"{Path(d) / name}:" for name in files)), exc
+            else:
+                assert isinstance(split, DatasetSplit)
